@@ -1,8 +1,9 @@
 """Command-line front end: lattice counts, spectrum experiments, layer sweeps, selftest.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input, 3 missing data.
-Every subcommand honors --seed, --out, --json-summary and --deterministic;
-flags override values from an optional flat `key = value` config file.
+Every subcommand honors --seed, --out, --json-summary and --config; `spectrum mc`
+also takes --threads.  Flags override values from an optional flat
+`key = value` config file.
 """
 
 from __future__ import annotations
@@ -49,9 +50,12 @@ def _parse_exponents(text: str) -> tuple[float, ...]:
 
 def _parse_widths(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
+        widths = tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise CLIError(f"bad widths list {text!r}")
+    if not widths:
+        raise CLIError("empty widths list")
+    return widths
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -219,7 +223,6 @@ def cmd_spectrum(args) -> int:
     t0 = time.monotonic()
     seed = _resolve(args, "seed", int, 0)
     alpha = _resolve(args, "alpha", float, 1.31)
-    threads = 1 if args.deterministic else max(1, _resolve(args, "threads", int, 1))
 
     if args.spectrum_cmd == "hpi":
         exps = _parse_exponents(_resolve(args, "pi", str, "1,1"))
@@ -239,7 +242,7 @@ def cmd_spectrum(args) -> int:
             meta={"alpha": repr(alpha), "truncated": str(top.truncated).lower()},
         )
         _emit_spectrum(est, args, elapsed_ms=int(1000 * (time.monotonic() - t0)))
-        print(f"top value = {top[0].value!r} at indices {top[0].indices}")
+        print(f"top value = {float(top[0].value)!r} at indices {top[0].indices}")
         return EXIT_OK
 
     if args.spectrum_cmd == "theory":
@@ -272,8 +275,13 @@ def cmd_spectrum(args) -> int:
         problems.append(f"need 1 <= d <= v, got d={d}, v={v}")
     if not alpha > 1.0:
         problems.append(f"alpha must exceed 1, got {alpha}")
-    if args.spectrum_cmd == "mc" and m < 100:
-        problems.append(f"m must be >= 100, got {m}")
+    threads = 1
+    if args.spectrum_cmd == "mc":
+        if m < 100:
+            problems.append(f"m must be >= 100, got {m}")
+        threads = _resolve(args, "threads", int, 1)
+        if threads < 1:
+            problems.append(f"threads must be >= 1, got {threads}")
     act_text = _resolve(args, "act", str, None)
     p = _resolve(args, "p", int, None)
     act = None
@@ -442,10 +450,11 @@ def cmd_layers(args) -> int:
 
 def cmd_selftest(args) -> int:
     results = selfcheck.run_all(quick=args.quick, data_dir=getattr(args, "data", None))
-    failed = 0
+    failed = skipped = 0
     for res in results:
         if res.passed is None:
             status = "SKIP"
+            skipped += 1
         elif res.passed:
             status = "PASS"
         else:
@@ -462,7 +471,8 @@ def cmd_selftest(args) -> int:
                 ]
             },
         )
-    print(f"{len(results) - failed}/{len(results)} criteria passed"
+    passed = len(results) - failed - skipped
+    print(f"{len(results)} criteria: {passed} passed, {skipped} skipped, {failed} failed"
           + (" (quick mode)" if args.quick else ""))
     return EXIT_OK if failed == 0 else EXIT_INTERNAL
 
@@ -474,12 +484,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     parser.add_argument("--out", default=None, help="write primary output to this path")
     parser.add_argument("--json-summary", default=None, help="write a JSON run summary here")
-    parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force sequential accumulation (single worker)",
-    )
-    parser.add_argument("--threads", type=int, default=None, help="cap worker threads (default 1)")
     parser.add_argument("--config", default=None, help="flat key = value config file")
 
 
@@ -531,6 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fit", type=str, default=None, help="slope fit range (default 5..100)")
         p.add_argument("--centered", action="store_true", help="subtract the feature mean")
         p.add_argument("--normalized-out", default=None, help="also write top-normalized CSV")
+        if name == "mc":
+            p.add_argument("--threads", type=int, default=None,
+                           help="sample blocks on this many threads (default 1); output is identical")
         _add_common(p)
         p.set_defaults(func=cmd_spectrum)
 

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from . import lattice
-from .combinatorics import Composition
+from .combinatorics import Composition, _as_composition
 
 __all__ = [
     "PowerLawSpectrum",
@@ -96,12 +96,6 @@ class TopTuples(Sequence):
 
     def __repr__(self) -> str:
         return f"TopTuples(n={len(self)}, truncated={self.truncated})"
-
-
-def _as_composition(composition) -> Composition:
-    if isinstance(composition, Composition):
-        return composition
-    return Composition(tuple(composition))
 
 
 def hpi_count_above(H: PowerLawSpectrum, composition, eps: float) -> int:

@@ -14,13 +14,14 @@ Identical (config, seed) therefore give bit-identical spectra.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .combinatorics import Composition, hermite_value, pairing_class_counts, wick_product_value
+from .combinatorics import _as_composition, hermite_value, pairing_class_counts, wick_product_value
 from .population import PowerLawSpectrum
 from .records import SpectrumEstimate
 from .spectral import SlopeFit, gram_spectrum, slope_fit, sym_eigenvalues
@@ -41,8 +42,8 @@ __all__ = [
     "wick_empirical_moments",
 ]
 
-# stream purposes for derived generators
-_SKETCH, _DATA, _STAGE, _LAYER, _PROBE, _WICK = range(6)
+# stream purposes for derived generators; a changed key moves every draw made from it
+_SKETCH, _DATA, _STAGE, _LAYER, _WICK = 0, 1, 2, 3, 5
 
 _BLOCK = 8192
 _DENSE_FEATURE_CAP = 5 * 10**7  # materialise the feature matrix below this m*d
@@ -219,17 +220,37 @@ def _feature_block(cfg: RFConfig, W: np.ndarray, sqrt_h: np.ndarray | None, bloc
     return F
 
 
-def mc_covariance(cfg: RFConfig, threads: int = 1) -> SpectrumEstimate:
-    """Spectrum of the Monte Carlo feature covariance scale * mean_i f(W'x_i)^(x2).
+def _ordered_map(fn, items, threads: int) -> Iterator:
+    """fn(item) for each item, yielded in item order.
 
-    Samples in fixed blocks with per-block derived streams; the centered
-    variant subtracts the empirical feature mean.  When m*d is moderate the
-    feature matrix is materialised and handed to the Gram trick, otherwise
-    the d x d second-moment matrix is accumulated blockwise; both paths give
-    bit-identical results for a fixed config regardless of thread count.
+    Up to `threads` calls run on worker threads; at most `threads` results
+    are pending at once, so a caller reducing them in order holds a bounded
+    number regardless of how many items there are.
+    """
+    if threads == 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending: deque = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _sample_blocks(cfg: RFConfig, threads: int, per_block) -> Iterator:
+    """per_block(lo, hi, F) for every sample block of features F, in block order.
+
+    Validates the config, draws the sketch and plans fixed-size blocks, each
+    with its own derived data stream, so the results do not depend on
+    `threads`.  Validation runs at call time, before any block is sampled.
     """
     if cfg.m < 100:
         raise ValueError(f"need m >= 100 Monte Carlo samples, got {cfg.m}")
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     if cfg.distribution.kind == "external":
         mat = cfg.distribution.matrix
         if mat.shape[0] < cfg.m or mat.shape[1] != cfg.v:
@@ -240,48 +261,36 @@ def mc_covariance(cfg: RFConfig, threads: int = 1) -> SpectrumEstimate:
     else:
         sqrt_h = np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)
     W = sample_sketch(cfg.v, cfg.d, cfg.seed)
-    blocks = [(b, lo, min(lo + _BLOCK, cfg.m)) for b, lo in enumerate(range(0, cfg.m, _BLOCK))]
 
-    dense = cfg.m * cfg.d <= _DENSE_FEATURE_CAP
-    if dense:
+    def work(b: int):
+        lo, hi = b * _BLOCK, min((b + 1) * _BLOCK, cfg.m)
+        return per_block(lo, hi, _feature_block(cfg, W, sqrt_h, b, lo, hi))
+
+    return _ordered_map(work, range(-(-cfg.m // _BLOCK)), threads)
+
+
+def mc_covariance(cfg: RFConfig, threads: int = 1) -> SpectrumEstimate:
+    """Spectrum of the Monte Carlo feature covariance scale * mean_i f(W'x_i)^(x2).
+
+    Samples in fixed blocks with per-block derived streams; the centered
+    variant subtracts the empirical feature mean.  When m*d is moderate the
+    feature matrix is materialised and handed to the Gram trick, otherwise
+    the spectrum is that of `mc_covariance_matrix`; both paths give
+    bit-identical results for a fixed config regardless of thread count.
+    """
+    if cfg.m * cfg.d <= _DENSE_FEATURE_CAP:
         Phi = np.empty((cfg.m, cfg.d))
 
-        def work(args):
-            b, lo, hi = args
-            Phi[lo:hi] = _feature_block(cfg, W, sqrt_h, b, lo, hi)
+        def store(lo: int, hi: int, F: np.ndarray) -> None:
+            Phi[lo:hi] = F
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(work, blocks))
-        else:
-            for args in blocks:
-                work(args)
+        for _ in _sample_blocks(cfg, threads, store):
+            pass
         if cfg.centered:
             Phi = Phi - Phi.mean(axis=0)
         eig = gram_spectrum(Phi, cfg.feature_scale / cfg.m)
     else:
-
-        def gram(args):
-            b, lo, hi = args
-            F = _feature_block(cfg, W, sqrt_h, b, lo, hi)
-            return F.T @ F, F.sum(axis=0)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                partials = list(pool.map(gram, blocks))
-        else:
-            partials = [gram(args) for args in blocks]
-        G = np.zeros((cfg.d, cfg.d))
-        colsum = np.zeros(cfg.d)
-        for Gb, sb in partials:  # fixed block order keeps the reduction deterministic
-            G += Gb
-            colsum += sb
-        C = G / cfg.m
-        if cfg.centered:
-            mu = colsum / cfg.m
-            C = C - np.outer(mu, mu)
-        eig = sym_eigenvalues(cfg.feature_scale * (C + C.T) / 2.0)
-        eig = eig[: min(cfg.m, cfg.d)]
+        eig = sym_eigenvalues(mc_covariance_matrix(cfg, threads))[: min(cfg.m, cfg.d)]
 
     return SpectrumEstimate(
         eigenvalues=eig,
@@ -299,42 +308,20 @@ def mc_covariance(cfg: RFConfig, threads: int = 1) -> SpectrumEstimate:
 
 
 def mc_covariance_matrix(cfg: RFConfig, threads: int = 1) -> np.ndarray:
-    """The d x d Monte Carlo feature covariance itself (same sampling as mc_covariance)."""
-    if cfg.m < 100:
-        raise ValueError(f"need m >= 100 Monte Carlo samples, got {cfg.m}")
-    if cfg.distribution.kind == "external":
-        mat = cfg.distribution.matrix
-        if mat.shape[0] < cfg.m or mat.shape[1] != cfg.v:
-            raise ValueError(
-                f"external data {mat.shape} cannot supply m={cfg.m} samples of dim v={cfg.v}"
-            )
-        sqrt_h = None
-    else:
-        sqrt_h = np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)
-    W = sample_sketch(cfg.v, cfg.d, cfg.seed)
-    blocks = [(b, lo, min(lo + _BLOCK, cfg.m)) for b, lo in enumerate(range(0, cfg.m, _BLOCK))]
+    """The d x d Monte Carlo feature covariance itself (same sampling as mc_covariance).
 
-    def gram(args):
-        b, lo, hi = args
-        F = _feature_block(cfg, W, sqrt_h, b, lo, hi)
-        return F.T @ F, F.sum(axis=0)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(gram, blocks))
-    else:
-        partials = [gram(args) for args in blocks]
+    Per-block second moments are summed in fixed block order as they arrive.
+    """
     G = np.zeros((cfg.d, cfg.d))
     colsum = np.zeros(cfg.d)
-    for Gb, sb in partials:
+    for Gb, sb in _sample_blocks(cfg, threads, lambda lo, hi, F: (F.T @ F, F.sum(axis=0))):
         G += Gb
         colsum += sb
     C = G / cfg.m
     if cfg.centered:
         mu = colsum / cfg.m
         C = C - np.outer(mu, mu)
-    C *= cfg.feature_scale
-    return (C + C.T) / 2.0
+    return cfg.feature_scale * (C + C.T) / 2.0
 
 
 def exact_population_covariance(W, H: PowerLawSpectrum, p: int) -> np.ndarray:
@@ -467,26 +454,22 @@ def propagate_layers(
 
 
 def head_concentration(v: int, d: int, k_star: int, seed: int) -> float:
-    """Operator-norm estimate of (1/d) W_0 W_0' - I for the first k_star rows.
+    """Operator norm of (1/d) W_0 W_0' - I for the first k_star rows W_0 of the sketch.
 
-    100 power iterations on the symmetric deviation; a diagnostic for how
-    well the leading block of the sketch concentrates (values below 1/2 mean
-    the head spectrum transfers two-sidedly).
+    Draws only those rows of `sample_sketch(v, d, seed)` and returns the
+    largest absolute eigenvalue of the deviation; a diagnostic for how well
+    the leading block of the sketch concentrates (values below 1/2 mean the
+    head spectrum transfers two-sidedly).
     """
     if not 1 <= k_star <= v:
         raise ValueError(f"k_star must lie in [1, {v}], got {k_star}")
-    W0 = sample_sketch(v, d, seed)[:k_star]
+    if d < 1:
+        raise ValueError(f"sketch dimension must be positive, got {d}")
+    if k_star * d > MAX_SKETCH_ENTRIES:
+        raise ValueError(f"{k_star} x {d} exceeds the {MAX_SKETCH_ENTRIES:.0e}-entry cap")
+    W0 = _stream(seed, _SKETCH).standard_normal((k_star, d))  # the sketch's leading rows
     A = W0 @ W0.T / d - np.eye(k_star)
-    x = _stream(seed, _PROBE).standard_normal(k_star)
-    x /= np.linalg.norm(x)
-    nu = 0.0
-    for _ in range(100):
-        y = A @ x
-        nu = float(np.linalg.norm(y))
-        if nu == 0.0:
-            return 0.0
-        x = y / nu
-    return nu
+    return float(np.max(np.abs(np.linalg.eigvalsh(A))))
 
 
 class WickMoments(NamedTuple):
@@ -504,7 +487,7 @@ def wick_empirical_moments(composition, m: int, seed: int) -> WickMoments:
     """
     if m < 10**4:
         raise ValueError(f"need m >= 1e4 draws, got {m}")
-    comp = composition if isinstance(composition, Composition) else Composition(tuple(composition))
+    comp = _as_composition(composition)
     l = comp.length
     g = _stream(seed, _WICK).standard_normal((m, l + 1))
     w_a = wick_product_value(comp, g[:, :l])

@@ -84,6 +84,13 @@ def test_spectrum_hpi_top_value(tmp_path, capsys):
     assert "(1, 2)" in stdout
 
 
+def test_spectrum_hpi_prints_plain_float(capsys):
+    code, stdout, _ = run_cli(capsys, "spectrum", "hpi", "--pi", "1,1", "--k", "5", "--v", "50")
+    assert code == 0
+    line = next(ln for ln in stdout.splitlines() if ln.startswith("top value = "))
+    assert float(line.split()[3]) == pytest.approx(2.0**-1.31, rel=1e-14)
+
+
 def test_spectrum_theory_strictly_decreasing(tmp_path, capsys):
     out = tmp_path / "theory.csv"
     code, _, _ = run_cli(
@@ -100,11 +107,11 @@ def test_spectrum_theory_strictly_decreasing(tmp_path, capsys):
 def test_spectrum_mc_deterministic(tmp_path, capsys):
     args = [
         "spectrum", "mc", "--p", "1", "--v", "80", "--d", "80", "--m", "500",
-        "--seed", "7", "--deterministic",
+        "--seed", "7",
     ]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     code1, _, _ = run_cli(capsys, *args, "--out", str(out1))
-    code2, _, _ = run_cli(capsys, *args, "--out", str(out2))
+    code2, _, _ = run_cli(capsys, *args, "--threads", "3", "--out", str(out2))
     assert code1 == code2 == 0
     assert out1.read_bytes() == out2.read_bytes()
 
@@ -148,9 +155,25 @@ def test_spectrum_mc_threads_match_deterministic(tmp_path, capsys):
         "--seed", "11",
     ]
     out_det, out_thr = tmp_path / "det.csv", tmp_path / "thr.csv"
-    assert run_cli(capsys, *base, "--deterministic", "--out", str(out_det))[0] == 0
+    assert run_cli(capsys, *base, "--out", str(out_det))[0] == 0
     assert run_cli(capsys, *base, "--threads", "3", "--out", str(out_thr))[0] == 0
     assert out_det.read_bytes() == out_thr.read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_spectrum_mc_rejects_nonpositive_threads(capsys, threads):
+    code, _, err = run_cli(
+        capsys, "spectrum", "mc", "--p", "1", "--v", "50", "--m", "200", "--threads", threads
+    )
+    assert code == 2
+    assert f"threads must be >= 1, got {threads}" in err
+
+
+def test_threads_flag_only_on_spectrum_mc(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "exact", "--p", "1", "--v", "50", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_spectrum_mc_cifar_distribution_missing_data(tmp_path, capsys, monkeypatch):
@@ -237,6 +260,12 @@ def test_layers_norm_tag_reported(capsys):
     assert "norm=layernorm" in stdout
 
 
+def test_layers_empty_widths(capsys):
+    code, _, err = run_cli(capsys, "layers", "--widths", "")
+    assert code == 2
+    assert "widths" in err
+
+
 def test_layers_missing_dataset_dir(capsys):
     code, _, err = run_cli(capsys, "layers", "--data", "/no/such/dir", "--widths", "64")
     assert code == 3
@@ -257,6 +286,9 @@ def test_selftest_quick_passes(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL", "SKIP"))]
     assert len(lines) == len(selfcheck.CHECKS)
     assert all(not ln.startswith("FAIL") for ln in lines)
+    passed = sum(ln.startswith("PASS") for ln in lines)
+    skipped = sum(ln.startswith("SKIP") for ln in lines)
+    assert f"{len(lines)} criteria: {passed} passed, {skipped} skipped, 0 failed" in out
     assert elapsed < 120.0  # quick mode budget (measured ~5 s)
 
 

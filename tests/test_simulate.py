@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,51 @@ def test_mc_covariance_matrix_matches_spectrum_route():
     mat = simulate.mc_covariance_matrix(cfg)
     est = simulate.mc_covariance(cfg)
     assert np.allclose(spectral.sym_eigenvalues(mat), est.eigenvalues, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("centered", [False, True])
+def test_mc_covariance_blockwise_route_is_matrix_spectrum(monkeypatch, centered):
+    monkeypatch.setattr(simulate, "_BLOCK", 300)  # seven blocks, the last one short
+    cfg = RFConfig(
+        v=50, d=25, m=2000, alpha=1.31, activation=Activation("monomial", 2), seed=4,
+        centered=centered,
+    )
+    dense = simulate.mc_covariance(cfg).eigenvalues
+    monkeypatch.setattr(simulate, "_DENSE_FEATURE_CAP", 0)
+    eig = {}
+    for threads in (1, 3):
+        eig[threads] = simulate.mc_covariance(cfg, threads=threads).eigenvalues
+        mat = simulate.mc_covariance_matrix(cfg, threads=threads)
+        assert np.array_equal(eig[threads], spectral.sym_eigenvalues(mat))
+    assert np.array_equal(eig[1], eig[3])
+    assert np.allclose(eig[1], dense, rtol=1e-9, atol=1e-12 * dense[0])
+    with pytest.raises(ValueError, match="threads"):
+        simulate.mc_covariance(cfg, threads=0)
+
+
+def test_mc_covariance_gram_trick_when_m_below_d():
+    cfg = RFConfig(v=150, d=120, m=100, alpha=1.31, activation=Activation("monomial", 2), seed=9)
+    eig = simulate.mc_covariance(cfg).eigenvalues
+    assert eig.size == cfg.m
+    full = spectral.sym_eigenvalues(simulate.mc_covariance_matrix(cfg))
+    assert np.allclose(eig, full[: cfg.m], rtol=1e-9, atol=1e-12 * full[0])
+    assert np.all(np.abs(full[cfg.m :]) <= 1e-12 * full[0])  # rank is at most m
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_mc_covariance_matrix_reduction_memory_is_bounded(monkeypatch, threads):
+    # 200 blocks of 50 x 50 partials are 4 MB if all are held before the sum
+    monkeypatch.setattr(simulate, "_BLOCK", 100)
+    act = Activation("monomial", 2)
+    simulate.mc_covariance_matrix(RFConfig(v=50, d=50, m=100, alpha=1.31, activation=act))
+    cfg = RFConfig(v=50, d=50, m=20000, alpha=1.31, activation=act, seed=1)
+    tracemalloc.start()
+    try:
+        simulate.mc_covariance_matrix(cfg, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_mc_covariance_centered_subtracts_mean():
@@ -387,6 +433,16 @@ def test_head_concentration_small_head_concentrates():
     k_star = int(0.1 * d / math.log(d))
     vals = [simulate.head_concentration(d, d, k_star, seed) for seed in range(20)]
     assert all(val < 0.5 for val in vals), max(vals)
+
+
+def test_head_concentration_uses_leading_sketch_rows():
+    v, d, k_star, seed = 90, 70, 25, 6
+    W = simulate.sample_sketch(v, d, seed)
+    head = simulate._stream(seed, simulate._SKETCH).standard_normal((k_star, d))
+    assert np.array_equal(head, W[:k_star])
+    A = W[:k_star] @ W[:k_star].T / d - np.eye(k_star)
+    want = float(np.max(np.abs(np.linalg.eigvalsh(A))))
+    assert simulate.head_concentration(v, d, k_star, seed) == pytest.approx(want, rel=1e-12)
 
 
 def test_head_concentration_full_head_recorded():
