@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 internal error, 2 invalid input, 3 missing data.
 Every subcommand honors --seed, --out, --json-summary and --config; `spectrum mc`
 also takes --threads.  Flags override values from an optional flat
-`key = value` config file.
+`key = value` config file whose keys are the subcommand's option names
+(`bound_v` for --bound-v); any other key exits 2.
 """
 
 from __future__ import annotations
@@ -84,27 +85,36 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(args, name: str, cast, default):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, name.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    cfg = getattr(args, "_file_config", {})
-    if name in cfg:
-        raw = cfg[name]
-        try:
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
-            return cast(raw)
-        except (ValueError, CLIError) as exc:
-            raise CLIError(f"config value {name} = {raw!r}: {exc}")
-    return default
+def _apply_config_file(args, path: str) -> None:
+    """Fill every option not given as a flag from the config file.
+
+    Keys are the option names of the subcommand (`bound_v` for --bound-v);
+    any other key is an error, so a typo never drops a setting silently.
+    """
+    actions = args._options
+    for key, raw in _load_config_file(path).items():
+        action = actions.get(key)
+        if action is None:
+            raise CLIError(
+                f"config key {key!r} is not an option of this subcommand "
+                f"(known: {', '.join(sorted(actions))})"
+            )
+        if getattr(args, key) != action.default:  # the flag wins
+            continue
+        if action.nargs == 0:  # store_true
+            value = raw.lower() in ("1", "true", "yes", "on")
+        else:
+            try:
+                value = (action.type or str)(raw)
+            except ValueError as exc:
+                raise CLIError(f"config value {key} = {raw!r}: {exc}")
+        setattr(args, key, value)
 
 
-def _file_flag(args, name: str) -> bool:
-    """Boolean from the config file (store_true flags can only be enabled there)."""
-    raw = getattr(args, "_file_config", {}).get(name, "")
-    return raw.lower() in ("1", "true", "yes", "on")
+def _opt(args, name: str, default):
+    """Option value from the flag or the config file, else default."""
+    value = getattr(args, name, None)
+    return default if value is None else value
 
 
 def _write_json_summary(path: str, payload: dict) -> None:
@@ -161,35 +171,37 @@ def _emit_spectrum(
 
 
 def cmd_lattice(args) -> int:
-    exps = _parse_exponents(_resolve(args, "pi", str, "1,1"))
-    X = _resolve(args, "X", float, None)
+    exps = _parse_exponents(_opt(args, "pi", "1,1"))
+    X = args.X
     if X is None:
         raise CLIError("--X is required")
-    ordered = args.ordered or _file_flag(args, "ordered")
-    bound_v = _resolve(args, "bound_v", int, None)
+    ordered = args.ordered
+    bound_v = args.bound_v
+    exact = args.lattice_cmd == "count" or args.with_exact
+    if bound_v is not None and not (ordered and exact):
+        raise CLIError("--bound-v caps the coordinates of an ordered exact count; it needs --ordered"
+                       + ("" if exact else " and --with-exact"))
+
+    def exact_count() -> int:
+        if ordered:
+            return lattice.count_ordered(X, exps, bound_v=bound_v).count
+        return lattice.count_unordered(X, exps).count
+
     lines = []
     if args.lattice_cmd == "count":
-        res = (
-            lattice.count_ordered(X, exps, bound_v=bound_v)
-            if ordered
-            else lattice.count_unordered(X, exps)
-        )
-        lines.append(f"count = {res.count}")
+        count = exact_count()
+        lines.append(f"count = {count}")
         if args.with_asym:
             asym = _asym_value(X, exps, ordered)
             lines.append(f"asymptotic = {asym!r}")
-            lines.append(f"ratio = {res.count / asym!r}")
+            lines.append(f"ratio = {count / asym!r}")
     else:  # asym
         asym = _asym_value(X, exps, ordered)
         lines.append(f"asymptotic = {asym!r}")
         if args.with_exact:
-            res = (
-                lattice.count_ordered(X, exps, bound_v=bound_v)
-                if ordered
-                else lattice.count_unordered(X, exps)
-            )
-            lines.append(f"count = {res.count}")
-            lines.append(f"ratio = {res.count / asym!r}")
+            count = exact_count()
+            lines.append(f"count = {count}")
+            lines.append(f"ratio = {count / asym!r}")
     text = "\n".join(lines)
     print(text)
     if args.out:
@@ -221,16 +233,16 @@ def _asym_value(X: float, exps: tuple[float, ...], ordered: bool) -> float:
 
 def cmd_spectrum(args) -> int:
     t0 = time.monotonic()
-    seed = _resolve(args, "seed", int, 0)
-    alpha = _resolve(args, "alpha", float, 1.31)
+    seed = _opt(args, "seed", 0)
+    alpha = _opt(args, "alpha", 1.31)
 
     if args.spectrum_cmd == "hpi":
-        exps = _parse_exponents(_resolve(args, "pi", str, "1,1"))
+        exps = _parse_exponents(_opt(args, "pi", "1,1"))
         parts = tuple(int(a) for a in exps)
         if any(p != a for p, a in zip(parts, exps)):
             raise CLIError("--pi must be positive integers for the tuple spectrum")
-        v = _resolve(args, "v", int, 5000)
-        k = _resolve(args, "k", int, 1000)
+        v = _opt(args, "v", 5000)
+        k = _opt(args, "k", 1000)
         H = population.PowerLawSpectrum(alpha, v)
         top = population.hpi_top_k(H, parts, k)
         est = SpectrumEstimate(
@@ -246,10 +258,10 @@ def cmd_spectrum(args) -> int:
         return EXIT_OK
 
     if args.spectrum_cmd == "theory":
-        p = _resolve(args, "p", int, 2)
-        j_lo, j_hi = _parse_range(_resolve(args, "j", str, "1..1000"))
+        p = _opt(args, "p", 2)
+        j_lo, j_hi = _parse_range(_opt(args, "j", "1..1000"))
         curve = population.theory_curve(p, alpha)
-        scale = _resolve(args, "C", float, curve.scale)
+        scale = _opt(args, "C", curve.scale)
         eps = population.predicted_spectrum(curve, scale, range(j_lo, j_hi + 1))
         est = SpectrumEstimate(
             eigenvalues=eps,
@@ -266,9 +278,9 @@ def cmd_spectrum(args) -> int:
     # mc / exact need dimensions and an activation; collect every config
     # problem before exiting so one fix-up pass suffices
     problems: list[str] = []
-    v = _resolve(args, "v", int, 1000)
-    d = _resolve(args, "d", int, v)
-    m = _resolve(args, "m", int, 20000)
+    v = _opt(args, "v", 1000)
+    d = _opt(args, "d", v)
+    m = _opt(args, "m", 20000)
     if v < 1:
         problems.append(f"v must be >= 1, got {v}")
     if d < 1 or d > v:
@@ -279,11 +291,11 @@ def cmd_spectrum(args) -> int:
     if args.spectrum_cmd == "mc":
         if m < 100:
             problems.append(f"m must be >= 100, got {m}")
-        threads = _resolve(args, "threads", int, 1)
+        threads = _opt(args, "threads", 1)
         if threads < 1:
             problems.append(f"threads must be >= 1, got {threads}")
-    act_text = _resolve(args, "act", str, None)
-    p = _resolve(args, "p", int, None)
+    act_text = args.act
+    p = args.p
     act = None
     if act_text is None:
         try:
@@ -302,7 +314,7 @@ def cmd_spectrum(args) -> int:
             problems.append("the exact population route supports monomial activations")
         if p is not None and p > 6:
             problems.append(f"exact route supports p <= 6, got {p}")
-    fit_lo, fit_hi = _parse_range(_resolve(args, "fit", str, "5..100"))
+    fit_lo, fit_hi = _parse_range(_opt(args, "fit", "5..100"))
     if not 1 <= fit_lo <= fit_hi:
         problems.append(f"bad fit range {fit_lo}..{fit_hi}")
     if problems:
@@ -322,7 +334,7 @@ def cmd_spectrum(args) -> int:
             meta={"alpha": repr(alpha), "route": "exact"},
         )
     else:  # mc
-        dist = _parse_distribution(_resolve(args, "dist", str, "gaussian"), args)
+        dist = _parse_distribution(_opt(args, "dist", "gaussian"), args)
         cfg = simulate.RFConfig(
             v=v,
             d=d,
@@ -331,7 +343,7 @@ def cmd_spectrum(args) -> int:
             activation=act,
             distribution=dist,
             seed=seed,
-            centered=bool(args.centered) or _file_flag(args, "centered"),
+            centered=args.centered,
         )
         est = simulate.mc_covariance(cfg, threads=threads)
 
@@ -377,17 +389,17 @@ def _parse_distribution(text: str, args) -> simulate.DataDistribution:
 
 def cmd_layers(args) -> int:
     t0 = time.monotonic()
-    seed = _resolve(args, "seed", int, 0)
-    alpha = _resolve(args, "alpha", float, 1.31)
-    widths = _parse_widths(_resolve(args, "widths", str, "1024,1024,1024,1024"))
-    act = simulate.Activation.parse(_resolve(args, "act", str, "tanh"))
-    norm = _resolve(args, "norm", str, "none")
-    fit_lo, fit_hi = _parse_range(_resolve(args, "fit", str, "1..100"))
-    n = _resolve(args, "n", int, 4096)
-    source = _resolve(args, "data", str, "synthetic")
+    seed = _opt(args, "seed", 0)
+    alpha = _opt(args, "alpha", 1.31)
+    widths = _parse_widths(_opt(args, "widths", "1024,1024,1024,1024"))
+    act = simulate.Activation.parse(_opt(args, "act", "tanh"))
+    norm = _opt(args, "norm", "none")
+    fit_lo, fit_hi = _parse_range(_opt(args, "fit", "1..100"))
+    n = _opt(args, "n", 4096)
+    source = _opt(args, "data", "synthetic")
 
     if source == "synthetic":
-        v = _resolve(args, "v", int, 1024)
+        v = _opt(args, "v", 1024)
         H = population.PowerLawSpectrum(alpha, v)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(97,))))
         X = rng.standard_normal((n, v)) * np.sqrt(H.eigenvalues)
@@ -485,6 +497,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write primary output to this path")
     parser.add_argument("--json-summary", default=None, help="write a JSON run summary here")
     parser.add_argument("--config", default=None, help="flat key = value config file")
+    # the options a config file may set: every flag of this subcommand but --config
+    parser.set_defaults(_options={
+        a.dest: a for a in parser._actions if a.dest not in ("help", "config")
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -567,10 +583,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            args._file_config = _load_config_file(args.config)
-        else:
-            args._file_config = {}
+        if args.config:
+            _apply_config_file(args, args.config)
         return args.func(args)
     except (CLIError, BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

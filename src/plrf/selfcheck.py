@@ -23,11 +23,16 @@ from . import lattice, population, simulate, spectral
 
 __all__ = ["CheckResult", "CHECKS", "run_all", "find_cifar_batches"]
 
-# Exact unordered counts at the criterion grid, frozen from an independent
-# brute-force loop oracle (tests/test_lattice.py re-derives the small ones).
+# Exact unordered counts at the criterion grid, frozen from independent
+# oracles: a brute-force loop up to 10^6 and a divisor-count sieve at 10^7
+# (tests/test_lattice.py re-derives the small ones).
 GOLDEN_UNORDERED_COUNTS = {
-    (1.0, 1.0): {10**3: 7069, 10**4: 93668, 10**5: 1166750, 10**6: 13970034},
-    (1.0, 1.0, 1.0): {10**3: 29425, 10**4: 496623, 10**5: 7518850, 10**6: 106030594},
+    (1.0, 1.0): {
+        10**3: 7069, 10**4: 93668, 10**5: 1166750, 10**6: 13970034, 10**7: 162725364
+    },
+    (1.0, 1.0, 1.0): {
+        10**3: 29425, 10**4: 496623, 10**5: 7518850, 10**6: 106030594, 10**7: 1421760251
+    },
 }
 
 # Width of the stated envelope band [1/8, 8]: the eigenvalue sandwich holds
@@ -162,7 +167,7 @@ def check_wick_moments(quick: bool = False) -> CheckResult:
 
 
 def check_lattice_asymptotics(quick: bool = False) -> CheckResult:
-    xs = (10**3, 10**4, 10**5) if quick else (10**3, 10**4, 10**5, 10**6)
+    xs = (10**3, 10**4, 10**5) if quick else (10**3, 10**4, 10**5, 10**6, 10**7)
     problems = []
     for parts in ((1.0, 1.0), (1.0, 1.0, 1.0)):
         golden = GOLDEN_UNORDERED_COUNTS[parts]

@@ -66,6 +66,35 @@ def test_lattice_out_and_json(tmp_path, capsys):
     assert json.loads(js.read_text())["count"] == "6"
 
 
+def test_lattice_bound_v_without_ordered_exact_count(tmp_path, capsys):
+    for argv in (
+        ("count", "--X", "100", "--pi", "1,1", "--bound-v", "5"),
+        ("asym", "--X", "100", "--pi", "1,1", "--ordered", "--bound-v", "5"),
+        ("asym", "--X", "100", "--pi", "1,1", "--with-exact", "--bound-v", "5"),
+    ):
+        code, out, err = run_cli(capsys, "lattice", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "--bound-v" in err and "--ordered" in err
+    cfg = tmp_path / "lattice.cfg"
+    cfg.write_text("bound_v = 5\n")
+    code, _, err = run_cli(capsys, "lattice", "count", "--X", "100", "--pi", "1,1", "--config", str(cfg))
+    assert code == 2
+    assert "--bound-v" in err
+
+
+def test_lattice_bound_v_with_ordered_count(tmp_path, capsys):
+    want = lattice.count_ordered(100, (1, 1), bound_v=5).count
+    code, out, _ = run_cli(
+        capsys, "lattice", "count", "--X", "100", "--pi", "1,1", "--ordered", "--bound-v", "5"
+    )
+    assert (code, out) == (0, f"count = {want}\n")
+    cfg = tmp_path / "lattice.cfg"
+    cfg.write_text("ordered = true\nbound_v = 5\nwith_asym = yes\n")
+    code, out, _ = run_cli(capsys, "lattice", "count", "--X", "100", "--pi", "1,1", "--config", str(cfg))
+    assert code == 0
+    assert out.startswith(f"count = {want}\n") and "ratio = " in out
+
+
 # ---------------------------------------------------------------------------
 # spectrum subcommand
 
@@ -221,6 +250,22 @@ def test_spectrum_config_file_and_flag_precedence(tmp_path, capsys):
     )
     assert code == 0
     assert read_spectrum_csv(out2).eigenvalues.size == 3
+
+
+def test_config_file_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("thread = 0\n")
+    code, out, err = run_cli(capsys, "spectrum", "mc", "--v", "20", "--m", "100", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "'thread'" in err
+
+
+def test_config_file_key_of_another_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 2\n")
+    code, out, err = run_cli(capsys, "spectrum", "exact", "--p", "2", "--v", "20", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "'threads'" in err
 
 
 def test_config_file_missing(capsys):

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plrf import lattice
@@ -51,6 +52,14 @@ def brute_ordered(X, pis, bound=None):
 
     rec(0, 1, 1.0)
     return count
+
+
+def seed_count_ones(X, k):
+    """The original all-ones recursion: sum over s of the (k-1)-count at X // s."""
+    if k == 2:
+        r = math.isqrt(X)
+        return 2 * sum(X // s for s in range(1, r + 1)) - r * r
+    return sum(seed_count_ones(X // s, k - 1) for s in range(1, X + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +111,56 @@ def test_count_engine_equals_bruteforce(X, pis):
     assert lattice.count_ordered(X, pis).count == brute_ordered(X, pis)
 
 
+@settings(deadline=None, max_examples=40)
+@given(X=st.integers(min_value=0, max_value=10**5))
+@example(X=10**5)
+def test_count_ones_triples_equal_seed_recursion(X):
+    assert lattice._count_ones(X, 3) == seed_count_ones(X, 3)
+
+
+@settings(deadline=None, max_examples=20)
+@given(X=st.integers(min_value=0, max_value=10**4))
+@example(X=10**4)
+def test_count_ones_quadruples_equal_seed_recursion(X):
+    assert lattice._count_ones(X, 4) == seed_count_ones(X, 4)
+
+
+def test_count_ones_small_cases():
+    # every X up to 200 covers the a = b = c and two-equal boundaries of the kernel
+    for X in range(0, 201):
+        assert lattice._count_ones(X, 3) == seed_count_ones(X, 3), X
+    for X in range(0, 61):
+        assert lattice._count_ones(X, 4) == seed_count_ones(X, 4), X
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    X=st.floats(min_value=0.25, max_value=2000.0).filter(lambda x: not x.is_integer()),
+    k=st.integers(min_value=1, max_value=3),
+)
+def test_count_ones_non_integer_X_equals_bruteforce(X, k):
+    assert lattice.count_unordered(X, (1,) * k).count == brute_unordered(X, (1,) * k)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    X=st.floats(min_value=0.5, max_value=300.0),
+    pis=st.lists(st.sampled_from([1.0, 1.31, 1.5, 2.0, 2.31, 3.0]), min_size=2, max_size=3),
+)
+def test_count_unordered_symmetric_under_permutation(X, pis):
+    want = brute_unordered(X, tuple(pis))
+    for perm in set(itertools.permutations(pis)):
+        assert lattice.count_unordered(X, perm).count == want, perm
+
+
+def test_count_unordered_loops_over_the_largest_exponent():
+    # s_1 s_2^2 <= X: the loop runs over s_2 (1e5 steps), not over s_1 (1e10)
+    X = 10**10
+    want = sum(X // (s * s) for s in range(1, math.isqrt(X) + 1))
+    assert lattice.count_unordered(X, (1, 2)).count == want
+    assert lattice.count_unordered(X, (2, 1)).count == want
+
+
 def test_count_boundary_inclusion():
     # exact boundary products must be included (ties resolve toward inclusion)
     assert lattice.count_unordered(8, (3,)).count == 2  # 1^3, 2^3 = 8
@@ -142,8 +201,11 @@ def test_count_budget_error():
     with pytest.raises(lattice.BudgetExceededError) as err:
         lattice.count_unordered(1e18, (1, 1, 1))
     assert err.value.estimate > lattice.ITERATION_BUDGET
+    # priced by the loop over the larger exponent: X^(1/1.5) = 1e10
     with pytest.raises(lattice.BudgetExceededError):
-        lattice.count_unordered(1e12, (1.0, 1.5))
+        lattice.count_unordered(1e15, (1.0, 1.5))
+    with pytest.raises(lattice.BudgetExceededError):
+        lattice.count_unordered(1e12, (1, 1, 1, 1))
 
 
 def test_count_input_validation():
