@@ -1,10 +1,10 @@
 """Command-line front end: lattice counts, spectrum experiments, layer sweeps, selftest.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input, 3 missing data.
-Every subcommand honors --seed, --out, --json-summary and --config; `spectrum mc`
-also takes --threads.  Flags override values from an optional flat
-`key = value` config file whose keys are the subcommand's option names
-(`bound_v` for --bound-v); any other key exits 2.
+Each subcommand declares only the options it reads (README lists them), and
+every one takes --json-summary and --config.  Flags override values from an
+optional flat `key = value` config file whose keys are the subcommand's option
+names (`bound_v` for --bound-v); any other flag or key exits 2.
 """
 
 from __future__ import annotations
@@ -287,13 +287,11 @@ def cmd_spectrum(args) -> int:
         problems.append(f"need 1 <= d <= v, got d={d}, v={v}")
     if not alpha > 1.0:
         problems.append(f"alpha must exceed 1, got {alpha}")
-    threads = 1
-    if args.spectrum_cmd == "mc":
-        if m < 100:
-            problems.append(f"m must be >= 100, got {m}")
-        threads = _opt(args, "threads", 1)
-        if threads < 1:
-            problems.append(f"threads must be >= 1, got {threads}")
+    if args.spectrum_cmd == "mc" and m < 100:
+        problems.append(f"m must be >= 100, got {m}")
+    threads = _opt(args, "threads", 1)  # only mc declares --threads
+    if threads < 1:
+        problems.append(f"threads must be >= 1, got {threads}")
     act_text = args.act
     p = args.p
     act = None
@@ -334,7 +332,7 @@ def cmd_spectrum(args) -> int:
             meta={"alpha": repr(alpha), "route": "exact"},
         )
     else:  # mc
-        dist = _parse_distribution(_opt(args, "dist", "gaussian"), args)
+        dist = _parse_distribution(_opt(args, "dist", "gaussian"), args, m)
         cfg = simulate.RFConfig(
             v=v,
             d=d,
@@ -363,7 +361,7 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _parse_distribution(text: str, args) -> simulate.DataDistribution:
+def _parse_distribution(text: str, args, m: int) -> simulate.DataDistribution:
     kind, _, param = text.partition(":")
     kind = kind.strip()
     if kind == "student_t":
@@ -375,7 +373,7 @@ def _parse_distribution(text: str, args) -> simulate.DataDistribution:
                 "cifar10 distribution requested but no binary batches found; "
                 "point --data (or PLRF_CIFAR10_DIR) at cifar-10-batches-bin/"
             )
-        ds = read_cifar10(batches)
+        ds = read_cifar10(batches, limit=m)
         return simulate.DataDistribution("external", matrix=ds.values)
     try:
         return simulate.DataDistribution(kind)
@@ -492,15 +490,36 @@ def cmd_selftest(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    parser.add_argument("--out", default=None, help="write primary output to this path")
+def _add_common(parser: argparse.ArgumentParser, *, seed: bool, out: bool) -> None:
+    parser.allow_abbrev = False  # else layers would take --out as --out-dir
+    if seed:
+        parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+    if out:
+        parser.add_argument("--out", default=None, help="write primary output to this path")
     parser.add_argument("--json-summary", default=None, help="write a JSON run summary here")
     parser.add_argument("--config", default=None, help="flat key = value config file")
     # the options a config file may set: every flag of this subcommand but --config
     parser.set_defaults(_options={
         a.dest: a for a in parser._actions if a.dest not in ("help", "config")
     })
+
+
+_SPECTRUM_FLAGS = {
+    "v": {"type": int, "help": "ambient dimension"},
+    "d": {"type": int, "help": "sketch dimension (default v)"},
+    "m": {"type": int, "help": "Monte Carlo samples (default 20000)"},
+    "p": {"type": int, "help": "monomial degree"},
+    "act": {"type": str, "help": "activation, e.g. tanh, monomial:2"},
+    "dist": {"type": str, "help": "gaussian (default) | rademacher | student_t:NU | cifar10"},
+    "data": {"type": str, "help": "dataset dir for --dist cifar10"},
+    "fit": {"type": str, "help": "slope fit range (default 5..100)"},
+    "centered": {"action": "store_true", "help": "subtract the feature mean"},
+    "threads": {"type": int, "help": "threads for sample blocks (default 1); same output"},
+    "pi": {"type": str, "help": "composition, e.g. 1,1 (default 1,1)"},
+    "k": {"type": int, "help": "top-k size (default 1000)"},
+    "j": {"type": str, "help": "index range, e.g. 1..1000"},
+    "C": {"type": float, "help": "scale constant (default: the curve's own)"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,38 +542,23 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--with-asym", action="store_true", help="also print asymptotic+ratio")
         else:
             p.add_argument("--with-exact", action="store_true", help="also print count+ratio")
-        _add_common(p)
+        _add_common(p, seed=False, out=True)
         p.set_defaults(func=cmd_lattice)
 
     spec = sub.add_parser("spectrum", help="eigenvalue spectra: mc, exact, hpi, theory")
     spec_sub = spec.add_subparsers(dest="spectrum_cmd", required=True)
-    for name, help_text in (
-        ("mc", "Monte Carlo feature covariance"),
-        ("exact", "exact population covariance (monomials)"),
-        ("hpi", "top-k tuple-product population spectrum"),
-        ("theory", "counting-curve prediction"),
+    for name, help_text, flags in (
+        ("mc", "Monte Carlo feature covariance", "v d m p act dist data fit centered threads"),
+        ("exact", "exact population covariance (monomials)", "v d p act fit"),
+        ("hpi", "top-k tuple-product population spectrum", "v pi k"),
+        ("theory", "counting-curve prediction", "p j C"),
     ):
         p = spec_sub.add_parser(name, help=help_text)
-        p.add_argument("--v", type=int, default=None, help="ambient dimension")
-        p.add_argument("--d", type=int, default=None, help="sketch dimension (default v)")
-        p.add_argument("--m", type=int, default=None, help="Monte Carlo samples (default 20000)")
         p.add_argument("--alpha", type=float, default=None, help="spectral exponent (default 1.31)")
-        p.add_argument("--p", type=int, default=None, help="monomial degree")
-        p.add_argument("--act", type=str, default=None, help="activation, e.g. tanh, monomial:2")
-        p.add_argument("--dist", type=str, default=None,
-                       help="gaussian | rademacher | student_t:NU | cifar10 (default gaussian)")
-        p.add_argument("--data", type=str, default=None, help="dataset dir for --dist cifar10")
-        p.add_argument("--pi", type=str, default=None, help="composition for hpi, e.g. 1,1")
-        p.add_argument("--k", type=int, default=None, help="top-k size for hpi (default 1000)")
-        p.add_argument("--j", type=str, default=None, help="index range for theory, e.g. 1..1000")
-        p.add_argument("--C", type=float, default=None, help="theory scale constant")
-        p.add_argument("--fit", type=str, default=None, help="slope fit range (default 5..100)")
-        p.add_argument("--centered", action="store_true", help="subtract the feature mean")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_SPECTRUM_FLAGS[flag])
         p.add_argument("--normalized-out", default=None, help="also write top-normalized CSV")
-        if name == "mc":
-            p.add_argument("--threads", type=int, default=None,
-                           help="sample blocks on this many threads (default 1); output is identical")
-        _add_common(p)
+        _add_common(p, seed=True, out=True)
         p.set_defaults(func=cmd_spectrum)
 
     lay = sub.add_parser("layers", help="propagate data through random layers")
@@ -567,13 +571,13 @@ def build_parser() -> argparse.ArgumentParser:
     lay.add_argument("--alpha", type=float, default=None, help="synthetic spectral exponent")
     lay.add_argument("--fit", type=str, default=None, help="slope fit range (default 1..100)")
     lay.add_argument("--out-dir", default=None, help="write per-layer CSVs and a summary here")
-    _add_common(lay)
+    _add_common(lay, seed=True, out=False)
     lay.set_defaults(func=cmd_layers)
 
     st = sub.add_parser("selftest", help="run the acceptance battery")
     st.add_argument("--quick", action="store_true", help="reduced scale, finishes in seconds")
     st.add_argument("--data", type=str, default=None, help="CIFAR-10 dir for criterion 11")
-    _add_common(st)
+    _add_common(st, seed=False, out=False)
     st.set_defaults(func=cmd_selftest)
 
     return parser

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import repeat
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -66,8 +67,7 @@ class PowerLawSpectrum:
         object.__setattr__(self, "eigenvalues", eig)
 
 
-@dataclass(frozen=True)
-class TupleEigenvalue:
+class TupleEigenvalue(NamedTuple):
     """One diagonal entry: the index tuple and its product value."""
 
     indices: tuple[int, ...]
@@ -75,117 +75,118 @@ class TupleEigenvalue:
 
 
 class TopTuples(Sequence):
-    """Descending list of TupleEigenvalue with a truncation marker.
+    """Descending tuple-product entries with a truncation marker.
 
+    Held as an (n, l) index array and a value vector; indexing builds the
+    TupleEigenvalue of one entry and `values()` returns the value vector.
     `truncated` is set when the requested k exceeded the number of tuples, in
     which case all of them are returned.
     """
 
     def __init__(self, entries: Iterable[TupleEigenvalue], truncated: bool = False):
-        self._entries = list(entries)
+        entries = list(entries)
+        l = len(entries[0].indices) if entries else 0
+        self._indices = np.array([e.indices for e in entries], np.int64).reshape(len(entries), l)
+        self._values = np.array([e.value for e in entries], dtype=float)
+        self._values.flags.writeable = False
         self.truncated = bool(truncated)
 
+    @classmethod
+    def _from_arrays(cls, indices: np.ndarray, values: np.ndarray, truncated: bool) -> TopTuples:
+        top = cls.__new__(cls)
+        top._indices, top._values, top.truncated = indices, values, bool(truncated)
+        values.flags.writeable = False
+        return top
+
     def __getitem__(self, i):
-        return self._entries[i]
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return TupleEigenvalue(tuple(self._indices[i].tolist()), float(self._values[i]))
+
+    def __iter__(self):
+        return map(TupleEigenvalue, map(tuple, self._indices.tolist()), self._values.tolist())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._values)
 
     def values(self) -> np.ndarray:
-        return np.array([e.value for e in self._entries])
+        return self._values
 
     def __repr__(self) -> str:
         return f"TopTuples(n={len(self)}, truncated={self.truncated})"
 
 
-def hpi_count_above(H: PowerLawSpectrum, composition, eps: float) -> int:
-    """#{i_1 < ... < i_l <= v : H_{i_1}^{a_1} ... H_{i_l}^{a_l} >= eps}.
+def _prefix_search(H: PowerLawSpectrum, comp: Composition, eps: float, emit: bool):
+    """The tuples i_1 < ... < i_l with product >= eps: their count, or with
+    `emit` an (n, l) int64 index array and the float64 values, in search order.
 
-    Counts by depth-first prefix search: a prefix is pruned when even the best
-    completion (all remaining factors at the next index) falls below eps, and
-    the innermost coordinate is resolved by binary search on the sorted base.
-    Ties within relative 1e-12 of eps count as above.
+    The outer l-1 coordinates are walked depth first in O(l) state, pruning a
+    prefix when even its best completion (all remaining factors at the next
+    index) falls below eps; the innermost coordinate of each prefix is one run
+    [start, end], found by binary search.  Ties within relative 1e-12 of eps
+    count as above.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    comp = _as_composition(composition)
     parts = comp.parts
     l = comp.length
     v = H.v
-    if l > v:
-        return 0
     eig = H.eigenvalues
+    a_last = parts[-1]
     floor_eps = eps * _TIE_GUARD
-    # suffix exponent sums for the completion bound
-    tail = [0.0] * (l + 1)
-    for t in range(l - 1, -1, -1):
-        tail[t] = tail[t + 1] + parts[t]
+    tail = [float(sum(parts[t:])) for t in range(l + 1)]  # exponent sums for the completion bound
+    idx = [0] * (l - 1)
+    runs = []  # (*prefix indices, prefix value, start, end) per nonempty innermost run
+    count = 0
 
-    def innermost_max(start: int, prefix: float, a: float) -> int:
-        # largest index j in [start, v] with prefix * H_j^a >= floor_eps, else start-1
-        if prefix * eig[start - 1] ** a < floor_eps:
-            return start - 1
-        if prefix * eig[v - 1] ** a >= floor_eps:
-            return v
-        lo, hi = start, v  # predicate true at lo, false at hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if prefix * eig[mid - 1] ** a >= floor_eps:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    def rec(depth: int, start: int, prefix: float) -> int:
-        a = parts[depth]
+    def rec(depth: int, start: int, prefix: float) -> None:
+        nonlocal count
         if depth == l - 1:
-            return max(0, innermost_max(start, prefix, a) - start + 1)
-        total = 0
-        i = start
-        last = v - (l - 1 - depth)
-        while i <= last:
+            # largest end in [start, v] with prefix * H_end^a >= floor_eps, else start-1
+            end, hi = start - 1, v + 1
+            while hi - end > 1:
+                mid = (end + hi) // 2
+                if prefix * eig[mid - 1] ** a_last >= floor_eps:
+                    end = mid
+                else:
+                    hi = mid
+            if end >= start:
+                count += end - start + 1
+                if emit:
+                    runs.append((*idx, prefix, start, end))
+            return
+        a = parts[depth]
+        for i in range(start, v - (l - 1 - depth) + 1):
             value = prefix * eig[i - 1] ** a
             if value * eig[i] ** tail[depth + 1] < floor_eps:
                 break  # products only shrink as i grows
-            total += rec(depth + 1, i + 1, value)
-            i += 1
-        return total
-
-    return rec(0, 1, 1.0)
-
-
-def _enumerate_above(H: PowerLawSpectrum, comp: Composition, eps: float) -> list[TupleEigenvalue]:
-    parts = comp.parts
-    l = comp.length
-    v = H.v
-    eig = H.eigenvalues
-    floor_eps = eps * _TIE_GUARD
-    tail = [0.0] * (l + 1)
-    for t in range(l - 1, -1, -1):
-        tail[t] = tail[t + 1] + parts[t]
-    out: list[TupleEigenvalue] = []
-    idx = [0] * l
-
-    def rec(depth: int, start: int, prefix: float) -> None:
-        a = parts[depth]
-        last = v - (l - 1 - depth)
-        i = start
-        while i <= last:
-            value = prefix * eig[i - 1] ** a
-            if depth == l - 1:
-                if value < floor_eps:
-                    break
-                idx[depth] = i
-                out.append(TupleEigenvalue(tuple(idx), value))
-            else:
-                if value * eig[i] ** tail[depth + 1] < floor_eps:
-                    break
-                idx[depth] = i
-                rec(depth + 1, i + 1, value)
-            i += 1
+            idx[depth] = i
+            rec(depth + 1, i + 1, value)
 
     rec(0, 1, 1.0)
-    return out
+    if not emit:
+        return count
+
+    run = np.array(runs, dtype=float).reshape(-1, l + 2)
+    starts = run[:, l].astype(np.int64)
+    lengths = run[:, l + 1].astype(np.int64) - starts + 1
+    # innermost index of every tuple: the runs start..end laid end to end
+    last = np.arange(count) + np.repeat(starts + lengths - np.cumsum(lengths), lengths)
+    # the scalar pow of the prefix loop; the array power differs in the last bit
+    top = int(run[:, l + 1].max(initial=0))
+    powers = np.fromiter(map(math.pow, eig[:top].tolist(), repeat(float(a_last))), float, top)
+    values = np.repeat(run[:, l - 1], lengths) * powers[last - 1]
+    indices = np.column_stack((np.repeat(run[:, : l - 1].astype(np.int64), lengths, axis=0), last))
+    return indices, values
+
+
+def hpi_count_above(H: PowerLawSpectrum, composition, eps: float) -> int:
+    """#{i_1 < ... < i_l <= v : H_{i_1}^{a_1} ... H_{i_l}^{a_l} >= eps}.
+
+    Counts by the depth-first prefix search in O(l) memory; ties within
+    relative 1e-12 of eps count as above.
+    """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    return _prefix_search(H, _as_composition(composition), eps, emit=False)
 
 
 def hpi_top_k(H: PowerLawSpectrum, composition, k: int) -> TopTuples:
@@ -207,7 +208,6 @@ def hpi_top_k(H: PowerLawSpectrum, composition, k: int) -> TopTuples:
         raise ValueError(f"need v >= {l} base entries, got v={H.v}")
     total = math.comb(H.v, l)
     k_eff = min(k, total)
-    truncated = k > total
 
     eig = H.eigenvalues
     top_val = math.prod(float(eig[t]) ** comp.parts[t] for t in range(l))
@@ -230,16 +230,17 @@ def hpi_top_k(H: PowerLawSpectrum, composition, k: int) -> TopTuples:
             mid = math.sqrt(lo * hi)
             c = hpi_count_above(H, comp, mid)
             if c >= k_eff:
-                lo, count = mid, c
+                lo = mid
                 if c <= 4 * k_eff:
                     break
             else:
                 hi = mid
         eps = lo
 
-    entries = _enumerate_above(H, comp, eps)
-    entries.sort(key=lambda e: (-e.value, e.indices))
-    return TopTuples(entries[:k_eff], truncated)
+    indices, values = _prefix_search(H, comp, eps, emit=True)
+    # descending value, ties by lexicographic index tuple (last key is primary)
+    keep = np.lexsort((*indices[:, ::-1].T, -values))[:k_eff]
+    return TopTuples._from_arrays(indices[keep], values[keep], truncated=k > total)
 
 
 def envelope(j: int, alpha: float, p: int) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from plrf import cli, lattice, selfcheck
-from plrf.data import read_run_summary, read_spectrum_csv
+from plrf.data import read_cifar10, read_run_summary, read_spectrum_csv
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +203,72 @@ def test_threads_flag_only_on_spectrum_mc(capsys):
         cli.main(["spectrum", "exact", "--p", "1", "--v", "50", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+_COMMON = {"json_summary"}
+_SPECTRUM = _COMMON | {"alpha", "seed", "out", "normalized_out"}
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["lattice", "count"], _COMMON | {"X", "pi", "ordered", "bound_v", "with_asym", "out"}),
+    (["lattice", "asym"], _COMMON | {"X", "pi", "ordered", "bound_v", "with_exact", "out"}),
+    (["spectrum", "mc"],
+     _SPECTRUM | {"v", "d", "m", "p", "act", "dist", "data", "fit", "centered", "threads"}),
+    (["spectrum", "exact"], _SPECTRUM | {"v", "d", "p", "act", "fit"}),
+    (["spectrum", "hpi"], _SPECTRUM | {"v", "pi", "k"}),
+    (["spectrum", "theory"], _SPECTRUM | {"p", "j", "C"}),
+    (["layers"],
+     _COMMON | {"seed", "data", "widths", "act", "norm", "n", "v", "alpha", "fit", "out_dir"}),
+    (["selftest"], _COMMON | {"quick", "data"}),
+])
+def test_each_subcommand_declares_only_the_options_it_reads(argv, options):
+    assert set(cli.build_parser().parse_args(argv)._options) == options
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["lattice", "count", "--X", "100", "--pi", "1,1"], ["--seed", "5"]),
+    (["layers", "--widths", "32", "--n", "128", "--v", "64", "--fit", "1..20"], ["--out", "F"]),
+    (["selftest", "--quick"], ["--seed", "5"]),
+    (["selftest", "--quick"], ["--out", "F"]),
+    (["spectrum", "hpi", "--v", "50", "--k", "10"], ["--m", "500"]),
+    (["spectrum", "theory", "--p", "2", "--j", "1..50"], ["--fit", "1..20"]),
+    (["spectrum", "exact", "--p", "1", "--v", "50"], ["--centered"]),
+    (["spectrum", "mc", "--p", "1", "--v", "50", "--m", "200"], ["--k", "10"]),
+])
+def test_dropped_option_exits_2_as_flag_and_config_key(tmp_path, capsys, argv, flag):
+    flag = [str(tmp_path / "F") if f == "F" else f for f in flag]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + flag)
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    key = flag[0][2:].replace("-", "_")
+    cfg.write_text(f"{key} = {flag[1] if len(flag) > 1 else 'true'}\n")
+    code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert f"config key {key!r} is not an option" in err
+    assert not (tmp_path / "F").exists()
+
+
+def test_spectrum_mc_cifar_reads_only_m_rows(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(0)
+    for b in (1, 2):  # 300 rows on disk, 120 used
+        rows = rng.integers(0, 256, size=(150, 3073), dtype=np.uint8)
+        (tmp_path / f"data_batch_{b}.bin").write_bytes(rows.tobytes())
+    loaded = []
+
+    def spy(batches, limit=None):
+        ds = read_cifar10(batches, limit=limit)
+        loaded.append(ds.rows)
+        return ds
+
+    monkeypatch.setattr(cli, "read_cifar10", spy)
+    code, out, _ = run_cli(
+        capsys, "spectrum", "mc", "--p", "1", "--v", "3072", "--d", "40", "--m", "120",
+        "--dist", "cifar10", "--data", str(tmp_path), "--fit", "1..20",
+    )
+    assert code == 0, out
+    assert loaded == [120]
 
 
 def test_spectrum_mc_cifar_distribution_missing_data(tmp_path, capsys, monkeypatch):

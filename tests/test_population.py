@@ -3,20 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plrf import lattice, population
-from plrf.combinatorics import compositions
-from plrf.population import PowerLawSpectrum, TupleEigenvalue
-
-
-def brute_top_k(H, parts, k):
-    eig = H.eigenvalues
-    entries = [
-        TupleEigenvalue(idx, math.prod(float(eig[i - 1]) ** a for i, a in zip(idx, parts)))
-        for idx in itertools.combinations(range(1, H.v + 1), len(parts))
-    ]
-    entries.sort(key=lambda e: (-e.value, e.indices))
-    return entries[:k]
+from plrf.combinatorics import Composition, compositions
+from plrf.population import PowerLawSpectrum, TopTuples, TupleEigenvalue
+from plrf.selfcheck import _brute_top_k as brute_top_k
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +77,69 @@ def test_hpi_top_k_equals_bruteforce(alpha):
                 want = brute_top_k(H, comp.parts, k)
                 assert [e.indices for e in got] == [e.indices for e in want], (v, comp.parts)
                 assert np.allclose(got.values(), [e.value for e in want], rtol=1e-12)
+
+
+def test_hpi_top_k_pinned_near_tie():
+    # 28^3 = 8 * 14^3, so (1,28) and (8,14) tie up to round-off; the scalar pow
+    # of the reference puts (1,28) one ulp above, and an array power moves the bits
+    H = PowerLawSpectrum(1.2138, 71)
+    top = population.hpi_top_k(H, (1, 3), 200)
+    order = [e.indices for e in top]
+    assert order.index((8, 14)) == order.index((1, 28)) + 1
+    want = brute_top_k(H, (1, 3), 200)
+    assert order == [e.indices for e in want]
+    assert [e.value for e in top] == [e.value for e in want]
+
+
+# v <= 80 for l <= 2; shorter for l = 3, 4 so brute force stays around 1e4 tuples
+_MAX_V = {1: 80, 2: 80, 3: 40, 4: 24}
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_prefix_search_and_top_k_equal_bruteforce(data):
+    l = data.draw(st.integers(min_value=1, max_value=4))
+    v = data.draw(st.integers(min_value=l, max_value=_MAX_V[l]))
+    parts = tuple(data.draw(st.lists(st.integers(1, 3), min_size=l, max_size=l)))
+    alpha = data.draw(st.floats(min_value=1.01, max_value=3.0))
+    H = PowerLawSpectrum(alpha, v)
+    eig = H.eigenvalues
+    value = {
+        idx: math.prod(float(eig[i - 1]) ** a for i, a in zip(idx, parts))
+        for idx in itertools.combinations(range(1, v + 1), l)
+    }
+    # thresholds at a tuple value (exact boundary) and just off it
+    at = data.draw(st.sampled_from(sorted(value.values())))
+    for eps in (at, at * (1 + 1e-9), at * (1 - 1e-9)):
+        above = sorted(idx for idx, val in value.items() if val >= eps * (1 - 1e-12))
+        assert population.hpi_count_above(H, parts, eps) == len(above)
+        indices, values = population._prefix_search(H, Composition(parts), eps, emit=True)
+        assert indices.shape == (len(above), l) and values.shape == (len(above),)
+        emitted = dict(zip(map(tuple, indices.tolist()), values.tolist()))
+        assert sorted(emitted) == above
+        assert all(emitted[idx] == value[idx] for idx in above)  # bit-equal
+    k = data.draw(st.integers(min_value=1, max_value=len(value) + 3))
+    top = population.hpi_top_k(H, parts, k)
+    want = brute_top_k(H, parts, k)
+    assert [e.indices for e in top] == [e.indices for e in want]
+    assert top.values().tolist() == [e.value for e in want]
+    assert top.truncated == (k > len(value))
+
+
+def test_top_tuples_from_entries_round_trip():
+    # perfbench builds TopTuples from a list of entries; keep that contract
+    entries = [TupleEigenvalue((1, 2), 0.5), TupleEigenvalue((1, 3), 0.25), TupleEigenvalue((2, 3), 0.125)]
+    top = TopTuples(entries, truncated=True)
+    assert len(top) == 3 and top.truncated
+    assert top[1].indices == (1, 3) and type(top[1].indices[0]) is int
+    assert top[1].value == 0.25 and type(top[1].value) is float
+    assert top[-1] == entries[-1]
+    assert list(top) == entries and top[:2] == entries[:2]
+    assert top.values().tolist() == [0.5, 0.25, 0.125]
+    again = TopTuples(list(top))
+    assert list(again) == entries and not again.truncated
+    empty = TopTuples([])
+    assert len(empty) == 0 and empty.values().size == 0 and list(empty) == []
 
 
 def test_hpi_top_k_truncation_marker():
