@@ -73,7 +73,7 @@ def read_cifar10(paths: Sequence, limit: int | None = None) -> DatasetMatrix:
         paths = [paths]
     if not paths:
         raise ValueError("no batch files given")
-    chunks, rows = [], 0
+    chunks = []
     for path in paths:
         raw = Path(path).read_bytes()
         if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
@@ -81,10 +81,9 @@ def read_cifar10(paths: Sequence, limit: int | None = None) -> DatasetMatrix:
                 f"{path}: size {len(raw)} is not a positive multiple of {CIFAR_RECORD_BYTES}"
             )
         records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        kept = records[: None if limit is None else limit - rows, 1:]  # convert only these
-        chunks.append(kept.astype(float) / 127.5 - 1.0)
-        rows += len(chunks[-1])
-        if limit is not None and rows >= limit:
+        records = records[: None if limit is None else limit - sum(map(len, chunks))]
+        chunks.append(records[:, 1:].astype(float) / 127.5 - 1.0)
+        if limit is not None and sum(c.shape[0] for c in chunks) >= limit:
             break
     return DatasetMatrix(np.concatenate(chunks, axis=0), source="cifar10")
 

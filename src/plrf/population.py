@@ -140,8 +140,9 @@ def _prefix_search(H: PowerLawSpectrum, comp: Composition, eps: float, emit: boo
     def rec(depth: int, start: int, prefix: float) -> None:
         nonlocal count
         if depth == l - 1:
-            # largest end in [start, v] with prefix * H_end^a >= floor_eps, else start-1
-            end, hi = start - 1, v + 1
+            # largest end in [start, v] with prefix * H_end^a >= floor_eps, else
+            # start-1; a run that qualifies up to v skips the bisection
+            end, hi = (v if prefix * eig[v - 1] ** a_last >= floor_eps else start - 1), v
             while hi - end > 1:
                 mid = (end + hi) // 2
                 if prefix * eig[mid - 1] ** a_last >= floor_eps:

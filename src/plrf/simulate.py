@@ -46,7 +46,7 @@ __all__ = [
 _SKETCH, _DATA, _STAGE, _LAYER, _WICK = 0, 1, 2, 3, 5
 
 _BLOCK = 8192
-_DENSE_FEATURE_CAP = 5 * 10**7  # materialise the feature matrix (m < d only) below this m*d
+_DENSE_FEATURE_CAP = 5 * 10**7  # materialise the feature matrix below this m*d
 MAX_SKETCH_ENTRIES = 10**9
 MAX_LAYER_WIDTH = 4096
 
@@ -273,12 +273,12 @@ def mc_covariance(cfg: RFConfig, threads: int = 1) -> SpectrumEstimate:
     """Spectrum of the Monte Carlo feature covariance scale * mean_i f(W'x_i)^(x2).
 
     Samples in fixed blocks with per-block derived streams; the centered
-    variant subtracts the empirical feature mean.  The spectrum is that of
-    `mc_covariance_matrix`, unless m < d and m*d is moderate: then the feature
-    matrix is materialised and its m x m Gram side diagonalised.  Either way
-    a fixed config gives bit-identical results for any thread count.
+    variant subtracts the empirical feature mean.  When m*d is moderate the
+    feature matrix is materialised and handed to the Gram trick, otherwise
+    the spectrum is that of `mc_covariance_matrix`; both paths give
+    bit-identical results for a fixed config regardless of thread count.
     """
-    if cfg.m < cfg.d and cfg.m * cfg.d <= _DENSE_FEATURE_CAP:
+    if cfg.m * cfg.d <= _DENSE_FEATURE_CAP:
         Phi = np.empty((cfg.m, cfg.d))
 
         def store(lo: int, hi: int, F: np.ndarray) -> None:

@@ -153,24 +153,14 @@ def test_mc_covariance_blockwise_route_is_matrix_spectrum(monkeypatch, centered)
         v=50, d=25, m=2000, alpha=1.31, activation=Activation("monomial", 2), seed=4,
         centered=centered,
     )
+    dense = simulate.mc_covariance(cfg).eigenvalues
+    monkeypatch.setattr(simulate, "_DENSE_FEATURE_CAP", 0)
     eig = {}
     for threads in (1, 3):
         eig[threads] = simulate.mc_covariance(cfg, threads=threads).eigenvalues
         mat = simulate.mc_covariance_matrix(cfg, threads=threads)
         assert np.array_equal(eig[threads], spectral.sym_eigenvalues(mat))
     assert np.array_equal(eig[1], eig[3])
-    # the Gram spectrum of the feature matrix, drawn here block by block
-    W = simulate.sample_sketch(cfg.v, cfg.d, cfg.seed)
-    sqrt_h = np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)
-    blocks = []
-    for b, lo in enumerate(range(0, cfg.m, 300)):
-        ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, b))
-        U = np.random.Generator(np.random.Philox(ss)).standard_normal((min(300, cfg.m - lo), cfg.v))
-        blocks.append(cfg.activation.apply((U * sqrt_h) @ W))
-    F = np.vstack(blocks)
-    if centered:
-        F = F - F.mean(axis=0)
-    dense = spectral.gram_spectrum(F, cfg.feature_scale / cfg.m)
     assert np.allclose(eig[1], dense, rtol=1e-9, atol=1e-12 * dense[0])
     with pytest.raises(ValueError, match="threads"):
         simulate.mc_covariance(cfg, threads=0)
