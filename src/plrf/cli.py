@@ -5,12 +5,17 @@ Each subcommand declares only the options it reads (README lists them), and
 every one takes --json-summary and --config.  Flags override values from an
 optional flat `key = value` config file whose keys are the subcommand's option
 names (`bound_v` for --bound-v); any other flag or key exits 2.
+
+Each run builds one `RunSummary` (effective parameters, seed where one is
+read, every slope fit with the range it used, printed results, warnings) and
+writes it as `<out>.summary` (spectrum), `<out-dir>/layers.summary` (layers)
+and the --json-summary file, all rendered by `data`.  Warnings also go to
+stderr as `warning: ...`; stdout carries only the results.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -18,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, lattice, population, selfcheck, simulate, spectral
-from .data import read_cifar10, write_run_summary, write_spectrum_csv
+from .data import read_cifar10, write_run_summary, write_run_summary_json, write_spectrum_csv
 from .lattice import BudgetExceededError
 from .records import RunSummary, SpectrumEstimate
 
@@ -117,53 +122,49 @@ def _opt(args, name: str, default):
     return default if value is None else value
 
 
-def _write_json_summary(path: str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_spectra(args, eigenvalues: np.ndarray) -> None:
+    """Write --out and --normalized-out, each whenever it is given."""
+    if args.out:
+        write_spectrum_csv(SpectrumEstimate(eigenvalues, (), 0, "", 0), args.out)
+        print(f"wrote {len(eigenvalues)} eigenvalues to {args.out}")
+    if args.normalized_out:
+        normalized = spectral.normalize_top(eigenvalues)
+        write_spectrum_csv(SpectrumEstimate(normalized, (), 0, "", 0), args.normalized_out)
+        print(f"wrote normalized spectrum to {args.normalized_out}")
 
 
-def _emit_spectrum(
-    est: SpectrumEstimate, args, *, slopes=(), r2=(), fit_range=(1, 100), elapsed_ms=0, extra=None
-) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        write_spectrum_csv(est, out)
-        print(f"wrote {len(est.eigenvalues)} eigenvalues to {out}")
-        if getattr(args, "normalized_out", None):
-            normalized = SpectrumEstimate(
-                eigenvalues=spectral.normalize_top(est.eigenvalues),
-                dims=est.dims,
-                samples=est.samples,
-                activation=est.activation,
-                seed=est.seed,
-                meta=dict(est.meta),
-            )
-            write_spectrum_csv(normalized, args.normalized_out)
-            print(f"wrote normalized spectrum to {args.normalized_out}")
-        summary = RunSummary(
-            config={**{k: str(v) for k, v in (extra or {}).items()}, **dict(est.meta)},
-            seed=est.seed,
-            slopes=tuple(slopes),
-            r2=tuple(r2),
-            fit_range=fit_range,
-            elapsed_ms=elapsed_ms,
-            version=__version__,
-        )
-        write_run_summary(summary, str(out) + ".summary")
-    if getattr(args, "json_summary", None):
-        _write_json_summary(
-            args.json_summary,
-            {
-                "dims": list(est.dims),
-                "samples": est.samples,
-                "activation": est.activation,
-                "seed": est.seed,
-                "slopes": list(slopes),
-                "r2": list(r2),
-                "fit_range": list(fit_range),
-                "eigenvalue_count": int(est.eigenvalues.size),
-                "meta": dict(est.meta),
-            },
-        )
+def _fit_warnings(fit, requested: tuple[int, int], size: int, where: str = "") -> list[str]:
+    """Warn when a fit reaches past half of its `size`-long spectrum.
+
+    There the tail bends with the rank or the sample count, not the power law.
+    """
+    if 2 * fit.j_max <= size:
+        return []
+    return [
+        f"{where}fit range j = {requested[0]}..{requested[1]} (effective {fit.j_min}..{fit.j_max}) "
+        f"reaches past half of the {size} eigenvalues, where the tail is rank- or sample-limited"
+    ]
+
+
+def _emit_record(args, *, params, results, seed=None, fits=(), warnings=(), summary_path=None) -> None:
+    """Build the run's one RunSummary, print its warnings, write its renderings."""
+    names = ("command", "lattice_cmd", "spectrum_cmd")
+    summary = RunSummary(
+        command=" ".join(getattr(args, name) for name in names if hasattr(args, name)),
+        params=params,
+        seed=seed,
+        fits=tuple(fits),
+        results=results,
+        warnings=tuple(warnings),
+        elapsed_ms=int(1000 * (time.monotonic() - args._started)),
+        version=__version__,
+    )
+    for warning in summary.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    if summary_path is not None:
+        write_run_summary(summary, summary_path)
+    if args.json_summary:
+        write_run_summary_json(summary, args.json_summary)
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +172,8 @@ def _emit_spectrum(
 
 
 def cmd_lattice(args) -> int:
-    exps = _parse_exponents(_opt(args, "pi", "1,1"))
+    pi = _opt(args, "pi", "1,1")
+    exps = _parse_exponents(pi)
     X = args.X
     if X is None:
         raise CLIError("--X is required")
@@ -187,31 +189,24 @@ def cmd_lattice(args) -> int:
             return lattice.count_ordered(X, exps, bound_v=bound_v).count
         return lattice.count_unordered(X, exps).count
 
-    lines = []
+    results: dict[str, object] = {}
     if args.lattice_cmd == "count":
-        count = exact_count()
-        lines.append(f"count = {count}")
+        results["count"] = exact_count()
         if args.with_asym:
-            asym = _asym_value(X, exps, ordered)
-            lines.append(f"asymptotic = {asym!r}")
-            lines.append(f"ratio = {count / asym!r}")
+            results["asymptotic"] = _asym_value(X, exps, ordered)
     else:  # asym
-        asym = _asym_value(X, exps, ordered)
-        lines.append(f"asymptotic = {asym!r}")
+        results["asymptotic"] = _asym_value(X, exps, ordered)
         if args.with_exact:
-            count = exact_count()
-            lines.append(f"count = {count}")
-            lines.append(f"ratio = {count / asym!r}")
-    text = "\n".join(lines)
+            results["count"] = exact_count()
+    if len(results) == 2:
+        results["ratio"] = results["count"] / results["asymptotic"]
+    text = "\n".join(f"{key} = {value!r}" for key, value in results.items())
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")
-    if args.json_summary:
-        payload = {}
-        for ln in lines:
-            k, _, v = ln.partition(" = ")
-            payload[k] = v
-        _write_json_summary(args.json_summary, payload)
+    extra = "with_asym" if args.lattice_cmd == "count" else "with_exact"
+    params = {"X": X, "pi": pi, "ordered": ordered, "bound_v": bound_v, extra: getattr(args, extra)}
+    _emit_record(args, params=params, results=results)
     return EXIT_OK
 
 
@@ -232,12 +227,12 @@ def _asym_value(X: float, exps: tuple[float, ...], ordered: bool) -> float:
 
 
 def cmd_spectrum(args) -> int:
-    t0 = time.monotonic()
-    seed = _opt(args, "seed", 0)
     alpha = _opt(args, "alpha", 1.31)
+    summary_path = f"{args.out}.summary" if args.out else None
 
     if args.spectrum_cmd == "hpi":
-        exps = _parse_exponents(_opt(args, "pi", "1,1"))
+        pi = _opt(args, "pi", "1,1")
+        exps = _parse_exponents(pi)
         parts = tuple(int(a) for a in exps)
         if any(p != a for p, a in zip(parts, exps)):
             raise CLIError("--pi must be positive integers for the tuple spectrum")
@@ -245,16 +240,19 @@ def cmd_spectrum(args) -> int:
         k = _opt(args, "k", 1000)
         H = population.PowerLawSpectrum(alpha, v)
         top = population.hpi_top_k(H, parts, k)
-        est = SpectrumEstimate(
-            eigenvalues=top.values(),
-            dims=(v, len(parts)),
-            samples=0,
-            activation=f"tuple-product{list(parts)}",
-            seed=seed,
-            meta={"alpha": repr(alpha), "truncated": str(top.truncated).lower()},
+        _write_spectra(args, top.values())
+        top_value = float(top[0].value)
+        print(f"top value = {top_value!r} at indices {top[0].indices}")
+        warnings = []
+        if top.truncated:
+            warnings.append(f"top-k is truncated: {len(top)} of k = {k} tuples, all v = {v} admits")
+        _emit_record(
+            args,
+            params={"alpha": alpha, "v": v, "pi": pi, "k": k},
+            results={"eigenvalue_count": len(top), "top_value": top_value, "truncated": top.truncated},
+            warnings=warnings,
+            summary_path=summary_path,
         )
-        _emit_spectrum(est, args, elapsed_ms=int(1000 * (time.monotonic() - t0)))
-        print(f"top value = {float(top[0].value)!r} at indices {top[0].indices}")
         return EXIT_OK
 
     if args.spectrum_cmd == "theory":
@@ -263,20 +261,19 @@ def cmd_spectrum(args) -> int:
         curve = population.theory_curve(p, alpha)
         scale = _opt(args, "C", curve.scale)
         eps = population.predicted_spectrum(curve, scale, range(j_lo, j_hi + 1))
-        est = SpectrumEstimate(
-            eigenvalues=eps,
-            dims=(j_lo, j_hi),
-            samples=0,
-            activation=f"theory:p={p}",
-            seed=seed,
-            meta={"alpha": repr(alpha), "C": repr(scale), "b_theory": repr(curve.b_theory)},
-        )
-        _emit_spectrum(est, args, elapsed_ms=int(1000 * (time.monotonic() - t0)))
+        _write_spectra(args, eps)
         print(f"N(u) inverted over j={j_lo}..{j_hi}; b_theory = {curve.b_theory!r}")
+        _emit_record(
+            args,
+            params={"alpha": alpha, "p": p, "j": f"{j_lo}..{j_hi}", "C": scale},
+            results={"eigenvalue_count": len(eps), "b_theory": curve.b_theory},
+            summary_path=summary_path,
+        )
         return EXIT_OK
 
     # mc / exact need dimensions and an activation; collect every config
     # problem before exiting so one fix-up pass suffices
+    seed = _opt(args, "seed", 0)
     problems: list[str] = []
     v = _opt(args, "v", 1000)
     d = _opt(args, "d", v)
@@ -318,46 +315,39 @@ def cmd_spectrum(args) -> int:
     if problems:
         raise CLIError("invalid configuration:\n  " + "\n  ".join(problems))
 
+    params = {"alpha": alpha, "v": v, "d": d, "act": act.label}
     if args.spectrum_cmd == "exact":
         H = population.PowerLawSpectrum(alpha, v)
         W = simulate.sample_sketch(v, d, seed)
         K = simulate.exact_population_covariance(W, H, act.param)
         eig = spectral.sym_eigenvalues(K)
-        est = SpectrumEstimate(
-            eigenvalues=eig,
-            dims=(v, d),
-            samples=0,
-            activation=act.label,
-            seed=seed,
-            meta={"alpha": repr(alpha), "route": "exact"},
-        )
     else:  # mc
-        dist = _parse_distribution(_opt(args, "dist", "gaussian"), args, m)
+        dist_text = _opt(args, "dist", "gaussian")
         cfg = simulate.RFConfig(
             v=v,
             d=d,
             m=m,
             alpha=alpha,
             activation=act,
-            distribution=dist,
+            distribution=_parse_distribution(dist_text, args, m),
             seed=seed,
             centered=args.centered,
         )
-        est = simulate.mc_covariance(cfg, threads=threads)
+        eig = simulate.mc_covariance(cfg, threads=threads).eigenvalues
+        params.update(m=m, dist=dist_text, centered=args.centered, threads=threads)
 
-    fit_hi = min(fit_hi, est.eigenvalues.size)
-    fit = spectral.slope_fit(est.eigenvalues, fit_lo, fit_hi)
-    elapsed = int(1000 * (time.monotonic() - t0))
-    _emit_spectrum(
-        est,
+    fit = spectral.slope_fit(eig, fit_lo, min(fit_hi, eig.size))
+    _write_spectra(args, eig)
+    print(f"slope = {fit.slope:.6f}  r2 = {fit.r_squared:.6f}  (j = {fit.j_min}..{fit.j_max})")
+    _emit_record(
         args,
-        slopes=(fit.slope,),
-        r2=(fit.r_squared,),
-        fit_range=(fit_lo, fit_hi),
-        elapsed_ms=elapsed,
-        extra={"v": v, "d": d},
+        params=params,
+        seed=seed,
+        fits=(fit,),
+        results={"eigenvalue_count": eig.size},
+        warnings=_fit_warnings(fit, (fit_lo, fit_hi), eig.size),
+        summary_path=summary_path,
     )
-    print(f"slope = {fit.slope:.6f}  r2 = {fit.r_squared:.6f}  (j = {fit_lo}..{fit_hi})")
     return EXIT_OK
 
 
@@ -386,7 +376,6 @@ def _parse_distribution(text: str, args, m: int) -> simulate.DataDistribution:
 
 
 def cmd_layers(args) -> int:
-    t0 = time.monotonic()
     seed = _opt(args, "seed", 0)
     alpha = _opt(args, "alpha", 1.31)
     widths = _parse_widths(_opt(args, "widths", "1024,1024,1024,1024"))
@@ -396,8 +385,10 @@ def cmd_layers(args) -> int:
     n = _opt(args, "n", 4096)
     source = _opt(args, "data", "synthetic")
 
+    params = {"data": source}
     if source == "synthetic":
         v = _opt(args, "v", 1024)
+        params.update(v=v, alpha=alpha)
         H = population.PowerLawSpectrum(alpha, v)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(97,))))
         X = rng.standard_normal((n, v)) * np.sqrt(H.eigenvalues)
@@ -416,41 +407,28 @@ def cmd_layers(args) -> int:
         tag = f"cifar10 ({X.shape[0]} rows)"
 
     layers = [simulate.LayerSpec(w, act, norm) for w in widths]
-    results = simulate.propagate_layers(X, layers, seed=seed, fit_range=(fit_lo, fit_hi))
+    layer_results = simulate.propagate_layers(X, layers, seed=seed, fit_range=(fit_lo, fit_hi))
 
     print(f"data: {tag}")
     print(f"{'layer':>5} {'dim':>6} {'slope':>9} {'r2':>7}  norm={norm}")
-    slopes, r2s = [], []
-    for t, (est, fit) in enumerate(results, start=1):
+    out_dir = Path(args.out_dir) if args.out_dir else None
+    warnings = []
+    for t, (est, fit) in enumerate(layer_results, start=1):
         print(f"{t:>5} {est.dims[1]:>6} {fit.slope:>9.4f} {fit.r_squared:>7.4f}")
-        slopes.append(fit.slope)
-        r2s.append(fit.r_squared)
-        if args.out_dir:
-            out_dir = Path(args.out_dir)
+        warnings += _fit_warnings(fit, (fit_lo, fit_hi), est.eigenvalues.size, f"layer {t}: ")
+        if out_dir:
             out_dir.mkdir(parents=True, exist_ok=True)
             write_spectrum_csv(est, out_dir / f"layer_{t}.csv")
-    elapsed = int(1000 * (time.monotonic() - t0))
-    if args.out_dir:
-        summary = RunSummary(
-            config={
-                "data": source,
-                "widths": ",".join(str(w) for w in widths),
-                "act": act.label,
-                "norm": norm,
-            },
-            seed=seed,
-            slopes=tuple(slopes),
-            r2=tuple(r2s),
-            fit_range=(fit_lo, fit_hi),
-            elapsed_ms=elapsed,
-            version=__version__,
-        )
-        write_run_summary(summary, Path(args.out_dir) / "layers.summary")
-    if args.json_summary:
-        _write_json_summary(
-            args.json_summary,
-            {"data": source, "slopes": slopes, "r2": r2s, "widths": list(widths), "seed": seed},
-        )
+    _emit_record(
+        args,
+        params={**params, "widths": ",".join(str(w) for w in widths), "act": act.label,
+                "norm": norm, "n": X.shape[0]},
+        seed=seed,
+        fits=[fit for _, fit in layer_results],
+        results={},
+        warnings=warnings,
+        summary_path=out_dir / "layers.summary" if out_dir else None,
+    )
     return EXIT_OK
 
 
@@ -459,31 +437,17 @@ def cmd_layers(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = selfcheck.run_all(quick=args.quick, data_dir=getattr(args, "data", None))
-    failed = skipped = 0
+    results = selfcheck.run_all(quick=args.quick, data_dir=args.data)
+    statuses = {}
     for res in results:
-        if res.passed is None:
-            status = "SKIP"
-            skipped += 1
-        elif res.passed:
-            status = "PASS"
-        else:
-            status = "FAIL"
-            failed += 1
+        status = "SKIP" if res.passed is None else "PASS" if res.passed else "FAIL"
+        statuses[res.criterion] = status
         print(f"{status}  criterion {res.criterion}: {res.detail}")
-    if args.json_summary:
-        _write_json_summary(
-            args.json_summary,
-            {
-                "results": [
-                    {"criterion": r.criterion, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ]
-            },
-        )
-    passed = len(results) - failed - skipped
-    print(f"{len(results)} criteria: {passed} passed, {skipped} skipped, {failed} failed"
-          + (" (quick mode)" if args.quick else ""))
+    counts = list(statuses.values())
+    failed, skipped = counts.count("FAIL"), counts.count("SKIP")
+    print(f"{len(results)} criteria: {len(results) - failed - skipped} passed, {skipped} skipped, "
+          f"{failed} failed" + (" (quick mode)" if args.quick else ""))
+    _emit_record(args, params={"quick": args.quick, "data": args.data}, results=statuses)
     return EXIT_OK if failed == 0 else EXIT_INTERNAL
 
 
@@ -558,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags.split():
             p.add_argument(f"--{flag}", **_SPECTRUM_FLAGS[flag])
         p.add_argument("--normalized-out", default=None, help="also write top-normalized CSV")
-        _add_common(p, seed=True, out=True)
+        _add_common(p, seed=name in ("mc", "exact"), out=True)
         p.set_defaults(func=cmd_spectrum)
 
     lay = sub.add_parser("layers", help="propagate data through random layers")
@@ -586,6 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args._started = time.monotonic()  # elapsed_ms of the run record counts from here
     try:
         if args.config:
             _apply_config_file(args, args.config)

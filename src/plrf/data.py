@@ -3,19 +3,22 @@
 CIFAR-10 binary batch reader (3073-byte records: label byte + 3072 pixel
 bytes, scaled to [-1, 1]), spectrum CSV with shortest-exact decimal
 formatting (lossless round-trip), a raw little-endian float64 sidecar for
-large spectra, and diffable run-summary text files.
+large spectra, and the run record rendered as diffable key = value text and
+as JSON.
 """
 
 from __future__ import annotations
 
+import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .records import RunSummary, SpectrumEstimate
+from .spectral import SlopeFit
 
 __all__ = [
     "DatasetMatrix",
@@ -26,6 +29,7 @@ __all__ = [
     "write_spectrum_bin",
     "read_spectrum_bin",
     "write_run_summary",
+    "write_run_summary_json",
     "read_run_summary",
 ]
 
@@ -152,57 +156,58 @@ def read_spectrum_bin(path) -> SpectrumEstimate:
     )
 
 
-_SUMMARY_FIELDS = ("config", "seed", "slopes", "r2", "fit_range", "elapsed_ms", "version")
+_SUMMARY_FIELDS = ("command", "params", "seed", "fits", "results", "warnings", "elapsed_ms", "version")
+
+
+def _run_summary_fields(summary: RunSummary) -> dict:
+    """The record as JSON-typed fields named as in RunSummary; both renderings start here.
+
+    Params are sorted; `seed` is left out when None and `fits` when empty.
+    """
+    fields = asdict(summary)
+    fields["params"] = dict(sorted(summary.params.items()))
+    if summary.seed is None:
+        del fields["seed"]
+    if not summary.fits:
+        del fields["fits"]
+    return fields
 
 
 def write_run_summary(summary: RunSummary, path) -> None:
-    """One diffable key = value document per run; field names are fixed.
+    """One diffable `field = JSON value` line per record field; read_run_summary reads all back.
 
-    Config keys are sorted and floats use shortest-exact formatting, so two
-    runs with identical seeds differ only in elapsed_ms.
+    Floats print shortest-exact, so two runs with identical seeds differ only
+    in elapsed_ms.
     """
-    cfg = " ".join(
-        f"{k}={_format_value(v) if isinstance(v, float) else v}"
-        for k, v in sorted(summary.config.items())
-    )
-    lines = [
-        f"config = {cfg}",
-        f"seed = {summary.seed}",
-        "slopes = " + ",".join(_format_value(s) for s in summary.slopes),
-        "r2 = " + ",".join(_format_value(r) for r in summary.r2),
-        f"fit_range = {summary.fit_range[0]}..{summary.fit_range[1]}",
-        f"elapsed_ms = {int(summary.elapsed_ms)}",
-        f"version = {summary.version}",
-    ]
+    lines = [f"{name} = {json.dumps(value)}" for name, value in _run_summary_fields(summary).items()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def write_run_summary_json(summary: RunSummary, path) -> None:
+    """The same record as one JSON object whose top-level keys are the field names."""
+    Path(path).write_text(json.dumps(_run_summary_fields(summary), indent=2) + "\n")
+
+
 def read_run_summary(path) -> RunSummary:
-    """Parse a run summary, raising SchemaError naming any missing field."""
-    fields: dict[str, str] = {}
+    """Parse a run summary, raising SchemaError naming any missing or unknown field."""
+    fields: dict = {"seed": None, "fits": []}
     for ln in Path(path).read_text().splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        key, sep, value = ln.partition("=")
-        if sep:
-            fields[key.strip()] = value.strip()
+        key, _, raw = ln.partition("=")
+        try:
+            fields[key.strip()] = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: malformed line {ln!r}") from exc
     for name in _SUMMARY_FIELDS:
         if name not in fields:
             raise SchemaError(f"{path}: missing field: {name}")
-    config: dict[str, str] = {}
-    for item in fields["config"].split():
-        k, _, v = item.partition("=")
-        config[k] = v
-    lo_str, _, hi_str = fields["fit_range"].partition("..")
-    slopes = tuple(float(s) for s in fields["slopes"].split(",") if s)
-    r2 = tuple(float(s) for s in fields["r2"].split(",") if s)
-    return RunSummary(
-        config=config,
-        seed=int(fields["seed"]),
-        slopes=slopes,
-        r2=r2,
-        fit_range=(int(lo_str), int(hi_str)),
-        elapsed_ms=int(fields["elapsed_ms"]),
-        version=fields["version"],
-    )
+    for name in fields:
+        if name not in _SUMMARY_FIELDS:
+            raise SchemaError(f"{path}: unknown field: {name}")
+    try:
+        fits = tuple(SlopeFit(**fit) for fit in fields["fits"])
+    except TypeError as exc:
+        raise SchemaError(f"{path}: malformed fit: {exc}") from exc
+    return RunSummary(**{**fields, "fits": fits, "warnings": tuple(fields["warnings"])})

@@ -7,6 +7,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .spectral import SlopeFit
+
 __all__ = ["SpectrumEstimate", "RunSummary"]
 
 
@@ -32,12 +34,19 @@ class SpectrumEstimate:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Diffable record of one experiment run."""
+    """The one record of a CLI run; `data` renders it as key = value text and as JSON.
 
-    config: Mapping[str, object]
-    seed: int
-    slopes: tuple[float, ...]
-    r2: tuple[float, ...]
-    fit_range: tuple[int, int]
+    `params` and `results` map names to str, int, float, bool or None.
+    `params` holds effective values (after defaults and clamping), `seed` is
+    None where the subcommand reads none, and `fits` has one entry per slope
+    fit actually computed, with the range it used.
+    """
+
+    command: str
+    params: Mapping[str, object]
+    seed: int | None
+    fits: tuple[SlopeFit, ...]
+    results: Mapping[str, object]
+    warnings: tuple[str, ...]
     elapsed_ms: int
     version: str

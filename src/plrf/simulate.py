@@ -404,15 +404,21 @@ def iterated_sketch(
     return out
 
 
-def _normalize_rows(A: np.ndarray, mode: str) -> np.ndarray:
+def _normalize_rows(A: np.ndarray, mode: str, layer: int) -> np.ndarray:
+    """Per-row rmsnorm or layernorm; a row it would divide by zero raises ValueError."""
+    if mode == "none":
+        return A
     if mode == "rmsnorm":
-        rms = np.sqrt(np.mean(A * A, axis=1, keepdims=True))
-        return A / rms
-    if mode == "layernorm":
+        scale = np.sqrt(np.mean(A * A, axis=1, keepdims=True))
+        degenerate, kind = scale[:, 0] == 0, "all zero"
+    else:  # layernorm
         mu = A.mean(axis=1, keepdims=True)
-        sd = A.std(axis=1, keepdims=True)
-        return (A - mu) / sd
-    return A
+        scale = A.std(axis=1, keepdims=True)
+        degenerate, kind = (scale[:, 0] == 0) | (np.ptp(A, axis=1) == 0), "constant"
+    rows = np.flatnonzero(degenerate)
+    if rows.size:
+        raise ValueError(f"layer {layer}: {mode} cannot normalize row {rows[0]}, which is {kind}")
+    return A / scale if mode == "rmsnorm" else (A - mu) / scale
 
 
 def propagate_layers(
@@ -434,7 +440,7 @@ def propagate_layers(
         fan_in = cur.shape[1]
         Wt = _stream(seed, _LAYER, t).standard_normal((fan_in, layer.width))
         A = layer.activation.apply(cur @ Wt / math.sqrt(fan_in))
-        A = _normalize_rows(A, layer.normalization)
+        A = _normalize_rows(A, layer.normalization, t + 1)
         if not np.all(np.isfinite(A)):
             raise ValueError(f"non-finite activations at layer {t + 1}")
         centered = A - A.mean(axis=0)

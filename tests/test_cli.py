@@ -5,13 +5,20 @@ import numpy as np
 import pytest
 
 from plrf import cli, lattice, selfcheck
-from plrf.data import read_cifar10, read_run_summary, read_spectrum_csv
+from plrf.data import read_cifar10, read_run_summary, read_spectrum_csv, write_run_summary_json
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_same_record(summary_path, json_path):
+    """The key = value file and the JSON file hold one record."""
+    back = summary_path.parent / "back.json"
+    write_run_summary_json(read_run_summary(summary_path), back)
+    assert back.read_text() == json_path.read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +70,7 @@ def test_lattice_out_and_json(tmp_path, capsys):
     )
     assert code == 0
     assert "count = 6" in out_file.read_text()
-    assert json.loads(js.read_text())["count"] == "6"
+    assert json.loads(js.read_text())["results"]["count"] == 6
 
 
 def test_lattice_bound_v_without_ordered_exact_count(tmp_path, capsys):
@@ -159,11 +166,99 @@ def test_spectrum_mc_writes_summary_and_normalized(tmp_path, capsys):
     assert "slope = " in stdout
     summary = read_run_summary(str(out) + ".summary")
     assert summary.seed == 3
-    assert len(summary.slopes) == 1
+    assert len(summary.fits) == 1
     normalized = read_spectrum_csv(norm)
     assert normalized.eigenvalues[0] == 1.0
     payload = json.loads(js.read_text())
-    assert payload["seed"] == 3 and payload["activation"] == "monomial:2"
+    assert payload["seed"] == 3 and payload["params"]["act"] == "monomial:2"
+
+
+def test_spectrum_mc_summary_and_json_hold_one_record(tmp_path, capsys):
+    out, js = tmp_path / "mc.csv", tmp_path / "mc.json"
+    code, _, _ = run_cli(
+        capsys,
+        "spectrum", "mc", "--p", "2", "--v", "60", "--d", "50", "--m", "400",
+        "--seed", "3", "--fit", "2..30", "--out", str(out), "--json-summary", str(js),
+    )
+    assert code == 0
+    assert_same_record(tmp_path / "mc.csv.summary", js)
+    summary = read_run_summary(tmp_path / "mc.csv.summary")
+    assert summary.command == "spectrum mc"
+    assert summary.params == {
+        "v": 60, "d": 50, "m": 400, "alpha": 1.31, "act": "monomial:2",
+        "dist": "gaussian", "centered": False, "threads": 1,
+    }
+    (fit,) = summary.fits
+    assert (fit.j_min, fit.j_max, fit.points_used) == (2, 30, 29)
+    assert summary.results == {"eigenvalue_count": 50}
+
+
+@pytest.mark.parametrize("argv", [
+    ["hpi", "--pi", "1,1", "--k", "20", "--v", "50"],
+    ["theory", "--p", "2", "--j", "1..50"],
+])
+def test_spectrum_hpi_and_theory_records_carry_no_fit_or_seed(tmp_path, capsys, argv):
+    out, js = tmp_path / "s.csv", tmp_path / "s.json"
+    code, _, err = run_cli(capsys, "spectrum", *argv, "--out", str(out), "--json-summary", str(js))
+    assert (code, err) == (0, "")
+    assert_same_record(tmp_path / "s.csv.summary", js)
+    payload = json.loads(js.read_text())
+    assert "fits" not in payload and "seed" not in payload
+    assert payload["results"]["eigenvalue_count"] == read_spectrum_csv(out).eigenvalues.size
+
+
+@pytest.mark.parametrize("argv", [
+    ["hpi", "--v", "50", "--k", "10"],
+    ["mc", "--p", "1", "--v", "40", "--m", "200", "--fit", "1..15"],
+    ["exact", "--p", "1", "--v", "40", "--fit", "1..15"],
+    ["theory", "--p", "2", "--j", "1..30"],
+])
+def test_normalized_out_without_out(tmp_path, capsys, argv):
+    norm = tmp_path / "norm.csv"
+    code, stdout, _ = run_cli(capsys, "spectrum", *argv, "--normalized-out", str(norm))
+    assert code == 0
+    assert f"wrote normalized spectrum to {norm}" in stdout
+    assert read_spectrum_csv(norm).eigenvalues[0] == 1.0
+    assert list(tmp_path.iterdir()) == [norm]
+
+
+def test_fit_past_half_the_spectrum_warns(tmp_path, capsys):
+    base = ["spectrum", "mc", "--p", "1", "--v", "100", "--d", "100", "--m", "100"]
+    js = tmp_path / "mc.json"
+    code, stdout, err = run_cli(capsys, *base, "--json-summary", str(js))
+    assert code == 0
+    warning = ("fit range j = 5..100 (effective 5..100) reaches past half of the "
+               "100 eigenvalues, where the tail is rank- or sample-limited")
+    assert err == f"warning: {warning}\n"
+    assert "warning" not in stdout
+    assert json.loads(js.read_text())["warnings"] == [warning]
+    code, _, err = run_cli(capsys, *base, "--fit", "5..50", "--json-summary", str(js))
+    assert (code, err) == (0, "")
+    assert json.loads(js.read_text())["warnings"] == []
+    code, _, err = run_cli(capsys, "spectrum", "exact", "--p", "1", "--v", "100", "--d", "40")
+    assert code == 0
+    assert "fit range j = 5..100 (effective 5..40) reaches past half of the 40 eigenvalues" in err
+
+
+def test_fit_within_half_the_spectrum_is_silent(capsys):
+    code, _, err = run_cli(
+        capsys, "spectrum", "mc", "--p", "1", "--v", "200", "--d", "200", "--m", "4000",
+        "--fit", "5..100",
+    )
+    assert (code, err) == (0, "")
+
+
+def test_hpi_truncated_warns(tmp_path, capsys):
+    js = tmp_path / "hpi.json"
+    code, stdout, err = run_cli(
+        capsys, "spectrum", "hpi", "--pi", "1,1", "--v", "4", "--k", "10", "--json-summary", str(js)
+    )
+    assert code == 0
+    warning = "top-k is truncated: 6 of k = 10 tuples, all v = 4 admits"
+    assert err == f"warning: {warning}\n"
+    payload = json.loads(js.read_text())
+    assert payload["warnings"] == [warning]
+    assert payload["results"]["truncated"] is True and payload["results"]["eigenvalue_count"] == 6
 
 
 def test_spectrum_exact_route(tmp_path, capsys):
@@ -206,15 +301,15 @@ def test_threads_flag_only_on_spectrum_mc(capsys):
 
 
 _COMMON = {"json_summary"}
-_SPECTRUM = _COMMON | {"alpha", "seed", "out", "normalized_out"}
+_SPECTRUM = _COMMON | {"alpha", "out", "normalized_out"}
 
 
 @pytest.mark.parametrize("argv, options", [
     (["lattice", "count"], _COMMON | {"X", "pi", "ordered", "bound_v", "with_asym", "out"}),
     (["lattice", "asym"], _COMMON | {"X", "pi", "ordered", "bound_v", "with_exact", "out"}),
     (["spectrum", "mc"],
-     _SPECTRUM | {"v", "d", "m", "p", "act", "dist", "data", "fit", "centered", "threads"}),
-    (["spectrum", "exact"], _SPECTRUM | {"v", "d", "p", "act", "fit"}),
+     _SPECTRUM | {"seed", "v", "d", "m", "p", "act", "dist", "data", "fit", "centered", "threads"}),
+    (["spectrum", "exact"], _SPECTRUM | {"seed", "v", "d", "p", "act", "fit"}),
     (["spectrum", "hpi"], _SPECTRUM | {"v", "pi", "k"}),
     (["spectrum", "theory"], _SPECTRUM | {"p", "j", "C"}),
     (["layers"],
@@ -231,6 +326,8 @@ def test_each_subcommand_declares_only_the_options_it_reads(argv, options):
     (["selftest", "--quick"], ["--seed", "5"]),
     (["selftest", "--quick"], ["--out", "F"]),
     (["spectrum", "hpi", "--v", "50", "--k", "10"], ["--m", "500"]),
+    (["spectrum", "hpi", "--v", "50", "--k", "10"], ["--seed", "9"]),
+    (["spectrum", "theory", "--p", "2", "--j", "1..50"], ["--seed", "9"]),
     (["spectrum", "theory", "--p", "2", "--j", "1..50"], ["--fit", "1..20"]),
     (["spectrum", "exact", "--p", "1", "--v", "50"], ["--centered"]),
     (["spectrum", "mc", "--p", "1", "--v", "50", "--m", "200"], ["--k", "10"]),
@@ -354,10 +451,34 @@ def test_layers_synthetic_identity_tracks_alpha(tmp_path, capsys):
     )
     assert code == 0
     summary = read_run_summary(out_dir / "layers.summary")
-    assert len(summary.slopes) == 2
-    for slope in summary.slopes:
-        assert abs(slope + 1.31) <= 0.1, summary.slopes
+    assert len(summary.fits) == 2
+    for fit in summary.fits:
+        assert abs(fit.slope + 1.31) <= 0.1, summary.fits
     assert (out_dir / "layer_1.csv").exists() and (out_dir / "layer_2.csv").exists()
+
+
+def test_layers_records_effective_fit_range(tmp_path, capsys):
+    out_dir, js = tmp_path / "layers", tmp_path / "layers.json"
+    code, stdout, err = run_cli(
+        capsys,
+        "layers", "--widths", "32,48", "--n", "128", "--v", "64", "--fit", "1..500",
+        "--out-dir", str(out_dir), "--json-summary", str(js),
+    )
+    assert code == 0
+    assert "warning" not in stdout
+    assert_same_record(out_dir / "layers.summary", js)
+    summary = read_run_summary(out_dir / "layers.summary")
+    assert [(f.j_min, f.j_max) for f in summary.fits] == [(1, 32), (1, 48)]
+    assert summary.params == {
+        "data": "synthetic", "v": 64, "alpha": 1.31, "widths": "32,48", "act": "tanh",
+        "norm": "none", "n": 128,
+    }
+    assert summary.warnings == tuple(
+        f"layer {t}: fit range j = 1..500 (effective 1..{w}) reaches past half of the "
+        f"{w} eigenvalues, where the tail is rank- or sample-limited"
+        for t, w in ((1, 32), (2, 48))
+    )
+    assert err == "".join(f"warning: {w}\n" for w in summary.warnings)
 
 
 def test_layers_norm_tag_reported(capsys):
@@ -387,11 +508,12 @@ def test_layers_missing_dataset_dir(capsys):
 # selftest subcommand
 
 
-def test_selftest_quick_passes(capsys):
+def test_selftest_quick_passes(tmp_path, capsys):
     import time
 
+    js = tmp_path / "selftest.json"
     start = time.monotonic()
-    code, out, _ = run_cli(capsys, "selftest", "--quick")
+    code, out, _ = run_cli(capsys, "selftest", "--quick", "--json-summary", str(js))
     elapsed = time.monotonic() - start
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL", "SKIP"))]
@@ -400,6 +522,10 @@ def test_selftest_quick_passes(capsys):
     passed = sum(ln.startswith("PASS") for ln in lines)
     skipped = sum(ln.startswith("SKIP") for ln in lines)
     assert f"{len(lines)} criteria: {passed} passed, {skipped} skipped, 0 failed" in out
+    statuses = json.loads(js.read_text())["results"]
+    assert [f"{status}  criterion {name}:" for name, status in statuses.items()] == [
+        ln.split(":")[0] + ":" for ln in lines
+    ]
     assert elapsed < 120.0  # quick mode budget (measured ~5 s)
 
 

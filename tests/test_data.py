@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from plrf import data as dio
 from plrf.records import RunSummary, SpectrumEstimate
+from plrf.spectral import SlopeFit
 
 
 def make_spec(values) -> SpectrumEstimate:
@@ -158,11 +162,17 @@ def test_spectrum_bin_rejects_garbage(tmp_path):
 
 def _summary(elapsed=1234):
     return RunSummary(
-        config={"v": 1000, "d": 1000, "alpha": 1.31, "activation": "monomial:1"},
+        command="layers",
+        params={"v": 1000, "alpha": 1.31, "act": "monomial:1", "centered": False, "data": None},
         seed=7,
-        slopes=(-1.3087215467891234,),
-        r2=(0.9991234567,),
-        fit_range=(5, 100),
+        fits=(
+            SlopeFit(-1.3087215467891234, 0.25, 0.9991234567, 5, 100, 96),
+            SlopeFit(-0.5, -1e-300, 1.0, 1, 32, 30),
+        ),
+        results={
+            "count": 10**30, "ratio": 0.1 + 0.2, "truncated": True, "1 combinatorial ground truth": "PASS"
+        },
+        warnings=("layer 2: fit range j = 1..500 (effective 1..32)", 'quotes " and = signs'),
         elapsed_ms=elapsed,
         version="0.1.0",
     )
@@ -172,12 +182,28 @@ def test_run_summary_round_trip(tmp_path):
     path = tmp_path / "run.summary"
     dio.write_run_summary(_summary(), path)
     back = dio.read_run_summary(path)
-    assert back.seed == 7
-    assert abs(back.slopes[0] - (-1.3087215467891234)) <= 1e-12
-    assert back.slopes[0] == -1.3087215467891234  # shortest-exact is bit-exact
-    assert back.fit_range == (5, 100)
-    assert back.config["activation"] == "monomial:1"
-    assert back.version == "0.1.0"
+    assert back == _summary()
+    assert back.fits[0].slope == -1.3087215467891234  # shortest-exact is bit-exact
+    js, js_back = tmp_path / "run.json", tmp_path / "back.json"
+    dio.write_run_summary_json(_summary(), js)
+    dio.write_run_summary_json(back, js_back)
+    assert js.read_text() == js_back.read_text()
+    assert list(json.loads(js.read_text())) == [
+        "command", "params", "seed", "fits", "results", "warnings", "elapsed_ms", "version"
+    ]
+
+
+def test_run_summary_without_seed_or_fits(tmp_path):
+    bare = replace(_summary(), seed=None, fits=(), params={}, results={}, warnings=())
+    path, js = tmp_path / "bare.summary", tmp_path / "bare.json"
+    dio.write_run_summary(bare, path)
+    dio.write_run_summary_json(bare, js)
+    assert dio.read_run_summary(path) == bare
+    assert "seed =" not in path.read_text() and "fits =" not in path.read_text()
+    assert json.loads(js.read_text()) == {
+        "command": "layers", "params": {}, "results": {}, "warnings": [],
+        "elapsed_ms": 1234, "version": "0.1.0",
+    }
 
 
 def test_run_summary_identical_modulo_elapsed(tmp_path):
@@ -193,7 +219,20 @@ def test_run_summary_identical_modulo_elapsed(tmp_path):
 def test_run_summary_missing_field(tmp_path):
     path = tmp_path / "broken.summary"
     dio.write_run_summary(_summary(), path)
-    text = "\n".join(ln for ln in path.read_text().splitlines() if not ln.startswith("slopes"))
+    text = "\n".join(ln for ln in path.read_text().splitlines() if not ln.startswith("command"))
     path.write_text(text)
-    with pytest.raises(dio.SchemaError, match="missing field: slopes"):
+    with pytest.raises(dio.SchemaError, match="missing field: command"):
+        dio.read_run_summary(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text + "slopes = [1.0]\n", "unknown field: slopes"),
+    (lambda text: text.replace('"0.1.0"', "0.1.0)"), "malformed line"),
+    (lambda text: text.replace('"points_used": 30', '"points": 30'), "malformed fit"),
+])
+def test_run_summary_rejects_malformed(tmp_path, edit, message):
+    path = tmp_path / "broken.summary"
+    dio.write_run_summary(_summary(), path)
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(dio.SchemaError, match=message):
         dio.read_run_summary(path)

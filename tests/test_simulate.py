@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -393,11 +394,25 @@ def test_propagate_layers_linear_layer_matches_direct():
 
 def test_propagate_layers_normalizations():
     A = np.random.default_rng(10).standard_normal((50, 20)) * 3.0 + 1.0
-    rms = simulate._normalize_rows(A, "rmsnorm")
+    rms = simulate._normalize_rows(A, "rmsnorm", 1)
     assert np.allclose(np.sqrt(np.mean(rms * rms, axis=1)), 1.0, atol=1e-12)
-    ln = simulate._normalize_rows(A, "layernorm")
+    ln = simulate._normalize_rows(A, "layernorm", 1)
     assert np.max(np.abs(ln.mean(axis=1))) <= 1e-10
     assert np.allclose(ln.var(axis=1), 1.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("norm, kind", [("rmsnorm", "all zero"), ("layernorm", "constant")])
+def test_propagate_layers_degenerate_row_names_layer_norm_and_row(norm, kind):
+    X = np.random.default_rng(13).standard_normal((40, 16))
+    X[3] = 0.0  # tanh keeps the row at zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide-by-zero RuntimeWarning first
+        with pytest.raises(ValueError, match=f"layer 1: {norm} cannot normalize row 3, which is {kind}"):
+            simulate.propagate_layers(X, [LayerSpec(32, Activation("tanh"), norm)], seed=0)
+    A = np.tile(np.arange(1.0, 4.0), (4, 1))
+    A[2] = 0.1  # constant, yet its rounded mean leaves a nonzero std
+    with pytest.raises(ValueError, match="row 2, which is constant"):
+        simulate._normalize_rows(A, "layernorm", 2)
 
 
 def test_propagate_layers_gram_trick_when_wide():
