@@ -258,6 +258,8 @@ def cmd_spectrum(args) -> int:
     if args.spectrum_cmd == "theory":
         p = _opt(args, "p", 2)
         j_lo, j_hi = _parse_range(_opt(args, "j", "1..1000"))
+        if not 1 <= j_lo <= j_hi:
+            raise CLIError(f"bad j range {j_lo}..{j_hi}: need 1 <= lo <= hi")
         curve = population.theory_curve(p, alpha)
         scale = _opt(args, "C", curve.scale)
         eps = population.predicted_spectrum(curve, scale, range(j_lo, j_hi + 1))
@@ -382,6 +384,8 @@ def cmd_layers(args) -> int:
     act = simulate.Activation.parse(_opt(args, "act", "tanh"))
     norm = _opt(args, "norm", "none")
     fit_lo, fit_hi = _parse_range(_opt(args, "fit", "1..100"))
+    if not 1 <= fit_lo <= fit_hi:
+        raise CLIError(f"bad fit range {fit_lo}..{fit_hi}")
     n = _opt(args, "n", 4096)
     source = _opt(args, "data", "synthetic")
 

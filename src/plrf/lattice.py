@@ -13,7 +13,7 @@ where a_* is the smallest exponent and m its multiplicity.  For unequal
 exponents the increasing count grows like X^theta* (log X)^(mu-1) with
 theta* = max_r r / (a_k + ... + a_{k-r+1}) and mu its multiplicity;
 `ordered_shape` computes that growth shape.  `invert_count_equal` solves
-N(X) = N for X by monotone bisection.
+N(X) = N for X by the monotone bisection `population` shares.
 
 Exact counting replaces the innermost loop by the arithmetic count
 floor((X/prefix)^(1/a_k)) and prunes prefixes whose best completion already
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "BudgetExceededError",
@@ -47,6 +49,7 @@ __all__ = [
 ITERATION_BUDGET = 10**9
 _INCLUSION_GUARD = 1.0 + 1e-12  # boundary ties resolve toward inclusion
 _EQ_RTOL = 1e-9  # exponents closer than this are treated as equal
+_BLOCK = 1 << 16  # targets per masked bisection: bounds its working set, stays in cache
 
 
 class BudgetExceededError(ValueError):
@@ -366,20 +369,54 @@ def asymptotic_ordered_equal(X: float, pi_common: float, k: int) -> float:
     return const * X ** (1.0 / a) * math.log(X) ** (k - 1)
 
 
+def _invert_increasing(f, targets, lo: float, hi: float, rel_tol: float, max_iter: int):
+    """Solve f(x) = t for every t in `targets` by one masked bisection.
+
+    `f` is increasing and maps arrays to arrays.  Upper brackets double from
+    `hi` while f(hi) < t; then all brackets halve at 0.5 * (lo + hi) until
+    |f(x) - t| <= rel_tol * t freezes each element, as a scalar bisection
+    would.  Long target arrays go in blocks of _BLOCK, which leaves each
+    element's steps unchanged.  Raises RuntimeError when a bracket or the
+    convergence fails.
+    """
+    t = np.asarray(targets, dtype=float)
+    if t.size > _BLOCK:
+        blocks = np.array_split(t, t.size // _BLOCK + 1)
+        return np.concatenate([_invert_increasing(f, b, lo, hi, rel_tol, max_iter) for b in blocks])
+    lo_, hi_ = np.full(t.shape, float(lo)), np.full(t.shape, float(hi))
+    for _ in range(2000):
+        if not np.any(short := f(hi_) < t):
+            break
+        hi_[short] *= 2.0
+    if np.any(short) or np.any(f(lo_) > t):
+        raise RuntimeError(f"bisection bracket failure from [{lo}, {hi}]")
+    x = np.empty_like(t)
+    todo = np.arange(t.size)  # elements not yet converged
+    for _ in range(max_iter):
+        mid = 0.5 * (lo_[todo] + hi_[todo])
+        x[todo] = mid
+        val, tt = f(mid), t[todo]
+        below = val < tt
+        lo_[todo[below]] = mid[below]
+        hi_[todo[~below]] = mid[~below]
+        todo = todo[np.abs(val - tt) > rel_tol * tt]
+        if not todo.size:
+            return x
+    raise RuntimeError(f"bisection did not converge after {max_iter} steps at t={float(t[todo[0]])!r}")
+
+
 def invert_count_equal(
     N: float, pi_common: float, k: int, *, rel_tol: float = 1e-9, max_iter: int = 200
 ) -> float:
     """Solve asymptotic_ordered_equal(X) = N for X by monotone bisection.
 
-    Seeded at (N / log(N)^(k-1))^a; converges to |N(X)/N - 1| <= rel_tol.
+    Seeded at (N / log(N)^(k-1))^a; converges to |N(X) - N| <= rel_tol * N in
+    `_invert_increasing`, the bisection that also inverts the theory curves.
     """
     if N < 3:
         raise ValueError(f"N >= 3 required, got {N}")
     a = float(pi_common)
-
-    def f(x: float) -> float:
-        return asymptotic_ordered_equal(x, a, k)
-
+    f = np.vectorize(lambda x: asymptotic_ordered_equal(x, a, k))
     seed = (N / math.log(N) ** (k - 1)) ** a
     lo = max(math.e, seed / 4.0)
     while f(lo) > N:
@@ -387,20 +424,4 @@ def invert_count_equal(
             raise ValueError(f"no solution with X > e: N={N} below the asymptotic at X=e")
         lo = max(math.e, lo / 4.0)
     hi = max(2.0 * lo, seed * 4.0)
-    doublings = 0
-    while f(hi) < N:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 2000:
-            raise RuntimeError("bracket expansion failed")
-    mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        val = f(mid)
-        if abs(val / N - 1.0) <= rel_tol:
-            return mid
-        if val < N:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError(f"bisection did not converge after {max_iter} steps (residual at X={mid})")
+    return float(_invert_increasing(f, [N], lo, hi, rel_tol, max_iter)[0])

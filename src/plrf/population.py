@@ -7,7 +7,8 @@ smallest index.  This module enumerates the top of that spectrum by threshold
 search with branch pruning, counts entries above a threshold, evaluates the
 (log^(p-1)(j+1)/j)^alpha eigenvalue envelope, and builds the
 zero-free-parameter counting curves N(u) for monomial degrees 1-3, whose
-inversion predicts eigenvalues eps_j = C u_j^(-alpha).
+inversion (one array bisection, shared with `lattice`) predicts eigenvalues
+eps_j = C u_j^(-alpha).
 """
 
 from __future__ import annotations
@@ -271,10 +272,11 @@ class CountingCurve:
     def b_theory(self) -> float:
         return sum(w for w, _, kind in self.subleading_terms if kind != "diagonal")
 
-    def evaluate(self, u: float) -> float:
-        if not u > 0:
+    def evaluate(self, u):
+        """N(u) at a float u or elementwise over an array of u."""
+        if not np.all(u > 0):
             raise ValueError(f"curve defined for u > 0, got {u}")
-        return self.principal_weight * u * math.log(u) ** (self.p - 1) + self.b_theory * u
+        return self.principal_weight * u * np.log(u) ** (self.p - 1) + self.b_theory * u
 
 
 def theory_curve(p: int, alpha: float) -> CountingCurve:
@@ -301,48 +303,25 @@ def theory_curve(p: int, alpha: float) -> CountingCurve:
 def predicted_spectrum(curve: CountingCurve, C: float, j_range) -> np.ndarray:
     """Predicted eigenvalues eps_j = C * u_j^(-alpha) with N(u_j) = j.
 
-    `j_range` is an iterable of indices in [1, 1e7].  Each u_j is solved by
-    bisection to |N(u_j) - j| <= 1e-8 j (closed form for p=1); the output is
-    strictly decreasing.
+    `j_range` is an iterable of indices in [1, 1e7].  All u_j are solved by one
+    masked bisection to |N(u_j) - j| <= 1e-8 j (closed form for p=1); the
+    output is strictly decreasing.
     """
     if not C > 0:
         raise ValueError(f"scale C must be positive, got {C}")
-    js = [int(j) for j in j_range]
-    if not js:
+    js = np.fromiter(map(int, j_range), dtype=float)
+    if not js.size:
         return np.empty(0)
-    if min(js) < 1 or max(js) > 10**7:
+    if js.min() < 1 or js.max() > 10**7:
         raise ValueError("indices must lie within [1, 1e7]")
-    if any(b <= a for a, b in zip(js, js[1:])):
+    if np.any(np.diff(js) <= 0):
         raise ValueError("j_range must be strictly increasing")
 
-    us = np.empty(len(js))
-    for pos, j in enumerate(js):
-        if curve.p == 1:
-            u = float(j)
-        else:
-            lo = 1.0 if curve.p == 2 else 1e-9
-            hi = max(4.0, 2.0 * lo)
-            expansions = 0
-            while curve.evaluate(hi) < j:
-                hi *= 2.0
-                expansions += 1
-                if expansions > 4000:
-                    raise RuntimeError("bisection bracket failure (upper bound)")
-            if curve.evaluate(lo) > j:
-                raise RuntimeError(f"bisection bracket failure at j={j}")
-            u = 0.5 * (lo + hi)
-            for _ in range(200):
-                u = 0.5 * (lo + hi)
-                val = curve.evaluate(u)
-                if abs(val - j) <= 1e-8 * j:
-                    break
-                if val < j:
-                    lo = u
-                else:
-                    hi = u
-            else:
-                raise RuntimeError(f"bisection did not converge at j={j}")
-        us[pos] = u
+    if curve.p == 1:
+        us = js
+    else:
+        lo = 1.0 if curve.p == 2 else 1e-9
+        us = lattice._invert_increasing(curve.evaluate, js, lo, 4.0, 1e-8, 200)
     out = C * us ** -curve.alpha
     if np.any(np.diff(out) >= 0):
         raise RuntimeError("predicted spectrum is not strictly decreasing")

@@ -445,6 +445,9 @@ def propagate_layers(
             raise ValueError(f"non-finite activations at layer {t + 1}")
         centered = A - A.mean(axis=0)
         eig = gram_spectrum(centered, 1.0 / n)
+        if fit_range[0] > eig.size:
+            raise ValueError(f"layer {t + 1}: fit range {fit_range[0]}..{fit_range[1]} "
+                             f"starts past the layer's {eig.size} eigenvalues")
         fit = slope_fit(eig, fit_range[0], min(fit_range[1], eig.size))
         est = SpectrumEstimate(
             eigenvalues=eig,

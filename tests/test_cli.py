@@ -140,6 +140,15 @@ def test_spectrum_theory_strictly_decreasing(tmp_path, capsys):
     assert np.all(np.diff(eps) < 0)
 
 
+@pytest.mark.parametrize("j", ["50..10", "0..10"])
+def test_spectrum_theory_rejects_bad_j_range(tmp_path, capsys, j):
+    out = tmp_path / "theory.csv"
+    code, _, err = run_cli(capsys, "spectrum", "theory", "--j", j, "--out", str(out))
+    assert code == 2
+    assert f"bad j range {j}" in err
+    assert not out.exists()
+
+
 def test_spectrum_mc_deterministic(tmp_path, capsys):
     args = [
         "spectrum", "mc", "--p", "1", "--v", "80", "--d", "80", "--m", "500",
@@ -490,6 +499,17 @@ def test_layers_norm_tag_reported(capsys):
     )
     assert code == 0
     assert "norm=layernorm" in stdout
+
+
+@pytest.mark.parametrize("fit, message", [
+    ("40..50", "fit range 40..50 starts past the layer's 32 eigenvalues"),
+    ("20..10", "bad fit range 20..10"),
+])
+def test_layers_bad_fit_range_names_the_request(capsys, fit, message):
+    code, _, err = run_cli(capsys, "layers", "--widths", "32", "--n", "64", "--v", "32",
+                           "--fit", fit)
+    assert code == 2
+    assert message in err
 
 
 def test_layers_empty_widths(capsys):

@@ -338,6 +338,21 @@ def test_invert_count_equal_validation():
         lattice.invert_count_equal(2.0, 1.0, 2)
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    k=st.sampled_from([1, 2, 3]),
+    a=st.sampled_from([0.5, 1.0, 2.0]),
+    N=st.floats(3.0, 1e12),
+)
+def test_invert_count_equal_meets_rel_tol(k, a, N):
+    if lattice.asymptotic_ordered_equal(math.e, a, k) > N:
+        with pytest.raises(ValueError, match="no solution with X > e"):
+            lattice.invert_count_equal(N, a, k)
+        return
+    X = lattice.invert_count_equal(N, a, k)
+    assert abs(lattice.asymptotic_ordered_equal(X, a, k) - N) <= 1e-9 * N
+
+
 # ---------------------------------------------------------------------------
 # types
 

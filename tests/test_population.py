@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -202,13 +203,16 @@ def test_hpi_count_above_examples():
 
 
 def test_hpi_count_above_matches_bounded_ordered_count():
-    # default spectrum: value >= eps  <=>  prod i^(a_i) <= eps^(-1/alpha)
-    alpha = 1.31
-    H = PowerLawSpectrum(alpha, 40)
-    for parts in ((1, 1), (2, 1)):
-        for eps in (1e-2, 1e-3, 1e-4):
-            want = lattice.count_ordered(eps ** (-1.0 / alpha), parts, bound_v=40).count
-            assert population.hpi_count_above(H, parts, eps) == want, (parts, eps)
+    # cross-oracle of two independent prefix searches: on the default spectrum
+    # a product is >= X^(-alpha) exactly when prod i^(a_i) <= X, so the float
+    # threshold count equals the integer lattice count with coordinates <= v
+    grid = itertools.product(
+        ((1, 1), (1, 1, 1), (2, 1), (1, 2), (3, 1, 1)), (50, 400), (37, 500, 3000.5), (1.31, 2.0)
+    )
+    for parts, v, X, alpha in grid:
+        want = lattice.count_ordered(X, parts, bound_v=v).count
+        got = population.hpi_count_above(PowerLawSpectrum(alpha, v), parts, X**-alpha)
+        assert got == want, (parts, v, X, alpha)
 
 
 def test_count_threshold_duality():
@@ -376,3 +380,47 @@ def test_predicted_spectrum_validation():
     with pytest.raises(ValueError):
         population.predicted_spectrum(curve, 1.0, [0, 1])
     assert population.predicted_spectrum(curve, 1.0, []).size == 0
+
+
+# bits of the scalar per-j bisection that the masked one replaced, recorded
+# with numpy 2.4 on x86-64: sha256 of the little-endian float64 vector for
+# j = 1..3000, and float.hex of eps_j at a few j
+_PREDICTED_GOLDEN = {
+    (2, 1.31): ("dfbcbad610ed2c5f369ae5952db909a1e8b12c2764f4cc852b9735ed58786990",
+                {1: "0x1.4f24b7e7698dbp-1", 100: "0x1.7cd83262406afp-7", 3000: "0x1.21722a8fcae8dp-12"}),
+    (2, 2.5): ("01f30a188b46a3114d61ca3560d0a24cfd87944279bc19eba82c8eb3084d8395",
+               {1: "0x1.e60572627753fp-3", 100: "0x1.c5f7d6c194066p-14", 3000: "0x1.715e0c46b28c3p-24"}),
+    (3, 1.31): ("c972c464b30de0e9efe352e40c5ad21e37878c093331a7bec2f43997aafcea62",
+                {1: "0x1.9f6b29d0f4facp+5", 100: "0x1.1f9109bde13c0p-2", 3000: "0x1.fda0d6598a139p-8"}),
+    (3, 2.5): ("2eb4f09fe03530609e24ea7294140841ac2b7de2f10282021d51ffd008d5796b",
+               {1: "0x1.505fc9be61b4ap+7", 100: "0x1.499f8c45f29bcp-8", 3000: "0x1.2ce95689f9dbbp-18"}),
+}
+
+
+@pytest.mark.parametrize("block", [None, 97])
+@pytest.mark.parametrize("p, alpha", sorted(_PREDICTED_GOLDEN))
+def test_predicted_spectrum_bits_pinned(p, alpha, block, monkeypatch):
+    if block:  # many bisection blocks must leave the bits as they are
+        monkeypatch.setattr(lattice, "_BLOCK", block)
+    digest, points = _PREDICTED_GOLDEN[p, alpha]
+    curve = population.theory_curve(p, alpha)
+    eps = population.predicted_spectrum(curve, curve.scale, range(1, 3001))
+    assert {j: float(eps[j - 1]).hex() for j in points} == points
+    assert hashlib.sha256(eps.astype("<f8").tobytes()).hexdigest() == digest
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    p=st.sampled_from([2, 3]),
+    alpha=st.floats(1.0, 4.0, exclude_min=True),
+    js=st.sets(st.integers(1, 10**7), min_size=1, max_size=200),
+)
+def test_predicted_spectrum_inverts_the_curve(p, alpha, js):
+    # the masked bisection freezes each j at its own step; every u_j must
+    # still meet the documented residual (plus the round-off of eps -> u)
+    curve = population.theory_curve(p, alpha)
+    j = np.array(sorted(js), dtype=float)
+    eps = population.predicted_spectrum(curve, curve.scale, j.astype(int))
+    assert np.all(np.diff(eps) < 0)
+    u = (eps / curve.scale) ** (-1.0 / alpha)
+    assert np.all(np.abs(curve.evaluate(u) - j) <= 1e-8 * (1.0 + 1e-6) * j)
