@@ -64,14 +64,18 @@ def _parse_widths(text: str) -> tuple[int, ...]:
     return widths
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str, name: str) -> tuple[int, int]:
+    """Parse LO..HI with 1 <= LO <= HI; errors name the range."""
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise CLIError(f"bad range {text!r}: expected LO..HI")
+        raise CLIError(f"bad {name} range {text!r}: expected LO..HI")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
-        raise CLIError(f"bad range {text!r}")
+        raise CLIError(f"bad {name} range {text!r}")
+    if not 1 <= lo <= hi:
+        raise CLIError(f"bad {name} range {lo}..{hi}: need 1 <= lo <= hi")
+    return lo, hi
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -257,9 +261,7 @@ def cmd_spectrum(args) -> int:
 
     if args.spectrum_cmd == "theory":
         p = _opt(args, "p", 2)
-        j_lo, j_hi = _parse_range(_opt(args, "j", "1..1000"))
-        if not 1 <= j_lo <= j_hi:
-            raise CLIError(f"bad j range {j_lo}..{j_hi}: need 1 <= lo <= hi")
+        j_lo, j_hi = _parse_range(_opt(args, "j", "1..1000"), "j")
         curve = population.theory_curve(p, alpha)
         scale = _opt(args, "C", curve.scale)
         eps = population.predicted_spectrum(curve, scale, range(j_lo, j_hi + 1))
@@ -311,9 +313,10 @@ def cmd_spectrum(args) -> int:
             problems.append("the exact population route supports monomial activations")
         if p is not None and p > 6:
             problems.append(f"exact route supports p <= 6, got {p}")
-    fit_lo, fit_hi = _parse_range(_opt(args, "fit", "5..100"))
-    if not 1 <= fit_lo <= fit_hi:
-        problems.append(f"bad fit range {fit_lo}..{fit_hi}")
+    try:
+        fit_lo, fit_hi = _parse_range(_opt(args, "fit", "5..100"), "fit")
+    except CLIError as exc:
+        problems.append(str(exc))
     if problems:
         raise CLIError("invalid configuration:\n  " + "\n  ".join(problems))
 
@@ -383,9 +386,7 @@ def cmd_layers(args) -> int:
     widths = _parse_widths(_opt(args, "widths", "1024,1024,1024,1024"))
     act = simulate.Activation.parse(_opt(args, "act", "tanh"))
     norm = _opt(args, "norm", "none")
-    fit_lo, fit_hi = _parse_range(_opt(args, "fit", "1..100"))
-    if not 1 <= fit_lo <= fit_hi:
-        raise CLIError(f"bad fit range {fit_lo}..{fit_hi}")
+    fit_lo, fit_hi = _parse_range(_opt(args, "fit", "1..100"), "fit")
     n = _opt(args, "n", 4096)
     source = _opt(args, "data", "synthetic")
 

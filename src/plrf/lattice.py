@@ -49,7 +49,6 @@ __all__ = [
 ITERATION_BUDGET = 10**9
 _INCLUSION_GUARD = 1.0 + 1e-12  # boundary ties resolve toward inclusion
 _EQ_RTOL = 1e-9  # exponents closer than this are treated as equal
-_BLOCK = 1 << 16  # targets per masked bisection: bounds its working set, stays in cache
 
 
 class BudgetExceededError(ValueError):
@@ -375,14 +374,9 @@ def _invert_increasing(f, targets, lo: float, hi: float, rel_tol: float, max_ite
     `f` is increasing and maps arrays to arrays.  Upper brackets double from
     `hi` while f(hi) < t; then all brackets halve at 0.5 * (lo + hi) until
     |f(x) - t| <= rel_tol * t freezes each element, as a scalar bisection
-    would.  Long target arrays go in blocks of _BLOCK, which leaves each
-    element's steps unchanged.  Raises RuntimeError when a bracket or the
-    convergence fails.
+    would.  Raises RuntimeError when a bracket or the convergence fails.
     """
     t = np.asarray(targets, dtype=float)
-    if t.size > _BLOCK:
-        blocks = np.array_split(t, t.size // _BLOCK + 1)
-        return np.concatenate([_invert_increasing(f, b, lo, hi, rel_tol, max_iter) for b in blocks])
     lo_, hi_ = np.full(t.shape, float(lo)), np.full(t.shape, float(hi))
     for _ in range(2000):
         if not np.any(short := f(hi_) < t):
