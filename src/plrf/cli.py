@@ -1,10 +1,11 @@
 """Command-line front end: lattice counts, spectrum experiments, layer sweeps, selftest.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input, 3 missing data.
-Each subcommand declares only the options it reads (README lists them), and
-every one takes --json-summary and --config.  Flags override values from an
-optional flat `key = value` config file whose keys are the subcommand's option
-names (`bound_v` for --bound-v); any other flag or key exits 2.
+Each subcommand declares only the options it reads, each with its default
+(README lists them; --help shows them), and every one takes --json-summary and
+--config.  Flags override values from an optional flat `key = value` config
+file whose keys are the subcommand's option names (`bound_v` for --bound-v);
+any other flag or key exits 2.
 
 Each run builds one `RunSummary` (effective parameters, seed where one is
 read, every slope fit with the range it used, printed results, warnings) and
@@ -94,13 +95,15 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config_file(args, path: str) -> None:
-    """Fill every option not given as a flag from the config file.
+def _config_defaults(args, path: str) -> dict[str, object]:
+    """The config file's values, to become the subcommand's defaults.
 
     Keys are the option names of the subcommand (`bound_v` for --bound-v);
     any other key is an error, so a typo never drops a setting silently.
+    Values stay strings, which argparse converts with the option's type.
     """
     actions = args._options
+    values: dict[str, object] = {}
     for key, raw in _load_config_file(path).items():
         action = actions.get(key)
         if action is None:
@@ -108,22 +111,8 @@ def _apply_config_file(args, path: str) -> None:
                 f"config key {key!r} is not an option of this subcommand "
                 f"(known: {', '.join(sorted(actions))})"
             )
-        if getattr(args, key) != action.default:  # the flag wins
-            continue
-        if action.nargs == 0:  # store_true
-            value = raw.lower() in ("1", "true", "yes", "on")
-        else:
-            try:
-                value = (action.type or str)(raw)
-            except ValueError as exc:
-                raise CLIError(f"config value {key} = {raw!r}: {exc}")
-        setattr(args, key, value)
-
-
-def _opt(args, name: str, default):
-    """Option value from the flag or the config file, else default."""
-    value = getattr(args, name, None)
-    return default if value is None else value
+        values[key] = raw.lower() in ("1", "true", "yes", "on") if action.nargs == 0 else raw
+    return values
 
 
 def _write_spectra(args, eigenvalues: np.ndarray) -> None:
@@ -176,8 +165,7 @@ def _emit_record(args, *, params, results, seed=None, fits=(), warnings=(), summ
 
 
 def cmd_lattice(args) -> int:
-    pi = _opt(args, "pi", "1,1")
-    exps = _parse_exponents(pi)
+    exps = _parse_exponents(args.pi)
     X = args.X
     if X is None:
         raise CLIError("--X is required")
@@ -209,7 +197,7 @@ def cmd_lattice(args) -> int:
     if args.out:
         Path(args.out).write_text(text + "\n")
     extra = "with_asym" if args.lattice_cmd == "count" else "with_exact"
-    params = {"X": X, "pi": pi, "ordered": ordered, "bound_v": bound_v, extra: getattr(args, extra)}
+    params = {"X": X, "pi": args.pi, "ordered": ordered, "bound_v": bound_v, extra: getattr(args, extra)}
     _emit_record(args, params=params, results=results)
     return EXIT_OK
 
@@ -231,17 +219,15 @@ def _asym_value(X: float, exps: tuple[float, ...], ordered: bool) -> float:
 
 
 def cmd_spectrum(args) -> int:
-    alpha = _opt(args, "alpha", 1.31)
+    alpha = args.alpha
     summary_path = f"{args.out}.summary" if args.out else None
 
     if args.spectrum_cmd == "hpi":
-        pi = _opt(args, "pi", "1,1")
-        exps = _parse_exponents(pi)
+        exps = _parse_exponents(args.pi)
         parts = tuple(int(a) for a in exps)
         if any(p != a for p, a in zip(parts, exps)):
             raise CLIError("--pi must be positive integers for the tuple spectrum")
-        v = _opt(args, "v", 5000)
-        k = _opt(args, "k", 1000)
+        v, k = args.v, args.k
         H = population.PowerLawSpectrum(alpha, v)
         top = population.hpi_top_k(H, parts, k)
         _write_spectra(args, top.values())
@@ -252,7 +238,7 @@ def cmd_spectrum(args) -> int:
             warnings.append(f"top-k is truncated: {len(top)} of k = {k} tuples, all v = {v} admits")
         _emit_record(
             args,
-            params={"alpha": alpha, "v": v, "pi": pi, "k": k},
+            params={"alpha": alpha, "v": v, "pi": args.pi, "k": k},
             results={"eigenvalue_count": len(top), "top_value": top_value, "truncated": top.truncated},
             warnings=warnings,
             summary_path=summary_path,
@@ -260,10 +246,10 @@ def cmd_spectrum(args) -> int:
         return EXIT_OK
 
     if args.spectrum_cmd == "theory":
-        p = _opt(args, "p", 2)
-        j_lo, j_hi = _parse_range(_opt(args, "j", "1..1000"), "j")
+        p = args.p
+        j_lo, j_hi = _parse_range(args.j, "j")
         curve = population.theory_curve(p, alpha)
-        scale = _opt(args, "C", curve.scale)
+        scale = curve.scale if args.C is None else args.C
         eps = population.predicted_spectrum(curve, scale, range(j_lo, j_hi + 1))
         _write_spectra(args, eps)
         print(f"N(u) inverted over j={j_lo}..{j_hi}; b_theory = {curve.b_theory!r}")
@@ -277,22 +263,21 @@ def cmd_spectrum(args) -> int:
 
     # mc / exact need dimensions and an activation; collect every config
     # problem before exiting so one fix-up pass suffices
-    seed = _opt(args, "seed", 0)
+    seed = args.seed
     problems: list[str] = []
-    v = _opt(args, "v", 1000)
-    d = _opt(args, "d", v)
-    m = _opt(args, "m", 20000)
+    v = args.v
+    d = v if args.d is None else args.d
     if v < 1:
         problems.append(f"v must be >= 1, got {v}")
     if d < 1 or d > v:
         problems.append(f"need 1 <= d <= v, got d={d}, v={v}")
     if not alpha > 1.0:
         problems.append(f"alpha must exceed 1, got {alpha}")
-    if args.spectrum_cmd == "mc" and m < 100:
-        problems.append(f"m must be >= 100, got {m}")
-    threads = _opt(args, "threads", 1)  # only mc declares --threads
-    if threads < 1:
-        problems.append(f"threads must be >= 1, got {threads}")
+    if args.spectrum_cmd == "mc":
+        if args.m < 100:
+            problems.append(f"m must be >= 100, got {args.m}")
+        if args.threads < 1:
+            problems.append(f"threads must be >= 1, got {args.threads}")
     act_text = args.act
     p = args.p
     act = None
@@ -314,7 +299,7 @@ def cmd_spectrum(args) -> int:
         if p is not None and p > 6:
             problems.append(f"exact route supports p <= 6, got {p}")
     try:
-        fit_lo, fit_hi = _parse_range(_opt(args, "fit", "5..100"), "fit")
+        fit_lo, fit_hi = _parse_range(args.fit, "fit")
     except CLIError as exc:
         problems.append(str(exc))
     if problems:
@@ -327,19 +312,18 @@ def cmd_spectrum(args) -> int:
         K = simulate.exact_population_covariance(W, H, act.param)
         eig = spectral.sym_eigenvalues(K)
     else:  # mc
-        dist_text = _opt(args, "dist", "gaussian")
         cfg = simulate.RFConfig(
             v=v,
             d=d,
-            m=m,
+            m=args.m,
             alpha=alpha,
             activation=act,
-            distribution=_parse_distribution(dist_text, args, m),
+            distribution=_parse_distribution(args.dist, args, args.m),
             seed=seed,
             centered=args.centered,
         )
-        eig = simulate.mc_covariance(cfg, threads=threads).eigenvalues
-        params.update(m=m, dist=dist_text, centered=args.centered, threads=threads)
+        eig = simulate.mc_covariance(cfg, threads=args.threads).eigenvalues
+        params.update(m=args.m, dist=args.dist, centered=args.centered, threads=args.threads)
 
     fit = spectral.slope_fit(eig, fit_lo, min(fit_hi, eig.size))
     _write_spectra(args, eig)
@@ -381,18 +365,16 @@ def _parse_distribution(text: str, args, m: int) -> simulate.DataDistribution:
 
 
 def cmd_layers(args) -> int:
-    seed = _opt(args, "seed", 0)
-    alpha = _opt(args, "alpha", 1.31)
-    widths = _parse_widths(_opt(args, "widths", "1024,1024,1024,1024"))
-    act = simulate.Activation.parse(_opt(args, "act", "tanh"))
-    norm = _opt(args, "norm", "none")
-    fit_lo, fit_hi = _parse_range(_opt(args, "fit", "1..100"), "fit")
-    n = _opt(args, "n", 4096)
-    source = _opt(args, "data", "synthetic")
+    seed, alpha, norm, n, source = args.seed, args.alpha, args.norm, args.n, args.data
+    widths = _parse_widths(args.widths)
+    act = simulate.Activation.parse(args.act)
+    fit_lo, fit_hi = _parse_range(args.fit, "fit")
+    if n < 1:
+        raise CLIError(f"n must be >= 1, got {n}")
 
     params = {"data": source}
     if source == "synthetic":
-        v = _opt(args, "v", 1024)
+        v = args.v
         params.update(v=v, alpha=alpha)
         H = population.PowerLawSpectrum(alpha, v)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(97,))))
@@ -459,34 +441,46 @@ def cmd_selftest(args) -> int:
 # --------------------------------------------------------------------------
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Append each option's default to its help, unless there is none to show."""
+
+    def _get_help_string(self, action):
+        if action.default is None or action.default is False:
+            return action.help
+        return super()._get_help_string(action)
+
+
 def _add_common(parser: argparse.ArgumentParser, *, seed: bool, out: bool) -> None:
     parser.allow_abbrev = False  # else layers would take --out as --out-dir
+    parser.formatter_class = _HelpFormatter
     if seed:
-        parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+        parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     if out:
         parser.add_argument("--out", default=None, help="write primary output to this path")
     parser.add_argument("--json-summary", default=None, help="write a JSON run summary here")
     parser.add_argument("--config", default=None, help="flat key = value config file")
     # the options a config file may set: every flag of this subcommand but --config
-    parser.set_defaults(_options={
+    parser.set_defaults(_parser=parser, _options={
         a.dest: a for a in parser._actions if a.dest not in ("help", "config")
     })
 
 
 _SPECTRUM_FLAGS = {
-    "v": {"type": int, "help": "ambient dimension"},
-    "d": {"type": int, "help": "sketch dimension (default v)"},
-    "m": {"type": int, "help": "Monte Carlo samples (default 20000)"},
+    "v": {"type": int, "default": 1000, "help": "ambient dimension"},
+    "d": {"type": int, "help": "sketch dimension (default: v)"},
+    "m": {"type": int, "default": 20000, "help": "Monte Carlo samples"},
     "p": {"type": int, "help": "monomial degree"},
-    "act": {"type": str, "help": "activation, e.g. tanh, monomial:2"},
-    "dist": {"type": str, "help": "gaussian (default) | rademacher | student_t:NU | cifar10"},
+    "act": {"type": str,
+            "help": "activation, e.g. tanh, monomial:2 (default: monomial of degree p, else 1)"},
+    "dist": {"type": str, "default": "gaussian",
+             "help": "gaussian | rademacher | student_t:NU | cifar10"},
     "data": {"type": str, "help": "dataset dir for --dist cifar10"},
-    "fit": {"type": str, "help": "slope fit range (default 5..100)"},
+    "fit": {"type": str, "default": "5..100", "help": "slope fit range"},
     "centered": {"action": "store_true", "help": "subtract the feature mean"},
-    "threads": {"type": int, "help": "threads for sample blocks (default 1); same output"},
-    "pi": {"type": str, "help": "composition, e.g. 1,1 (default 1,1)"},
-    "k": {"type": int, "help": "top-k size (default 1000)"},
-    "j": {"type": str, "help": "index range, e.g. 1..1000"},
+    "threads": {"type": int, "default": 1, "help": "threads for sample blocks; same output"},
+    "pi": {"type": str, "default": "1,1", "help": "composition, e.g. 1,1"},
+    "k": {"type": int, "default": 1000, "help": "top-k size"},
+    "j": {"type": str, "default": "1..1000", "help": "index range LO..HI"},
     "C": {"type": float, "help": "scale constant (default: the curve's own)"},
 }
 
@@ -504,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("count", "exact count"), ("asym", "leading-order asymptotic")):
         p = lat_sub.add_parser(name, help=help_text)
         p.add_argument("--X", type=float, default=None, help="product bound (required)")
-        p.add_argument("--pi", type=str, default=None, help="comma-separated exponents (default 1,1)")
+        p.add_argument("--pi", type=str, default="1,1", help="comma-separated exponents")
         p.add_argument("--ordered", action="store_true", help="strictly increasing tuples")
         p.add_argument("--bound-v", type=int, default=None, help="cap coordinates at v")
         if name == "count":
@@ -516,29 +510,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     spec = sub.add_parser("spectrum", help="eigenvalue spectra: mc, exact, hpi, theory")
     spec_sub = spec.add_subparsers(dest="spectrum_cmd", required=True)
-    for name, help_text, flags in (
-        ("mc", "Monte Carlo feature covariance", "v d m p act dist data fit centered threads"),
-        ("exact", "exact population covariance (monomials)", "v d p act fit"),
-        ("hpi", "top-k tuple-product population spectrum", "v pi k"),
-        ("theory", "counting-curve prediction", "p j C"),
+    for name, help_text, flags, defaults in (
+        ("mc", "Monte Carlo feature covariance", "v d m p act dist data fit centered threads", {}),
+        ("exact", "exact population covariance (monomials)", "v d p act fit", {}),
+        ("hpi", "top-k tuple-product population spectrum", "v pi k", {"v": 5000}),
+        ("theory", "counting-curve prediction", "p j C", {"p": 2}),
     ):
         p = spec_sub.add_parser(name, help=help_text)
-        p.add_argument("--alpha", type=float, default=None, help="spectral exponent (default 1.31)")
+        p.add_argument("--alpha", type=float, default=1.31, help="spectral exponent")
         for flag in flags.split():
             p.add_argument(f"--{flag}", **_SPECTRUM_FLAGS[flag])
         p.add_argument("--normalized-out", default=None, help="also write top-normalized CSV")
+        p.set_defaults(**defaults)
         _add_common(p, seed=name in ("mc", "exact"), out=True)
         p.set_defaults(func=cmd_spectrum)
 
     lay = sub.add_parser("layers", help="propagate data through random layers")
-    lay.add_argument("--data", type=str, default=None, help="'synthetic' or a CIFAR-10 dir")
-    lay.add_argument("--widths", type=str, default=None, help="e.g. 1024,1024,1024,1024")
-    lay.add_argument("--act", type=str, default=None, help="activation (default tanh)")
-    lay.add_argument("--norm", type=str, default=None, help="none | rmsnorm | layernorm")
-    lay.add_argument("--n", type=int, default=None, help="sample count (default 4096)")
-    lay.add_argument("--v", type=int, default=None, help="synthetic input dimension")
-    lay.add_argument("--alpha", type=float, default=None, help="synthetic spectral exponent")
-    lay.add_argument("--fit", type=str, default=None, help="slope fit range (default 1..100)")
+    lay.add_argument("--data", type=str, default="synthetic", help="'synthetic' or a CIFAR-10 dir")
+    lay.add_argument("--widths", type=str, default="1024,1024,1024,1024", help="layer widths")
+    lay.add_argument("--act", type=str, default="tanh", help="activation")
+    lay.add_argument("--norm", type=str, default="none", help="none | rmsnorm | layernorm")
+    lay.add_argument("--n", type=int, default=4096, help="sample count")
+    lay.add_argument("--v", type=int, default=1024, help="synthetic input dimension")
+    lay.add_argument("--alpha", type=float, default=1.31, help="synthetic spectral exponent")
+    lay.add_argument("--fit", type=str, default="1..100", help="slope fit range")
     lay.add_argument("--out-dir", default=None, help="write per-layer CSVs and a summary here")
     _add_common(lay, seed=True, out=False)
     lay.set_defaults(func=cmd_layers)
@@ -555,10 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._started = time.monotonic()  # elapsed_ms of the run record counts from here
+    started = time.monotonic()  # elapsed_ms of the run record counts from here
     try:
-        if args.config:
-            _apply_config_file(args, args.config)
+        if args.config:  # file values become defaults, so flags parsed again still win
+            args._parser.set_defaults(**_config_defaults(args, args.config))
+            args = parser.parse_args(argv)
+        args._started = started
         return args.func(args)
     except (CLIError, BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,15 +2,13 @@
 
 CIFAR-10 binary batch reader (3073-byte records: label byte + 3072 pixel
 bytes, scaled to [-1, 1]), spectrum CSV with shortest-exact decimal
-formatting (lossless round-trip), a raw little-endian float64 sidecar for
-large spectra, and the run record rendered as diffable key = value text and
-as JSON.
+formatting (lossless round-trip, streamed in bounded memory), and the run
+record rendered as diffable key = value text and as JSON.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -26,8 +24,6 @@ __all__ = [
     "read_cifar10",
     "write_spectrum_csv",
     "read_spectrum_csv",
-    "write_spectrum_bin",
-    "read_spectrum_bin",
     "write_run_summary",
     "write_run_summary_json",
     "read_run_summary",
@@ -35,7 +31,7 @@ __all__ = [
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixel bytes (R, G, B planes)
 CIFAR_FEATURES = 3072
-_BIN_MAGIC = b"PLSPECF8"
+_CSV_BLOCK = 8192  # rows formatted per write
 
 
 class SchemaError(ValueError):
@@ -99,60 +95,51 @@ def _format_value(x: float) -> str:
 
 
 def write_spectrum_csv(spec: SpectrumEstimate, path) -> None:
-    """Write `j,lambda` rows, one per eigenvalue, descending, exactly round-trippable."""
-    lines = ["j,lambda"]
-    lines.extend(
-        f"{j},{_format_value(lam)}" for j, lam in enumerate(spec.eigenvalues, start=1)
-    )
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write `j,lambda` rows, one per eigenvalue, descending, exactly round-trippable.
+
+    Rows go to the file a block at a time, so memory stays bounded by the
+    block, not by the spectrum.
+    """
+    eig = spec.eigenvalues
+    with open(path, "w") as fh:
+        fh.write("j,lambda\n")
+        for lo in range(0, eig.size, _CSV_BLOCK):
+            block = enumerate(eig[lo : lo + _CSV_BLOCK].tolist(), start=lo + 1)
+            fh.write("".join([f"{j},{_format_value(lam)}\n" for j, lam in block]))
+
+
+def _csv_values(path, rows):
+    """The lambda of each `j,lambda` row, checking that j counts up from 1."""
+    for j, ln in enumerate(rows, start=1):
+        j_str, _, lam_str = ln.partition(",")
+        try:
+            row_j = int(j_str)
+            lam = float(lam_str)
+        except ValueError as exc:
+            row = ln.rstrip("\n")
+            raise SchemaError(f"{path}: malformed row {row!r}") from exc
+        if row_j != j:
+            raise SchemaError(f"{path}: row index {row_j} out of order")
+        yield lam
 
 
 def read_spectrum_csv(path) -> SpectrumEstimate:
-    """Read a spectrum CSV written by write_spectrum_csv (values bit-exact)."""
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "j,lambda":
-        raise SchemaError(f"{path}: malformed header (expected 'j,lambda')")
-    values = []
-    for ln in lines[1:]:
-        j_str, _, lam_str = ln.partition(",")
-        try:
-            j = int(j_str)
-            lam = float(lam_str)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: malformed row {ln!r}") from exc
-        if j != len(values) + 1:
-            raise SchemaError(f"{path}: row index {j} out of order")
-        values.append(lam)
+    """Read a spectrum CSV written by write_spectrum_csv (values bit-exact).
+
+    Blank lines are skipped; rows are parsed straight from the file.
+    """
+    with open(path) as fh:
+        rows = (ln for ln in fh if ln.strip())
+        if next(rows, "").strip() != "j,lambda":
+            raise SchemaError(f"{path}: malformed header (expected 'j,lambda')")
+        values = np.fromiter(_csv_values(path, rows), dtype=float)
     return SpectrumEstimate(
-        eigenvalues=np.array(values),
+        eigenvalues=values,
         dims=(),
         samples=0,
         activation="",
         seed=0,
         meta={"source": str(path)},
-    )
-
-
-def write_spectrum_bin(spec: SpectrumEstimate, path) -> None:
-    """Raw sidecar: 8-byte magic, little-endian u64 length, float64 payload."""
-    eig = np.ascontiguousarray(spec.eigenvalues, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_BIN_MAGIC)
-        fh.write(struct.pack("<Q", eig.size))
-        fh.write(eig.tobytes())
-
-
-def read_spectrum_bin(path) -> SpectrumEstimate:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:8] != _BIN_MAGIC:
-        raise SchemaError(f"{path}: bad magic (not a spectrum sidecar)")
-    (n,) = struct.unpack("<Q", raw[8:16])
-    if len(raw) != 16 + 8 * n:
-        raise SchemaError(f"{path}: payload length mismatch (expected {n} float64s)")
-    eig = np.frombuffer(raw[16:], dtype="<f8").astype(float)
-    return SpectrumEstimate(
-        eigenvalues=eig, dims=(), samples=0, activation="", seed=0, meta={"source": str(path)}
     )
 
 

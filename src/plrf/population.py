@@ -285,7 +285,10 @@ def theory_curve(p: int, alpha: float) -> CountingCurve:
     p=1: N(u) = u.  p=2: N(u) = u log(u) / 2 with no linear correction.
     p=3: N(u) = u log^2(u) / 12 + b u with b = zeta(2)/2^(1/alpha) + 4^(-1/alpha);
     the diagonal O(u^(1/3)) term is recorded with kind "diagonal" and dropped.
+    Like PowerLawSpectrum, the curves assume alpha > 1.
     """
+    if not alpha > 1.0:
+        raise ValueError(f"alpha > 1 required, got {alpha}")
     if p == 1:
         return CountingCurve(1, alpha, 1.0, (), 1.0)
     if p == 2:

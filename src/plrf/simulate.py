@@ -164,19 +164,19 @@ class RFConfig:
     distribution: DataDistribution = DataDistribution("gaussian")
     seed: int = 0
     centered: bool = False
-    scale: float | None = None  # covariance prefactor; defaults to 1/d
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.v < self.d:
             raise ValueError(f"need v >= d >= 1, got v={self.v}, d={self.d}")
-        if self.m < 1:
-            raise ValueError(f"need m >= 1 samples, got {self.m}")
+        if self.m < 100:
+            raise ValueError(f"need m >= 100 Monte Carlo samples, got {self.m}")
         if not self.alpha > 1.0:
             raise ValueError(f"alpha > 1 required, got {self.alpha}")
 
     @property
     def feature_scale(self) -> float:
-        return self.scale if self.scale is not None else 1.0 / self.d
+        """Covariance prefactor 1/d."""
+        return 1.0 / self.d
 
 
 @dataclass(frozen=True)
@@ -247,8 +247,6 @@ def _sample_blocks(cfg: RFConfig, threads: int, per_block) -> Iterator:
     with its own derived data stream, so the results do not depend on
     `threads`.  Validation runs at call time, before any block is sampled.
     """
-    if cfg.m < 100:
-        raise ValueError(f"need m >= 100 Monte Carlo samples, got {cfg.m}")
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
     if cfg.distribution.kind == "external":
@@ -432,8 +430,8 @@ def propagate_layers(
     width exceeds the sample count) with an OLS slope over `fit_range`.
     """
     cur = np.asarray(X, dtype=float)
-    if cur.ndim != 2:
-        raise ValueError(f"data must be n x v, got shape {cur.shape}")
+    if cur.ndim != 2 or cur.shape[0] < 1:
+        raise ValueError(f"data must be n x v with n >= 1, got shape {cur.shape}")
     n = cur.shape[0]
     out: list[tuple[SpectrumEstimate, SlopeFit]] = []
     for t, layer in enumerate(layers):

@@ -149,6 +149,17 @@ def test_spectrum_theory_rejects_bad_j_range(tmp_path, capsys, j):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", ["0.5", "0", "-1"])
+def test_spectrum_theory_rejects_alpha_at_most_one(tmp_path, capsys, alpha):
+    out = tmp_path / "theory.csv"
+    code, stdout, err = run_cli(
+        capsys, "spectrum", "theory", "--alpha", alpha, "--p", "3", "--out", str(out)
+    )
+    assert (code, stdout) == (2, "")
+    assert f"alpha > 1 required, got {float(alpha)}" in err
+    assert not out.exists()
+
+
 def test_spectrum_mc_deterministic(tmp_path, capsys):
     args = [
         "spectrum", "mc", "--p", "1", "--v", "80", "--d", "80", "--m", "500",
@@ -440,6 +451,31 @@ def test_config_file_key_of_another_subcommand(tmp_path, capsys):
     assert "'threads'" in err
 
 
+def test_config_file_bad_value_names_the_option(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = many\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "hpi", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "argument --k: invalid int value: 'many'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["spectrum", "hpi"], ["(default: 5000)", "(default: 1000)", "(default: 1,1)", "(default: 1.31)"]),
+    (["spectrum", "mc"], ["(default: 1000)", "(default: 20000)", "(default: 5..100)", "(default: 0)"]),
+    (["spectrum", "theory"], ["(default: 2)", "(default: 1..1000)"]),
+    (["layers"], ["(default: 4096)", "(default: 1024)", "(default: tanh)", "(default: none)"]),
+])
+def test_help_shows_each_default(capsys, argv, shown):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for text in shown:
+        assert text in out
+    assert "(default: None)" not in out and "(default: False)" not in out
+
+
 def test_config_file_missing(capsys):
     code, _, err = run_cli(capsys, "spectrum", "hpi", "--config", "/nonexistent.cfg")
     assert code == 3
@@ -516,6 +552,13 @@ def test_layers_empty_widths(capsys):
     code, _, err = run_cli(capsys, "layers", "--widths", "")
     assert code == 2
     assert "widths" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_layers_rejects_nonpositive_n(capsys, n):
+    code, stdout, err = run_cli(capsys, "layers", "--n", n, "--widths", "32", "--v", "64")
+    assert (code, stdout) == (2, "")
+    assert err == f"error: n must be >= 1, got {n}\n"
 
 
 def test_layers_missing_dataset_dir(capsys):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -117,8 +118,35 @@ def test_spectrum_csv_malformed(tmp_path):
     with pytest.raises(dio.SchemaError, match="out of order"):
         dio.read_spectrum_csv(path)
     path.write_text("j,lambda\nx,0.5\n")
-    with pytest.raises(dio.SchemaError):
+    with pytest.raises(dio.SchemaError, match="malformed row 'x,0.5'$"):
         dio.read_spectrum_csv(path)
+
+
+def test_spectrum_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "spaced.csv"
+    path.write_text("\nj,lambda\n\n1,2.5\n   \n2,1e-300\n\n")
+    assert np.array_equal(dio.read_spectrum_csv(path).eigenvalues, [2.5, 1e-300])
+
+
+def test_spectrum_csv_memory_is_bounded(tmp_path):
+    # 2e5 rows are a 1.6 MB array and an 8 MB file; neither direction may
+    # hold the whole text or a list of every row
+    rng = np.random.default_rng(2)
+    vals = np.sort(rng.random(200_000) ** 3)[::-1]
+    spec = make_spec(vals)
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        dio.write_spectrum_csv(spec, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = dio.read_spectrum_csv(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert write_peak < 4_000_000, write_peak
+    assert read_peak < 4_000_000, read_peak
+    assert np.array_equal(back.eigenvalues, vals)
 
 
 @settings(deadline=None, max_examples=200)
@@ -128,32 +156,6 @@ def test_spectrum_csv_lossless_property(tmp_path_factory, values):
     dio.write_spectrum_csv(make_spec(values), path)
     back = dio.read_spectrum_csv(path)
     assert np.array_equal(back.eigenvalues, np.asarray(values, dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# binary sidecar
-
-
-def test_spectrum_bin_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    vals = rng.standard_normal(257)
-    path = tmp_path / "spec.f64"
-    dio.write_spectrum_bin(make_spec(vals), path)
-    assert path.stat().st_size == 16 + 8 * 257
-    back = dio.read_spectrum_bin(path)
-    assert np.array_equal(back.eigenvalues, vals)
-
-
-def test_spectrum_bin_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.f64"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-    with pytest.raises(dio.SchemaError, match="magic"):
-        dio.read_spectrum_bin(path)
-    dio.write_spectrum_bin(make_spec([1.0, 2.0]), path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])  # drop one value
-    with pytest.raises(dio.SchemaError, match="length"):
-        dio.read_spectrum_bin(path)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,14 @@ def test_theory_curve_unsupported_degree():
         population.theory_curve(4, 1.31)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.0, -1.0, float("nan")])
+def test_theory_curve_requires_alpha_above_one(alpha):
+    # checked before the degree, so an unsupported p with a bad alpha names alpha
+    for p in (1, 2, 3, 4):
+        with pytest.raises(ValueError, match="alpha > 1 required"):
+            population.theory_curve(p, alpha)
+
+
 def test_theory_curve_strictly_increasing():
     for p in (1, 2, 3):
         curve = population.theory_curve(p, 1.31)

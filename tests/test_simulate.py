@@ -262,9 +262,7 @@ def test_rfconfig_validation():
     cfg = RFConfig(v=10, d=5, m=100, alpha=1.31, activation=Activation("tanh"))
     assert cfg.feature_scale == pytest.approx(0.2)
     with pytest.raises(ValueError, match="m >= 100"):
-        simulate.mc_covariance(
-            RFConfig(v=10, d=5, m=50, alpha=1.31, activation=Activation("tanh"))
-        )
+        RFConfig(v=10, d=5, m=99, alpha=1.31, activation=Activation("tanh"))
 
 
 def test_mc_to_exact_error_shrinks_with_samples():
@@ -429,6 +427,8 @@ def test_propagate_layers_validation():
         simulate.propagate_layers(X, [LayerSpec(5000, Activation("tanh"))], seed=0)
     with pytest.raises(ValueError):
         LayerSpec(16, Activation("tanh"), "batchnorm")
+    with pytest.raises(ValueError, match="n >= 1"):
+        simulate.propagate_layers(np.zeros((0, 4)), [LayerSpec(8, Activation("tanh"))], seed=0)
 
 
 # ---------------------------------------------------------------------------
