@@ -14,6 +14,7 @@ Identical (config, seed) therefore give bit-identical spectra.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -166,6 +167,10 @@ class RFConfig:
     centered: bool = False
 
     def __post_init__(self) -> None:
+        # plain Python numbers, so meta and reprs do not depend on the numpy version
+        for name in ("v", "d", "m", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        object.__setattr__(self, "alpha", float(self.alpha))
         if self.d < 1 or self.v < self.d:
             raise ValueError(f"need v >= d >= 1, got v={self.v}, d={self.d}")
         if self.m < 100:
@@ -354,9 +359,17 @@ def iterated_sketch(
 ) -> list[SpectrumEstimate]:
     """Population spectra along a chain of Gaussian sketches.
 
-    Stage 0 is H itself; stage t+1 is the spectrum of (1/d_t) W_t' S_t W_t at
-    the matrix level (no data sampling), with fresh W_t per stage.  Rank is
+    Stage 0 is H itself; stage t+1 is the spectrum of M_{t+1} = (1/d_t) W_t' M_t W_t
+    at the matrix level (no data sampling), with fresh W_t per stage.  Rank is
     capped by each sketch dimension, so tails peel off where d_t limits it.
+
+    Stages are spectrum-only: stage t+1 is computed from the eigenvalues
+    lam of M_t alone, as the scaled Gram (1/d_t) Y'Y with Y = diag(sqrt(lam)) W_t,
+    and no v x v matrix is formed.  Stage 1 is M_1 itself, since M_0 = diag(H).
+    Later stages are sound by rotation invariance: writing M_t = Q diag(lam) Q',
+    W_t' M_t W_t = (Q'W_t)' diag(lam) (Q'W_t), and Q'W_t is again an iid N(0,1)
+    matrix independent of Q, so the joint law of all stage spectra is that of
+    the matrix-level chain (the draws themselves are a different realization).
     `identity_sketch` replaces W_t by sqrt(d_t) * I (square stages only), a
     test hook making every stage reproduce its input exactly.
     """
@@ -376,7 +389,7 @@ def iterated_sketch(
             seed=seed,
         )
     ]
-    M = np.diag(H.eigenvalues)
+    lam = H.eigenvalues
     prev = H.v
     for t, dt in enumerate(dims):
         if identity_sketch:
@@ -385,12 +398,14 @@ def iterated_sketch(
             Wt = math.sqrt(dt) * np.eye(prev)
         else:
             Wt = _stream(seed, _STAGE, t).standard_normal((prev, dt))
-        M = Wt.T @ M @ Wt / dt
-        M = (M + M.T) / 2.0
-        eig = sym_eigenvalues(M)
+        Wt *= np.sqrt(np.maximum(lam, 0.0))[:, None]  # round-off negatives carry no mass
+        G = Wt.T @ Wt  # one symmetric product (syrk)
+        del Wt  # free the sketch before the eigensolve
+        G /= dt
+        lam = sym_eigenvalues(G)
         out.append(
             SpectrumEstimate(
-                eigenvalues=eig,
+                eigenvalues=lam,
                 dims=(prev, dt),
                 samples=0,
                 activation="identity",
@@ -446,7 +461,11 @@ def propagate_layers(
         if fit_range[0] > eig.size:
             raise ValueError(f"layer {t + 1}: fit range {fit_range[0]}..{fit_range[1]} "
                              f"starts past the layer's {eig.size} eigenvalues")
-        fit = slope_fit(eig, fit_range[0], min(fit_range[1], eig.size))
+        try:
+            fit = slope_fit(eig, fit_range[0], min(fit_range[1], eig.size))
+        except ValueError as exc:  # name the requested range, not the clamped one
+            raise ValueError(f"layer {t + 1}: fit range {fit_range[0]}..{fit_range[1]} "
+                             f"clamped to the layer's {eig.size} eigenvalues: {exc}") from None
         est = SpectrumEstimate(
             eigenvalues=eig,
             dims=(fan_in, layer.width),

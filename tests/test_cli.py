@@ -548,6 +548,14 @@ def test_layers_bad_fit_range_names_the_request(capsys, fit, message):
     assert message in err
 
 
+def test_layers_clamped_fit_names_the_request(capsys):
+    code, stdout, err = run_cli(capsys, "layers", "--n", "2", "--widths", "32", "--v", "64",
+                                "--fit", "1..10")
+    assert (code, stdout) == (2, "")
+    assert "layer 1: fit range 1..10 clamped to the layer's 2 eigenvalues" in err
+    assert "only 1 usable points" in err
+
+
 def test_layers_empty_widths(capsys):
     code, _, err = run_cli(capsys, "layers", "--widths", "")
     assert code == 2

@@ -215,6 +215,20 @@ def test_hpi_count_above_matches_bounded_ordered_count():
         assert got == want, (parts, v, X, alpha)
 
 
+@settings(deadline=None, max_examples=20)
+@given(
+    parts=st.sampled_from(((1, 1), (1, 1, 1), (2, 1), (1, 2), (3, 1, 1), (1, 1, 2))),
+    v=st.integers(50, 20000),
+    X=st.builds(lambda n, half: n + half, st.integers(10**6, 10**7), st.sampled_from((0.0, 0.5))),
+    alpha=st.sampled_from((1.31, 2.0)),
+)
+def test_hpi_count_above_matches_bounded_ordered_count_at_scale(parts, v, X, alpha):
+    # the same identity where counts reach 1e8: integer products differ from an
+    # integer or half-integer X by far more than the 1e-12 tie tolerance
+    want = lattice.count_ordered(X, parts, bound_v=v).count
+    assert population.hpi_count_above(PowerLawSpectrum(alpha, v), parts, X**-alpha) == want
+
+
 def test_count_threshold_duality():
     H = PowerLawSpectrum(1.31, 30)
     for parts in ((1, 1), (2, 1), (1, 1, 1)):

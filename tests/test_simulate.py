@@ -265,6 +265,14 @@ def test_rfconfig_validation():
         RFConfig(v=10, d=5, m=99, alpha=1.31, activation=Activation("tanh"))
 
 
+def test_rfconfig_coerces_numpy_scalars():
+    cfg = RFConfig(v=np.int64(60), d=np.int64(30), m=np.int64(500), alpha=np.float64(1.31),
+                   activation=Activation("monomial", 1), seed=np.int64(11))
+    for name, kind in (("v", int), ("d", int), ("m", int), ("seed", int), ("alpha", float)):
+        assert type(getattr(cfg, name)) is kind
+    assert simulate.mc_covariance(cfg).meta["alpha"] == "1.31"
+
+
 def test_mc_to_exact_error_shrinks_with_samples():
     v, d = 60, 30
     H = PowerLawSpectrum(1.31, v)
@@ -340,9 +348,40 @@ def test_exact_population_covariance_validation():
 
 def test_iterated_sketch_identity_mode():
     H = PowerLawSpectrum(1.31, 30)
-    stages = simulate.iterated_sketch(H, [30], seed=0, identity_sketch=True)
-    assert len(stages) == 2
-    assert np.allclose(stages[1].eigenvalues, H.eigenvalues, rtol=1e-12)
+    stages = simulate.iterated_sketch(H, [30, 30, 30], seed=0, identity_sketch=True)
+    assert len(stages) == 4
+    for est in stages[1:]:
+        assert np.max(np.abs(est.eigenvalues - H.eigenvalues)) <= 1e-12 * H.eigenvalues[0]
+
+
+def test_iterated_sketch_stages_match_the_matrix_level_chain():
+    # stage 1 is (1/d1) W1' diag(H) W1; stage 2 sketches diag(lam_1), which is M_1
+    # sketched by R = Q W2 with Q the eigenvectors of M_1 ordered like lam_1 (descending)
+    H = PowerLawSpectrum(1.31, 400)
+    stages = simulate.iterated_sketch(H, [200, 100], seed=5)
+    W1 = simulate._stream(5, simulate._STAGE, 0).standard_normal((400, 200))
+    M1 = W1.T @ np.diag(H.eigenvalues) @ W1 / 200
+    M1 = (M1 + M1.T) / 2.0
+    want1 = spectral.sym_eigenvalues(M1)
+    assert np.max(np.abs(stages[1].eigenvalues - want1)) <= 1e-12 * want1[0]
+    _, Q = np.linalg.eigh(M1)
+    R = Q[:, ::-1] @ simulate._stream(5, simulate._STAGE, 1).standard_normal((200, 100))
+    M2 = R.T @ M1 @ R / 100
+    want2 = spectral.sym_eigenvalues((M2 + M2.T) / 2.0)
+    assert np.max(np.abs(stages[2].eigenvalues - want2)) <= 1e-12 * want2[0]
+
+
+def test_iterated_sketch_never_forms_a_v_by_v_matrix():
+    v, d1 = 2000, 1000
+    H = PowerLawSpectrum(1.31, v)
+    tracemalloc.start()
+    try:
+        simulate.iterated_sketch(H, [d1, 500], seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the stage-1 sketch is v*d1 doubles; a v x v matrix would add 2 * v*d1 more
+    assert peak < 3 * v * d1 * 8
 
 
 def test_iterated_sketch_ranks():
