@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__, lattice, population, selfcheck, simulate, spectral
 from .data import read_cifar10, write_run_summary, write_run_summary_json, write_spectrum_csv
-from .lattice import BudgetExceededError
 from .records import RunSummary, SpectrumEstimate
 
 EXIT_OK = 0
@@ -325,7 +324,7 @@ def cmd_spectrum(args) -> int:
         eig = simulate.mc_covariance(cfg, threads=args.threads).eigenvalues
         params.update(m=args.m, dist=args.dist, centered=args.centered, threads=args.threads)
 
-    fit = spectral.slope_fit(eig, fit_lo, min(fit_hi, eig.size))
+    fit = spectral.clamped_slope_fit(eig, fit_lo, fit_hi)
     _write_spectra(args, eig)
     print(f"slope = {fit.slope:.6f}  r2 = {fit.r_squared:.6f}  (j = {fit.j_min}..{fit.j_max})")
     _emit_record(
@@ -557,13 +556,10 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         args._started = started
         return args.func(args)
-    except (CLIError, BudgetExceededError, ValueError) as exc:
+    except (CLIError, ValueError) as exc:  # BudgetExceededError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except MissingDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_DATA
-    except FileNotFoundError as exc:
+    except (MissingDataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_DATA
     except Exception as exc:  # pragma: no cover - internal failure path

@@ -19,10 +19,11 @@ Exact counting replaces the innermost loop by the arithmetic count
 floor((X/prefix)^(1/a_k)) and prunes prefixes whose best completion already
 exceeds X.  The unordered count is symmetric in the exponents, so its loops
 run over the largest exponents and the smallest one is resolved
-arithmetically.  All-ones exponents take hyperbola-method kernels: O(sqrt X)
-for k = 2, the symmetric s_1 <= s_2 <= s_3 form in O(X^(2/3)) for k = 3, and
-for k = 4 the k = 3 kernel summed over the O(sqrt X) distinct quotients
-X // s_1, in O(X^(5/6)).
+arithmetically; two equal smallest exponents a are resolved together, since
+s^a t^a <= Y exactly when s t <= floor(Y^(1/a)), by the O(sqrt) divisor sum.
+All-ones exponents with k >= 3 take hyperbola-method kernels: the symmetric
+s_1 <= s_2 <= s_3 form in O(X^(2/3)) for k = 3, and for k = 4 the k = 3
+kernel summed over the O(sqrt X) distinct quotients X // s_1, in O(X^(5/6)).
 """
 
 from __future__ import annotations
@@ -169,13 +170,9 @@ def _divisor_triples(X: int) -> int:
 
 
 def _count_ones(X: int, k: int) -> int:
-    """Unordered count for all exponents equal to 1 (s_1 ... s_k <= X), k <= 4."""
+    """Unordered count for all exponents equal to 1 (s_1 ... s_k <= X), k = 3 or 4."""
     if X <= 0:
         return 0
-    if k == 1:
-        return X
-    if k == 2:
-        return _divisor_sum(X)
     if k == 3:
         return _divisor_triples(X)
     # s_1 (s_2 s_3 s_4) <= X: all s_1 sharing the quotient X // s_1 add the same triple count
@@ -199,6 +196,9 @@ def _count_general(
         if bound is not None:
             n = min(n, bound)
         return max(0, n - start + 1)
+    if rest == (pi0,) and not strict and bound is None:
+        # s^a t^a <= Y exactly when s t <= floor(Y^(1/a)): a divisor sum
+        return _divisor_sum(_max_coordinate(X / prefix, pi0))
     rest_sum = sum(rest)
     lim = X * _INCLUSION_GUARD
     total = 0
@@ -226,14 +226,20 @@ def _budget_or_raise(exps: Exponents, X: float, strict: bool) -> None:
         fused = head[:-1] + (head[-1] + exps.values[-1],)
         shape = ordered_shape(fused)
         est = X**shape.theta_star * logx ** (shape.mu - 1)
-    elif all(a == 1.0 for a in exps.values):
-        # hyperbola kernels: sqrt(X) quotients for k=2, about 1.5 X^(2/3) for
-        # the triple sum, and about 5.4 X^(5/6) for triples over X // s_1
-        est = {2: 2 * math.sqrt(X), 3: 1.5 * X ** (2 / 3), 4: 5.4 * X ** (5 / 6)}[exps.k]
+    elif exps.k >= 3 and all(a == 1.0 for a in exps.values):
+        # hyperbola kernels: about 1.5 X^(2/3) for the triple sum, and about
+        # 5.4 X^(5/6) for triples over X // s_1
+        est = {3: 1.5 * X ** (2 / 3), 4: 5.4 * X ** (5 / 6)}[exps.k]
     else:
-        # the loops run over every exponent but the smallest (see count_unordered)
-        head = sorted(exps.values)[1:]
-        est = X ** (1.0 / head[0]) * logx ** (len(head) - 1)
+        # the loops run over every exponent but the smallest (see count_unordered);
+        # a repeated smallest exponent a ends them in an O(sqrt(X^(1/a))) divisor sum
+        asc = sorted(exps.values)
+        if asc[0] != asc[1]:
+            est = X ** (1.0 / asc[1]) * logx ** (exps.k - 2)
+        elif exps.k == 2:
+            est = 2 * X ** (1.0 / (2 * asc[0]))
+        else:
+            est = X ** max(1.0 / (2 * asc[0]), 1.0 / asc[2]) * logx ** (exps.k - 2)
     if est > ITERATION_BUDGET:
         raise BudgetExceededError(est)
 
@@ -243,9 +249,11 @@ def count_unordered(X: float, exponents) -> CountResult:
 
     The count does not change when the exponents are permuted, so the loops
     run over the coordinates with the largest exponents, in descending order,
-    and the coordinate with the smallest exponent is resolved arithmetically.
-    All-ones exponents count the products <= floor(X) (up to the 1e-12
-    inclusion guard) with the hyperbola kernels.
+    and the coordinate with the smallest exponent is resolved arithmetically;
+    when the two smallest exponents are equal, the last two coordinates are
+    resolved together by a divisor sum.  All-ones exponents with k >= 3 count
+    the products <= floor(X) (up to the 1e-12 inclusion guard) with the
+    hyperbola kernels.
     """
     exps = _as_exponents(exponents)
     if exps.k > 4:
@@ -256,7 +264,7 @@ def count_unordered(X: float, exponents) -> CountResult:
     if Xf * _INCLUSION_GUARD < 1.0:
         return CountResult(0, Xf, exps, ordered=False)
     _budget_or_raise(exps, Xf, strict=False)
-    if all(a == 1.0 for a in exps.values):
+    if exps.k >= 3 and all(a == 1.0 for a in exps.values):
         count = _count_ones(_max_coordinate(Xf, 1.0), exps.k)
     else:
         pis = tuple(sorted(exps.values, reverse=True))

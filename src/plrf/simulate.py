@@ -3,7 +3,9 @@
 Data samplers x = H^(1/2) u for several unit-variance input laws, entrywise
 activations, the exact population kernel (no Monte Carlo error), iterated
 population sketches, multi-layer propagation with per-layer slope fits, and
-concentration/orthogonality diagnostics.
+concentration/orthogonality diagnostics.  Monte Carlo features act(W'x) use
+W'x = (H^(1/2) W)'u: the sketch carries H^(1/2), so a sample block is one
+draw of u, one product and one activation.
 
 Randomness is counter-based (Philox): every consumer derives its own stream
 from (seed, purpose, block), so block sampling is reproducible regardless of
@@ -25,7 +27,7 @@ import numpy as np
 from .combinatorics import _as_composition, hermite_value, pairing_class_counts, wick_product_value
 from .population import PowerLawSpectrum
 from .records import SpectrumEstimate
-from .spectral import SlopeFit, gram_spectrum, slope_fit, sym_eigenvalues
+from .spectral import SlopeFit, clamped_slope_fit, gram_spectrum, sym_eigenvalues
 
 __all__ = [
     "Activation",
@@ -208,14 +210,15 @@ def sample_sketch(v: int, d: int, seed: int) -> np.ndarray:
     return _stream(seed, _SKETCH).standard_normal((v, d))
 
 
-def _feature_block(cfg: RFConfig, W: np.ndarray, sqrt_h: np.ndarray | None, block: int, lo: int, hi: int) -> np.ndarray:
+def _feature_block(cfg: RFConfig, W: np.ndarray, block: int, lo: int, hi: int) -> np.ndarray:
     if cfg.distribution.kind == "external":
-        X = cfg.distribution.matrix[lo:hi]
+        rows = cfg.distribution.matrix[lo:hi]
     else:
-        U = cfg.distribution.draw_unit(hi - lo, cfg.v, _stream(cfg.seed, _DATA, block))
-        X = U * sqrt_h
+        rows = cfg.distribution.draw_unit(hi - lo, cfg.v, _stream(cfg.seed, _DATA, block))
+    Y = rows @ W
+    del rows  # the v-wide draw goes before the activation
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
-        F = cfg.activation.apply(X @ W)
+        F = cfg.activation.apply(Y)
     if not np.all(np.isfinite(F)):
         bad = int(np.flatnonzero(~np.isfinite(F).all(axis=1))[0])
         raise ValueError(
@@ -254,20 +257,19 @@ def _sample_blocks(cfg: RFConfig, threads: int, per_block) -> Iterator:
     """
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
+    W = sample_sketch(cfg.v, cfg.d, cfg.seed)  # a fresh array, so it may be scaled in place
     if cfg.distribution.kind == "external":
         mat = cfg.distribution.matrix
         if mat.shape[0] < cfg.m or mat.shape[1] != cfg.v:
             raise ValueError(
                 f"external data {mat.shape} cannot supply m={cfg.m} samples of dim v={cfg.v}"
             )
-        sqrt_h = None
-    else:
-        sqrt_h = np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)
-    W = sample_sketch(cfg.v, cfg.d, cfg.seed)
+    else:  # x = H^(1/2) u, so W'x = (H^(1/2) W)'u: the sketch carries H^(1/2)
+        W *= np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)[:, None]
 
     def work(b: int):
         lo, hi = b * _BLOCK, min((b + 1) * _BLOCK, cfg.m)
-        return per_block(lo, hi, _feature_block(cfg, W, sqrt_h, b, lo, hi))
+        return per_block(lo, hi, _feature_block(cfg, W, b, lo, hi))
 
     return _ordered_map(work, range(-(-cfg.m // _BLOCK)), threads)
 
@@ -275,10 +277,11 @@ def _sample_blocks(cfg: RFConfig, threads: int, per_block) -> Iterator:
 def mc_covariance(cfg: RFConfig, threads: int = 1) -> SpectrumEstimate:
     """Spectrum of the Monte Carlo feature covariance scale * mean_i f(W'x_i)^(x2).
 
-    Samples in fixed blocks with per-block derived streams; the centered
-    variant subtracts the empirical feature mean.  When m*d is moderate the
-    feature matrix is materialised and handed to the Gram trick, otherwise
-    the spectrum is that of `mc_covariance_matrix`; both paths give
+    Samples in fixed blocks with per-block derived streams; the sketch
+    carries H^(1/2), so a block of unit draws U has features f(U H^(1/2) W).
+    The centered variant subtracts the empirical feature mean.  When m*d is
+    moderate the feature matrix is materialised and handed to the Gram trick,
+    otherwise the spectrum is that of `mc_covariance_matrix`; both paths give
     bit-identical results for a fixed config regardless of thread count.
     """
     if cfg.m * cfg.d <= _DENSE_FEATURE_CAP:
@@ -458,14 +461,10 @@ def propagate_layers(
             raise ValueError(f"non-finite activations at layer {t + 1}")
         centered = A - A.mean(axis=0)
         eig = gram_spectrum(centered, 1.0 / n)
-        if fit_range[0] > eig.size:
-            raise ValueError(f"layer {t + 1}: fit range {fit_range[0]}..{fit_range[1]} "
-                             f"starts past the layer's {eig.size} eigenvalues")
         try:
-            fit = slope_fit(eig, fit_range[0], min(fit_range[1], eig.size))
-        except ValueError as exc:  # name the requested range, not the clamped one
-            raise ValueError(f"layer {t + 1}: fit range {fit_range[0]}..{fit_range[1]} "
-                             f"clamped to the layer's {eig.size} eigenvalues: {exc}") from None
+            fit = clamped_slope_fit(eig, *fit_range, owner="the layer's")
+        except ValueError as exc:
+            raise ValueError(f"layer {t + 1}: {exc}") from None
         est = SpectrumEstimate(
             eigenvalues=eig,
             dims=(fan_in, layer.width),

@@ -11,6 +11,7 @@ __all__ = [
     "sym_eigenvalues",
     "gram_spectrum",
     "slope_fit",
+    "clamped_slope_fit",
     "normalize_top",
 ]
 
@@ -99,6 +100,23 @@ def slope_fit(eigs, j_min: int = 1, j_max: int = 100) -> SlopeFit:
     ss_tot = float(centered @ centered)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return SlopeFit(float(slope), float(intercept), r2, j_min, j_max, used)
+
+
+def clamped_slope_fit(eigs, j_min: int, j_max: int, owner: str = "the spectrum's") -> SlopeFit:
+    """`slope_fit` over j_min..min(j_max, size); errors name the requested range.
+
+    A range that starts past the spectrum, or a fit the clamp leaves short,
+    raises ValueError naming the requested range, the clamp and the size.
+    """
+    size = np.asarray(eigs).size
+    if j_min > size:
+        raise ValueError(f"fit range {j_min}..{j_max} starts past {owner} {size} eigenvalues")
+    try:
+        return slope_fit(eigs, j_min, min(j_max, size))
+    except ValueError as exc:
+        if j_max <= size:
+            raise
+        raise ValueError(f"fit range {j_min}..{j_max} clamped to {owner} {size} eigenvalues: {exc}") from None
 
 
 def normalize_top(eigs) -> np.ndarray:

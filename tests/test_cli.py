@@ -50,6 +50,13 @@ def test_lattice_budget_exceeded_exit_code(capsys):
     assert "budget" in err
 
 
+def test_lattice_count_equal_smallest_pair_within_budget(capsys):
+    # (2,1,1) at X = 1e9 ends in a divisor sum per loop step, about X^(1/2) log X work
+    code, out, _ = run_cli(capsys, "lattice", "count", "--X", "1e9", "--pi", "2,1,1")
+    assert code == 0
+    assert int(out.split("count = ")[1]) > 10**9
+
+
 def test_lattice_count_with_ratio(capsys):
     code, out, _ = run_cli(
         capsys, "lattice", "count", "--X", "100000", "--pi", "1,1", "--with-asym"
@@ -291,6 +298,19 @@ def test_spectrum_exact_route(tmp_path, capsys):
     assert code == 0
     slope = float(stdout.split("slope = ")[1].split()[0])
     assert abs(slope + 1.31) < 0.25
+
+
+@pytest.mark.parametrize("route", [["mc", "--m", "100"], ["exact"]])
+@pytest.mark.parametrize("fit, message", [
+    ("45..100", "fit range 45..100 clamped to the spectrum's 50 eigenvalues: "
+                "only 6 usable points in [45, 50]; need >= 10"),
+    ("60..100", "fit range 60..100 starts past the spectrum's 50 eigenvalues"),
+])
+def test_spectrum_fit_errors_name_the_request(capsys, route, fit, message):
+    code, stdout, err = run_cli(capsys, "spectrum", *route, "--p", "1", "--v", "200", "--d", "50",
+                                "--fit", fit)
+    assert (code, stdout) == (2, "")
+    assert message in err
 
 
 def test_spectrum_mc_threads_match_deterministic(tmp_path, capsys):

@@ -161,6 +161,37 @@ def test_count_unordered_loops_over_the_largest_exponent():
     assert lattice.count_unordered(X, (2, 1)).count == want
 
 
+@pytest.mark.parametrize("X, pis, want", [
+    (10**6, (2, 1, 1), 21107131),
+    (10**7, (2, 1, 1), 248928748),
+    (10**7, (3, 1, 1), 189661691),
+    (10**6, (1.31, 1, 1), 40407653),
+])
+def test_count_unordered_equal_smallest_pair_pinned(X, pis, want):
+    # the last two coordinates share the smallest exponent and end in one divisor sum
+    assert lattice.count_unordered(X, pis).count == want
+
+
+def test_count_unordered_equal_smallest_pair_is_a_divisor_sum_per_prefix():
+    # s^2 t u <= X counts t u <= X // s^2 for each s
+    X = 10**6
+    want = sum(seed_count_ones(X // (s * s), 2) for s in range(1, math.isqrt(X) + 1))
+    for perm in ((2, 1, 1), (1, 2, 1), (1, 1, 2)):
+        assert lattice.count_unordered(X, perm).count == want, perm
+    # s^a t^a <= X is s t <= floor(X^(1/a))
+    assert lattice.count_unordered(10**6, (2, 2)).count == seed_count_ones(10**3, 2)
+    for X in (3.0, 12.7, 64.0, 300.5):
+        for pis in ((1.5, 1.5), (2.31, 1.31, 1.31), (2, 2, 2), (3, 2, 1, 1)):
+            assert lattice.count_unordered(X, pis).count == brute_unordered(X, pis), (pis, X)
+
+
+@pytest.mark.parametrize("X", [1, 2, 99, 10**5, 10**7, 10**7 + 0.5])
+def test_count_all_ones_k_up_to_2(X):
+    n = math.floor(X)
+    assert lattice.count_unordered(X, (1,)).count == n
+    assert lattice.count_unordered(X, (1, 1)).count == seed_count_ones(n, 2)
+
+
 def test_count_boundary_inclusion():
     # exact boundary products must be included (ties resolve toward inclusion)
     assert lattice.count_unordered(8, (3,)).count == 2  # 1^3, 2^3 = 8
@@ -206,6 +237,16 @@ def test_count_budget_error():
         lattice.count_unordered(1e15, (1.0, 1.5))
     with pytest.raises(lattice.BudgetExceededError):
         lattice.count_unordered(1e12, (1, 1, 1, 1))
+    # an equal smallest pair a, a is priced X^max(1/(2a), 1/b) log(X)^(k-2), b the next exponent
+    lattice.count_unordered(1e9, (2, 1, 1))
+    with pytest.raises(lattice.BudgetExceededError):
+        lattice.count_unordered(1e20, (2, 1, 1))
+    with pytest.raises(lattice.BudgetExceededError):
+        lattice.count_unordered(1e12, (1.31, 1, 1))
+    with pytest.raises(lattice.BudgetExceededError):  # k = 2: 2 X^(1/(2a)) = 2e10
+        lattice.count_unordered(1e10, (0.5, 0.5))
+    with pytest.raises(lattice.BudgetExceededError):
+        lattice.count_unordered(1e19, (1, 1))
 
 
 def test_count_input_validation():

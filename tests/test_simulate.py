@@ -192,6 +192,50 @@ def test_mc_covariance_matrix_reduction_memory_is_bounded(monkeypatch, threads):
     assert peak < 1_000_000, peak
 
 
+def scaled_data_covariance(cfg):
+    """The covariance from features act((U * sqrt(h)) @ W): H^(1/2) scales every data block."""
+    W = simulate.sample_sketch(cfg.v, cfg.d, cfg.seed)
+    sqrt_h = np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)
+    blocks = []
+    for b, lo in enumerate(range(0, cfg.m, simulate._BLOCK)):
+        U = cfg.distribution.draw_unit(
+            min(lo + simulate._BLOCK, cfg.m) - lo, cfg.v, simulate._stream(cfg.seed, simulate._DATA, b)
+        )
+        blocks.append(cfg.activation.apply((U * sqrt_h) @ W))
+    F = np.vstack(blocks)
+    if cfg.centered:
+        F = F - F.mean(axis=0)
+    C = F.T @ F / cfg.m / cfg.d
+    return (C + C.T) / 2
+
+
+@pytest.mark.parametrize("centered", [False, True])
+@pytest.mark.parametrize(
+    "dist", [DataDistribution("gaussian"), DataDistribution("rademacher"), DataDistribution("student_t", df=5.0)]
+)
+def test_mc_covariance_matrix_equals_data_scaled_features(dist, centered):
+    # the sketch carries H^(1/2): the same draws give the same covariance up to round-off
+    cfg = RFConfig(
+        v=40, d=16, m=simulate._BLOCK + 700, alpha=1.31, activation=Activation("monomial", 2),
+        distribution=dist, seed=12, centered=centered,
+    )
+    got = simulate.mc_covariance_matrix(cfg)
+    want = scaled_data_covariance(cfg)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_mc_covariance_matrix_block_holds_one_v_wide_array():
+    # one 8192 x 400 draw is 26 MB; scaling it in the block would hold a second one
+    cfg = RFConfig(v=400, d=100, m=20000, alpha=1.31, activation=Activation("monomial", 2), seed=1)
+    tracemalloc.start()
+    try:
+        simulate.mc_covariance_matrix(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * simulate._BLOCK * cfg.v * 8, peak
+
+
 def test_mc_covariance_centered_subtracts_mean():
     cfg = RFConfig(
         v=30, d=15, m=4000, alpha=1.31, activation=Activation("relu"), seed=5, centered=True

@@ -145,6 +145,19 @@ def test_slope_fit_errors():
         spectral.slope_fit(lam, 1, 5)  # fewer than 10 points
 
 
+def test_clamped_slope_fit_names_the_request():
+    lam = np.arange(1, 21.0) ** -1.0
+    fit = spectral.clamped_slope_fit(lam, 1, 50)
+    assert (fit.j_min, fit.j_max) == (1, 20)
+    assert fit == spectral.slope_fit(lam, 1, 20)
+    with pytest.raises(ValueError, match=r"^fit range 25\.\.50 starts past the spectrum's 20 eigenvalues$"):
+        spectral.clamped_slope_fit(lam, 25, 50)
+    with pytest.raises(ValueError, match=r"^fit range 15\.\.50 clamped to the layer's 20 eigenvalues: only 6"):
+        spectral.clamped_slope_fit(lam, 15, 50, owner="the layer's")
+    with pytest.raises(ValueError, match=r"^only 5 usable points in \[1, 5\]"):  # no clamp, no prefix
+        spectral.clamped_slope_fit(lam, 1, 5)
+
+
 @settings(deadline=None, max_examples=30)
 @given(alpha=st.floats(min_value=0.5, max_value=4.0), scale=st.floats(min_value=0.01, max_value=100.0))
 def test_slope_fit_exact_on_synthetic(alpha, scale):
