@@ -10,8 +10,8 @@ any other flag or key exits 2.
 Each run builds one `RunSummary` (effective parameters, seed where one is
 read, every slope fit with the range it used, printed results, warnings) and
 writes it as `<out>.summary` (spectrum), `<out-dir>/layers.summary` (layers)
-and the --json-summary file, all rendered by `data`.  Warnings also go to
-stderr as `warning: ...`; stdout carries only the results.
+and the --json-summary file, the same JSON bytes rendered by `data`.
+Warnings also go to stderr as `warning: ...`; stdout carries only the results.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, lattice, population, selfcheck, simulate, spectral
-from .data import read_cifar10, write_run_summary, write_run_summary_json, write_spectrum_csv
+from .data import find_cifar_batches, read_cifar10, write_run_summary, write_spectrum_csv
 from .records import RunSummary, SpectrumEstimate
 
 EXIT_OK = 0
@@ -35,10 +35,6 @@ EXIT_MISSING_DATA = 3
 
 class CLIError(Exception):
     """Invalid input; maps to exit code 2."""
-
-
-class MissingDataError(Exception):
-    """A required dataset or file is absent; maps to exit code 3."""
 
 
 def _parse_exponents(text: str) -> tuple[float, ...]:
@@ -81,7 +77,7 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
 def _load_config_file(path: str) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
-        raise MissingDataError(f"config file not found: {path}")
+        raise FileNotFoundError(f"config file not found: {path}")
     out: dict[str, str] = {}
     for raw in p.read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -153,10 +149,9 @@ def _emit_record(args, *, params, results, seed=None, fits=(), warnings=(), summ
     )
     for warning in summary.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if summary_path is not None:
-        write_run_summary(summary, summary_path)
-    if args.json_summary:
-        write_run_summary_json(summary, args.json_summary)
+    for path in (summary_path, args.json_summary):
+        if path:
+            write_run_summary(summary, path)
 
 
 # --------------------------------------------------------------------------
@@ -301,6 +296,10 @@ def cmd_spectrum(args) -> int:
         fit_lo, fit_hi = _parse_range(args.fit, "fit")
     except CLIError as exc:
         problems.append(str(exc))
+    else:  # the spectrum has min(m, d) eigenvalues for mc, d for exact
+        size = min(args.m, d) if args.spectrum_cmd == "mc" else d
+        if 1 <= size < fit_lo:
+            problems.append(f"fit range {fit_lo}..{fit_hi} starts past the spectrum's {size} eigenvalues")
     if problems:
         raise CLIError("invalid configuration:\n  " + "\n  ".join(problems))
 
@@ -317,7 +316,7 @@ def cmd_spectrum(args) -> int:
             m=args.m,
             alpha=alpha,
             activation=act,
-            distribution=_parse_distribution(args.dist, args, args.m),
+            distribution=_parse_distribution(args.dist, args.data, args.m),
             seed=seed,
             centered=args.centered,
         )
@@ -339,20 +338,18 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _parse_distribution(text: str, args, m: int) -> simulate.DataDistribution:
+def _parse_distribution(text: str, data_dir: str | None, m: int) -> simulate.DataDistribution:
     kind, _, param = text.partition(":")
     kind = kind.strip()
     if kind == "student_t":
-        return simulate.DataDistribution("student_t", df=float(param) if param else 5.0)
+        try:
+            df = float(param) if param else 5.0
+        except ValueError:
+            raise CLIError(f"bad --dist {text!r}: NU in student_t:NU must be a number, got {param!r}")
+        return simulate.DataDistribution("student_t", df=df)
     if kind == "cifar10":
-        batches = selfcheck.find_cifar_batches(getattr(args, "data", None))
-        if not batches:
-            raise MissingDataError(
-                "cifar10 distribution requested but no binary batches found; "
-                "point --data (or PLRF_CIFAR10_DIR) at cifar-10-batches-bin/"
-            )
-        ds = read_cifar10(batches, limit=m)
-        return simulate.DataDistribution("external", matrix=ds.values)
+        X = read_cifar10(find_cifar_batches(data_dir), limit=m)
+        return simulate.DataDistribution("external", matrix=X)
     try:
         return simulate.DataDistribution(kind)
     except ValueError as exc:
@@ -380,16 +377,7 @@ def cmd_layers(args) -> int:
         X = rng.standard_normal((n, v)) * np.sqrt(H.eigenvalues)
         tag = f"synthetic (alpha={alpha:g}, v={v})"
     else:
-        base = Path(source)
-        if not base.is_dir():
-            raise MissingDataError(
-                f"dataset directory not found: {source} "
-                "(download the CIFAR-10 binary version and unpack cifar-10-batches-bin/)"
-            )
-        batches = selfcheck.find_cifar_batches(base)
-        if not batches:
-            raise MissingDataError(f"no *.bin batches under {source}")
-        X = read_cifar10(batches, limit=n).values
+        X = read_cifar10(find_cifar_batches(source), limit=n)
         tag = f"cifar10 ({X.shape[0]} rows)"
 
     layers = [simulate.LayerSpec(w, act, norm) for w in widths]
@@ -559,7 +547,7 @@ def main(argv=None) -> int:
     except (CLIError, ValueError) as exc:  # BudgetExceededError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (MissingDataError, FileNotFoundError) as exc:
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_DATA
     except Exception as exc:  # pragma: no cover - internal failure path

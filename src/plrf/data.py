@@ -1,15 +1,16 @@
 """Dataset ingestion and result persistence.
 
-CIFAR-10 binary batch reader (3073-byte records: label byte + 3072 pixel
-bytes, scaled to [-1, 1]), spectrum CSV with shortest-exact decimal
-formatting (lossless round-trip, streamed in bounded memory), and the run
-record rendered as diffable key = value text and as JSON.
+CIFAR-10 batch discovery and binary batch reader (3073-byte records: label
+byte + 3072 pixel bytes, scaled to [-1, 1]), spectrum CSV with shortest-exact
+decimal formatting (lossless round-trip, streamed in bounded memory), and the
+run record rendered as one diffable JSON object.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import os
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -19,13 +20,12 @@ from .records import RunSummary, SpectrumEstimate
 from .spectral import SlopeFit
 
 __all__ = [
-    "DatasetMatrix",
     "SchemaError",
+    "find_cifar_batches",
     "read_cifar10",
     "write_spectrum_csv",
     "read_spectrum_csv",
     "write_run_summary",
-    "write_run_summary_json",
     "read_run_summary",
 ]
 
@@ -38,32 +38,30 @@ class SchemaError(ValueError):
     """A structured file is missing a required field or is malformed."""
 
 
-@dataclass(frozen=True)
-class DatasetMatrix:
-    """Row-major sample matrix with a source tag."""
+def find_cifar_batches(data_dir: str | os.PathLike | None = None) -> list[Path]:
+    """The training batch files of a CIFAR-10 binary directory, sorted.
 
-    values: np.ndarray
-    source: str
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2:
-            raise ValueError(f"expected an n x d matrix, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("dataset contains non-finite values")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
+    A given `data_dir` is the only place looked in; without one,
+    $PLRF_CIFAR10_DIR and then ./cifar-10-batches-bin are tried.  Raises
+    FileNotFoundError naming every place looked in when none holds batches.
+    """
+    if data_dir is not None:
+        candidates = [Path(data_dir)]
+    else:
+        env = os.environ.get("PLRF_CIFAR10_DIR")
+        candidates = [Path(d) for d in (env, "cifar-10-batches-bin") if d]
+    for base in candidates:
+        batches = sorted(base.glob("data_batch_*.bin")) or sorted(base.glob("*.bin"))
+        if batches:
+            return batches
+    raise FileNotFoundError(
+        f"no CIFAR-10 binary batches (*.bin) in {' or '.join(map(str, candidates))}; "
+        "download the CIFAR-10 binary version and unpack cifar-10-batches-bin/"
+    )
 
 
-def read_cifar10(paths: Sequence, limit: int | None = None) -> DatasetMatrix:
-    """Read CIFAR-10 binary batch files into an n x 3072 matrix in [-1, 1].
+def read_cifar10(paths: Sequence, limit: int | None = None) -> np.ndarray:
+    """Read CIFAR-10 binary batch files into an n x 3072 float64 matrix in [-1, 1].
 
     Each record is one label byte (discarded) followed by 3072 pixel bytes;
     values map through byte/127.5 - 1.  Row order follows the files in the
@@ -85,7 +83,7 @@ def read_cifar10(paths: Sequence, limit: int | None = None) -> DatasetMatrix:
         chunks.append(records[:, 1:].astype(float) / 127.5 - 1.0)
         if limit is not None and sum(c.shape[0] for c in chunks) >= limit:
             break
-    return DatasetMatrix(np.concatenate(chunks, axis=0), source="cifar10")
+    return np.concatenate(chunks, axis=0)
 
 
 def _format_value(x: float) -> str:
@@ -147,7 +145,7 @@ _SUMMARY_FIELDS = ("command", "params", "seed", "fits", "results", "warnings", "
 
 
 def _run_summary_fields(summary: RunSummary) -> dict:
-    """The record as JSON-typed fields named as in RunSummary; both renderings start here.
+    """The record as JSON-typed fields named as in RunSummary.
 
     Params are sorted; `seed` is left out when None and `fits` when empty.
     """
@@ -161,32 +159,23 @@ def _run_summary_fields(summary: RunSummary) -> dict:
 
 
 def write_run_summary(summary: RunSummary, path) -> None:
-    """One diffable `field = JSON value` line per record field; read_run_summary reads all back.
+    """The record as one JSON object, one top-level key per field; read_run_summary reads it back.
 
-    Floats print shortest-exact, so two runs with identical seeds differ only
-    in elapsed_ms.
+    Floats print shortest-exact and params sort by name, so two runs with
+    identical seeds differ only in elapsed_ms.
     """
-    lines = [f"{name} = {json.dumps(value)}" for name, value in _run_summary_fields(summary).items()]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_run_summary_json(summary: RunSummary, path) -> None:
-    """The same record as one JSON object whose top-level keys are the field names."""
     Path(path).write_text(json.dumps(_run_summary_fields(summary), indent=2) + "\n")
 
 
 def read_run_summary(path) -> RunSummary:
     """Parse a run summary, raising SchemaError naming any missing or unknown field."""
-    fields: dict = {"seed": None, "fits": []}
-    for ln in Path(path).read_text().splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        key, _, raw = ln.partition("=")
-        try:
-            fields[key.strip()] = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: malformed line {ln!r}") from exc
+    try:
+        fields = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: malformed file: {exc}") from exc
+    if not isinstance(fields, dict):
+        raise SchemaError(f"{path}: malformed file: not a JSON object")
+    fields = {"seed": None, "fits": [], **fields}
     for name in _SUMMARY_FIELDS:
         if name not in fields:
             raise SchemaError(f"{path}: missing field: {name}")

@@ -34,7 +34,7 @@ class SpectrumEstimate:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """The one record of a CLI run; `data` renders it as key = value text and as JSON.
+    """The one record of a CLI run; `data` renders it as one JSON object.
 
     `params` and `results` map names to str, int, float, bool or None.
     `params` holds effective values (after defaults and clamping), `seed` is

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
 from . import combinatorics as comb
 from . import lattice, population, simulate, spectral
+from .data import find_cifar_batches, read_cifar10
 
-__all__ = ["CheckResult", "CHECKS", "run_all", "find_cifar_batches"]
+__all__ = ["CheckResult", "CHECKS", "run_all"]
 
 # Exact unordered counts at the criterion grid, frozen from independent
 # oracles: a brute-force loop up to 10^6 and a divisor-count sieve at 10^7
@@ -387,34 +386,12 @@ def check_spectral_contracts(quick: bool = False) -> CheckResult:
 # 11. CIFAR-10 (skipped without the dataset)
 
 
-def find_cifar_batches(data_dir: str | os.PathLike | None = None) -> list[Path]:
-    """Training batch files under `data_dir`, $PLRF_CIFAR10_DIR, or ./cifar-10-batches-bin."""
-    candidates = []
-    if data_dir is not None:
-        candidates.append(Path(data_dir))
-    env = os.environ.get("PLRF_CIFAR10_DIR")
-    if env:
-        candidates.append(Path(env))
-    candidates.append(Path("cifar-10-batches-bin"))
-    for base in candidates:
-        if base.is_dir():
-            batches = sorted(base.glob("data_batch_*.bin")) or sorted(base.glob("*.bin"))
-            if batches:
-                return batches
-    return []
-
-
 def check_cifar_layers(quick: bool = False, data_dir=None) -> CheckResult:
-    from .data import read_cifar10
-
-    batches = find_cifar_batches(data_dir)
-    if not batches:
-        return CheckResult(
-            "11 CIFAR-10 layer slopes", None, "skipped: no CIFAR-10 binary batches found"
-        )
-    n = 2000 if quick else 10_000
-    ds = read_cifar10(batches, limit=n)
-    X = ds.values
+    try:
+        batches = find_cifar_batches(data_dir)
+    except FileNotFoundError as exc:
+        return CheckResult("11 CIFAR-10 layer slopes", None, f"skipped: {exc}")
+    X = read_cifar10(batches, limit=2000 if quick else 10_000)
     centered = X - X.mean(axis=0)
     eig = spectral.gram_spectrum(centered, 1.0 / X.shape[0])
     fit = spectral.slope_fit(eig, 1, 100)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from plrf import cli, lattice, selfcheck
-from plrf.data import read_cifar10, read_run_summary, read_spectrum_csv, write_run_summary_json
+from plrf import cli, lattice, selfcheck, simulate
+from plrf.data import read_cifar10, read_run_summary, read_spectrum_csv, write_run_summary
 
 
 def run_cli(capsys, *argv):
@@ -15,10 +15,21 @@ def run_cli(capsys, *argv):
 
 
 def assert_same_record(summary_path, json_path):
-    """The key = value file and the JSON file hold one record."""
+    """The summary file and the --json-summary file are the same bytes, and read back whole."""
+    assert summary_path.read_bytes() == json_path.read_bytes()
     back = summary_path.parent / "back.json"
-    write_run_summary_json(read_run_summary(summary_path), back)
-    assert back.read_text() == json_path.read_text()
+    write_run_summary(read_run_summary(summary_path), back)
+    assert back.read_bytes() == json_path.read_bytes()
+
+
+def write_batches(base, rows=150, count=2):
+    """`count` CIFAR-10 binary batches of random bytes, `rows` records each."""
+    base.mkdir(exist_ok=True)
+    rng = np.random.default_rng(0)
+    for b in range(1, count + 1):
+        batch = rng.integers(0, 256, size=(rows, 3073), dtype=np.uint8)
+        (base / f"data_batch_{b}.bin").write_bytes(batch.tobytes())
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +324,22 @@ def test_spectrum_fit_errors_name_the_request(capsys, route, fit, message):
     assert message in err
 
 
+@pytest.mark.parametrize("route, sampler", [
+    (["mc", "--m", "200000"], "mc_covariance"),
+    (["exact"], "exact_population_covariance"),
+])
+def test_spectrum_fit_past_spectrum_fails_before_sampling(capsys, monkeypatch, route, sampler):
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled despite an invalid fit range")
+
+    monkeypatch.setattr(simulate, sampler, fail)
+    code, stdout, err = run_cli(capsys, "spectrum", *route, "--p", "1", "--v", "2000", "--d", "50",
+                                "--fit", "60..100")
+    assert (code, stdout) == (2, "")
+    assert err == ("error: invalid configuration:\n"
+                   "  fit range 60..100 starts past the spectrum's 50 eigenvalues\n")
+
+
 def test_spectrum_mc_threads_match_deterministic(tmp_path, capsys):
     base = [
         "spectrum", "mc", "--p", "2", "--v", "64", "--d", "64", "--m", "20000",
@@ -388,16 +415,13 @@ def test_dropped_option_exits_2_as_flag_and_config_key(tmp_path, capsys, argv, f
 
 
 def test_spectrum_mc_cifar_reads_only_m_rows(tmp_path, capsys, monkeypatch):
-    rng = np.random.default_rng(0)
-    for b in (1, 2):  # 300 rows on disk, 120 used
-        rows = rng.integers(0, 256, size=(150, 3073), dtype=np.uint8)
-        (tmp_path / f"data_batch_{b}.bin").write_bytes(rows.tobytes())
+    write_batches(tmp_path)  # 300 rows on disk, 120 used
     loaded = []
 
     def spy(batches, limit=None):
-        ds = read_cifar10(batches, limit=limit)
-        loaded.append(ds.rows)
-        return ds
+        X = read_cifar10(batches, limit=limit)
+        loaded.append(X.shape[0])
+        return X
 
     monkeypatch.setattr(cli, "read_cifar10", spy)
     code, out, _ = run_cli(
@@ -417,6 +441,44 @@ def test_spectrum_mc_cifar_distribution_missing_data(tmp_path, capsys, monkeypat
     )
     assert code == 3
     assert "cifar" in err.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "mc", "--p", "1", "--v", "3072", "--d", "40", "--m", "120", "--dist", "cifar10",
+     "--fit", "1..20"],
+    ["layers", "--widths", "32", "--n", "120", "--fit", "1..10"],
+])
+def test_explicit_data_dir_without_batches_exits_3(tmp_path, capsys, monkeypatch, argv):
+    # valid batches elsewhere must not stand in for the directory named by --data
+    monkeypatch.setenv("PLRF_CIFAR10_DIR", str(write_batches(tmp_path / "batches")))
+    monkeypatch.chdir(tmp_path)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code, stdout, err = run_cli(capsys, *argv, "--data", str(empty))
+    assert (code, stdout) == (3, "")
+    assert err.startswith(f"error: no CIFAR-10 binary batches (*.bin) in {empty};")
+    code, _, err = run_cli(capsys, *argv, "--data", str(tmp_path / "batches"))
+    assert (code, err) == (0, "")
+
+
+def test_selftest_explicit_data_dir_without_batches_skips(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PLRF_CIFAR10_DIR", str(write_batches(tmp_path / "batches")))
+    monkeypatch.setattr(selfcheck, "CHECKS", (("11", selfcheck.check_cifar_layers),))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code, stdout, _ = run_cli(capsys, "selftest", "--quick", "--data", str(empty))
+    assert code == 0
+    assert stdout.startswith(
+        f"SKIP  criterion 11 CIFAR-10 layer slopes: skipped: no CIFAR-10 binary batches (*.bin) in {empty};"
+    )
+
+
+def test_student_t_bad_nu_names_the_option(capsys):
+    code, stdout, err = run_cli(
+        capsys, "spectrum", "mc", "--p", "1", "--v", "50", "--m", "200", "--dist", "student_t:abc"
+    )
+    assert (code, stdout) == (2, "")
+    assert err == "error: bad --dist 'student_t:abc': NU in student_t:NU must be a number, got 'abc'\n"
 
 
 def test_spectrum_conflicting_activation_flags(capsys):
@@ -496,10 +558,11 @@ def test_help_shows_each_default(capsys, argv, shown):
     assert "(default: None)" not in out and "(default: False)" not in out
 
 
-def test_config_file_missing(capsys):
-    code, _, err = run_cli(capsys, "spectrum", "hpi", "--config", "/nonexistent.cfg")
-    assert code == 3
-    assert "config" in err
+def test_config_file_missing(tmp_path, capsys):
+    path = tmp_path / "missing.cfg"
+    code, stdout, err = run_cli(capsys, "spectrum", "hpi", "--config", str(path))
+    assert (code, stdout) == (3, "")
+    assert err == f"error: config file not found: {path}\n"
 
 
 # ---------------------------------------------------------------------------

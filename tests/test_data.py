@@ -33,13 +33,12 @@ def _record(label: int, fill: int) -> bytes:
 def test_cifar_reader_scaling(tmp_path):
     path = tmp_path / "batch.bin"
     path.write_bytes(_record(7, 0x00) + _record(3, 0xFF) + _record(1, 51))
-    ds = dio.read_cifar10([path])
-    assert ds.values.shape == (3, 3072)
-    assert np.all(ds.values[0] == -1.0)
-    assert np.all(ds.values[1] == 1.0)
-    assert np.allclose(ds.values[2], 51 / 127.5 - 1.0)
-    assert ds.source == "cifar10"
-    assert ds.values.min() >= -1.0 and ds.values.max() <= 1.0
+    X = dio.read_cifar10([path])
+    assert X.shape == (3, 3072) and X.dtype == np.float64
+    assert np.all(X[0] == -1.0)
+    assert np.all(X[1] == 1.0)
+    assert np.allclose(X[2], 51 / 127.5 - 1.0)
+    assert X.min() >= -1.0 and X.max() <= 1.0
 
 
 def test_cifar_reader_record_arithmetic(tmp_path):
@@ -47,16 +46,15 @@ def test_cifar_reader_record_arithmetic(tmp_path):
     path = tmp_path / "batch.bin"
     path.write_bytes(b"".join(_record(i % 10, i % 256) for i in range(10)))
     assert path.stat().st_size == 30730
-    ds = dio.read_cifar10([path])
-    assert ds.rows == 10 and ds.cols == 3072
+    assert dio.read_cifar10([path]).shape == (10, 3072)
 
 
 def test_cifar_reader_full_size_batch(tmp_path):
     path = tmp_path / "data_batch_1.bin"
     path.write_bytes(bytes(30_730_000))  # one standard batch, all-zero pixels
-    ds = dio.read_cifar10([path])
-    assert ds.rows == 10_000 and ds.cols == 3072
-    assert np.all(ds.values == -1.0)
+    X = dio.read_cifar10([path])
+    assert X.shape == (10_000, 3072)
+    assert np.all(X == -1.0)
 
 
 def test_cifar_reader_limit_and_multiple_files(tmp_path):
@@ -64,10 +62,10 @@ def test_cifar_reader_limit_and_multiple_files(tmp_path):
     p2 = tmp_path / "b2.bin"
     p1.write_bytes(_record(0, 10) + _record(0, 20))
     p2.write_bytes(_record(0, 30))
-    ds = dio.read_cifar10([p1, p2])
-    assert ds.rows == 3
-    assert np.allclose(ds.values[2, 0], 30 / 127.5 - 1.0)  # row order preserved
-    assert dio.read_cifar10([p1, p2], limit=2).rows == 2
+    X = dio.read_cifar10([p1, p2])
+    assert X.shape[0] == 3
+    assert np.allclose(X[2, 0], 30 / 127.5 - 1.0)  # row order preserved
+    assert dio.read_cifar10([p1, p2], limit=2).shape[0] == 2
 
 
 def test_cifar_reader_rejects_corrupt(tmp_path):
@@ -181,28 +179,26 @@ def _summary(elapsed=1234):
 
 
 def test_run_summary_round_trip(tmp_path):
-    path = tmp_path / "run.summary"
+    path, path_back = tmp_path / "run.summary", tmp_path / "back.summary"
     dio.write_run_summary(_summary(), path)
     back = dio.read_run_summary(path)
     assert back == _summary()
     assert back.fits[0].slope == -1.3087215467891234  # shortest-exact is bit-exact
-    js, js_back = tmp_path / "run.json", tmp_path / "back.json"
-    dio.write_run_summary_json(_summary(), js)
-    dio.write_run_summary_json(back, js_back)
-    assert js.read_text() == js_back.read_text()
-    assert list(json.loads(js.read_text())) == [
+    dio.write_run_summary(back, path_back)
+    assert path.read_bytes() == path_back.read_bytes()
+    payload = json.loads(path.read_text())
+    assert list(payload) == [
         "command", "params", "seed", "fits", "results", "warnings", "elapsed_ms", "version"
     ]
+    assert list(payload["params"]) == sorted(_summary().params)
 
 
 def test_run_summary_without_seed_or_fits(tmp_path):
     bare = replace(_summary(), seed=None, fits=(), params={}, results={}, warnings=())
-    path, js = tmp_path / "bare.summary", tmp_path / "bare.json"
+    path = tmp_path / "bare.summary"
     dio.write_run_summary(bare, path)
-    dio.write_run_summary_json(bare, js)
     assert dio.read_run_summary(path) == bare
-    assert "seed =" not in path.read_text() and "fits =" not in path.read_text()
-    assert json.loads(js.read_text()) == {
+    assert json.loads(path.read_text()) == {
         "command": "layers", "params": {}, "results": {}, "warnings": [],
         "elapsed_ms": 1234, "version": "0.1.0",
     }
@@ -212,8 +208,8 @@ def test_run_summary_identical_modulo_elapsed(tmp_path):
     p1, p2 = tmp_path / "a.summary", tmp_path / "b.summary"
     dio.write_run_summary(_summary(elapsed=10), p1)
     dio.write_run_summary(_summary(elapsed=99), p2)
-    l1 = [ln for ln in p1.read_text().splitlines() if not ln.startswith("elapsed_ms")]
-    l2 = [ln for ln in p2.read_text().splitlines() if not ln.startswith("elapsed_ms")]
+    l1 = [ln for ln in p1.read_text().splitlines() if '"elapsed_ms"' not in ln]
+    l2 = [ln for ln in p2.read_text().splitlines() if '"elapsed_ms"' not in ln]
     assert l1 == l2
     assert p1.read_text() != p2.read_text()
 
@@ -221,15 +217,17 @@ def test_run_summary_identical_modulo_elapsed(tmp_path):
 def test_run_summary_missing_field(tmp_path):
     path = tmp_path / "broken.summary"
     dio.write_run_summary(_summary(), path)
-    text = "\n".join(ln for ln in path.read_text().splitlines() if not ln.startswith("command"))
-    path.write_text(text)
+    payload = json.loads(path.read_text())
+    del payload["command"]
+    path.write_text(json.dumps(payload))
     with pytest.raises(dio.SchemaError, match="missing field: command"):
         dio.read_run_summary(path)
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda text: text + "slopes = [1.0]\n", "unknown field: slopes"),
-    (lambda text: text.replace('"0.1.0"', "0.1.0)"), "malformed line"),
+    (lambda text: text.replace('"version"', '"slopes": [1.0], "version"'), "unknown field: slopes"),
+    (lambda text: text.replace('"0.1.0"', "0.1.0)"), "malformed file"),
+    (lambda text: "[" + text + "]", "malformed file: not a JSON object"),
     (lambda text: text.replace('"points_used": 30', '"points": 30'), "malformed fit"),
 ])
 def test_run_summary_rejects_malformed(tmp_path, edit, message):

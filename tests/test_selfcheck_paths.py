@@ -6,9 +6,12 @@ layer-propagation pipeline is exercised regardless (the verdict itself is
 dataset-dependent and not asserted here).
 """
 
-import numpy as np
+import re
 
-from plrf import selfcheck
+import numpy as np
+import pytest
+
+from plrf import data, selfcheck
 
 
 def _write_synthetic_batch(path, n, seed):
@@ -23,16 +26,33 @@ def _write_synthetic_batch(path, n, seed):
 
 
 def test_find_cifar_batches_discovery(tmp_path, monkeypatch):
-    assert selfcheck.find_cifar_batches(tmp_path / "nope") == []
+    monkeypatch.delenv("PLRF_CIFAR10_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError, match=r"in cifar-10-batches-bin; download"):
+        data.find_cifar_batches()
     base = tmp_path / "cifar-10-batches-bin"
     base.mkdir()
     _write_synthetic_batch(base / "data_batch_1.bin", 8, seed=0)
     _write_synthetic_batch(base / "data_batch_2.bin", 8, seed=1)
-    got = selfcheck.find_cifar_batches(base)
+    got = data.find_cifar_batches(base)
     assert [p.name for p in got] == ["data_batch_1.bin", "data_batch_2.bin"]
+    assert [p.name for p in data.find_cifar_batches()] == [p.name for p in got]
     # the environment variable is honored when no explicit dir is given
     monkeypatch.setenv("PLRF_CIFAR10_DIR", str(base))
-    assert selfcheck.find_cifar_batches() == got
+    assert data.find_cifar_batches() == got
+
+
+def test_explicit_cifar_dir_is_the_only_place_looked_in(tmp_path, monkeypatch):
+    batches = tmp_path / "batches"
+    batches.mkdir()
+    _write_synthetic_batch(batches / "data_batch_1.bin", 8, seed=0)
+    monkeypatch.setenv("PLRF_CIFAR10_DIR", str(batches))
+    monkeypatch.chdir(tmp_path)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for where in (empty, tmp_path / "nope", batches / "data_batch_1.bin"):
+        with pytest.raises(FileNotFoundError, match=f"in {re.escape(str(where))};"):
+            data.find_cifar_batches(where)
 
 
 def test_cifar_check_runs_on_synthetic_batches(tmp_path):
