@@ -272,6 +272,8 @@ def cmd_spectrum(args) -> int:
             problems.append(f"m must be >= 100, got {args.m}")
         if args.threads < 1:
             problems.append(f"threads must be >= 1, got {args.threads}")
+        if args.data is not None and args.dist.partition(":")[0].strip() != "cifar10":
+            problems.append(f"--data is read only with --dist cifar10, got --dist {args.dist}")
     act_text = args.act
     p = args.p
     act = None

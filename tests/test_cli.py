@@ -340,6 +340,14 @@ def test_spectrum_fit_past_spectrum_fails_before_sampling(capsys, monkeypatch, r
                    "  fit range 60..100 starts past the spectrum's 50 eigenvalues\n")
 
 
+def test_spectrum_mc_data_without_cifar10_fails(capsys):
+    code, stdout, err = run_cli(capsys, "spectrum", "mc", "--p", "1", "--v", "50", "--m", "200",
+                                "--fit", "1..20", "--data", "/no/such/dir")
+    assert (code, stdout) == (2, "")
+    assert err == ("error: invalid configuration:\n"
+                   "  --data is read only with --dist cifar10, got --dist gaussian\n")
+
+
 def test_spectrum_mc_threads_match_deterministic(tmp_path, capsys):
     base = [
         "spectrum", "mc", "--p", "2", "--v", "64", "--d", "64", "--m", "20000",

@@ -1,11 +1,15 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plrf import simulate, spectral
+from plrf.combinatorics import pairing_class_counts
 from plrf.population import PowerLawSpectrum
 from plrf.simulate import Activation, DataDistribution, LayerSpec, RFConfig
 
@@ -22,12 +26,70 @@ def test_activation_parse_and_labels():
 
 def test_activation_values():
     y = np.linspace(-2, 2, 11)
-    assert np.array_equal(Activation("monomial", 3).apply(y), y**3)
+    y2 = y * y  # integer powers are multiplication chains, not libm pow
+    assert np.array_equal(Activation("monomial", 3).apply(y), y2 * y)
+    assert np.array_equal(Activation("monomial", 5).apply(y), y2 * y2 * y)
     assert np.array_equal(Activation("relu").apply(y), np.maximum(y, 0.0))
     assert np.allclose(Activation("gauss_bump").apply(y), y * y * np.exp(-y * y))
     assert np.allclose(Activation("hermite", 3).apply(y), y**3 - 3 * y)
     hs = Activation("heaviside").apply(np.array([-1.0, 0.0, 2.0]))
     assert np.array_equal(hs, [0.0, 0.5, 1.0])
+
+
+_OVERFLOW = Fraction(2) ** 1024 - Fraction(2) ** 970  # exact values at or above round to inf
+
+
+@settings(max_examples=400, deadline=None)
+@given(y=st.floats(allow_nan=False, allow_infinity=False), p=st.integers(1, 16))
+@example(y=5e-324, p=2)  # the smallest subnormal underflows to 0
+@example(y=1.5e-160, p=2)  # a subnormal result
+@example(y=-1e308, p=3)  # overflows to -inf
+@example(y=2.0**64, p=16)  # exactly 2**1024: overflows with no rounding
+@example(y=-(2.0**-70), p=15)
+def test_int_power_within_rounding_of_the_exact_power(y, p):
+    with np.errstate(over="ignore", under="ignore"):
+        got = float(simulate._int_power(np.array([y]), p)[0])
+        pow_value = float(np.float64(y) ** p)
+    exact = Fraction(y) ** p
+    # p - 1 roundings of relative size <= 2**-53, compounded; each may also lose
+    # half a subnormal ulp (2**-1075) once a step underflows
+    gamma = Fraction(p - 1, 2**53 - (p - 1))
+    if abs(exact) >= _OVERFLOW * (1 + gamma):
+        assert math.isinf(got) and got == pow_value
+    elif math.isinf(got):
+        assert abs(exact) >= _OVERFLOW * (1 - gamma) and (got > 0) == (exact > 0)
+    else:
+        assert abs(Fraction(got) - exact) <= gamma * abs(exact) + (p - 1) * Fraction(2) ** -1075
+
+
+def test_int_power_non_finite_and_signed_zero_match_pow():
+    y = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, -1.0])
+    for p in range(1, 17):
+        with np.errstate(invalid="ignore"):
+            got = simulate._int_power(y, p)
+        assert np.array_equal(got, y**p, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(y**p))
+    with pytest.raises(ValueError):
+        simulate._int_power(y, 0)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_low_degree_powers_are_bit_identical_to_numpy_pow(p):
+    y = np.random.default_rng(p).standard_normal((64, 7)) * 3.0
+    assert np.array_equal(Activation("monomial", p).apply(y), y**p)
+    # the exact kernel against its former all-`**` formula
+    v, d = 12, 5
+    H = PowerLawSpectrum(1.31, v)
+    W = simulate.sample_sketch(v, d, 4)
+    Y = np.sqrt(H.eigenvalues)[:, None] * W
+    G = Y.T @ Y
+    nrm = np.diag(G).copy()
+    outer = np.outer(nrm, nrm)
+    K = np.zeros((d, d))
+    for q, cnt in sorted(pairing_class_counts(p).counts.items()):
+        K += cnt * outer ** ((p - q) // 2) * G**q
+    K /= d
+    assert np.array_equal(simulate.exact_population_covariance(W, H, p), (K + K.T) / 2.0)
 
 
 def test_activation_validation():
@@ -369,7 +431,7 @@ def test_exact_population_covariance_matches_kernel_entries():
     H = PowerLawSpectrum(1.31, v)
     W = simulate.sample_sketch(v, d, 3)
     Y = np.sqrt(H.eigenvalues)[:, None] * W
-    for p in (1, 2, 3, 4):
+    for p in range(1, 7):  # up to the exact kernel's cap
         K = simulate.exact_population_covariance(W, H, p)
         for i in (0, 2, 5):
             for j in (1, 4):
