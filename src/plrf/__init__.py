@@ -21,6 +21,7 @@ from .combinatorics import (
     pairing_class_counts,
     wick_product_value,
 )
+from .errors import InvalidInput
 from .lattice import (
     Exponents,
     asymptotic_ordered_equal,

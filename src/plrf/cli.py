@@ -1,6 +1,8 @@
 """Command-line front end: lattice counts, spectrum experiments, layer sweeps, selftest.
 
-Exit codes: 0 success, 1 internal error, 2 invalid input, 3 missing data.
+Exit codes: 0 success, 2 invalid input (any `plrf.InvalidInput`, which
+`BudgetExceededError` and `SchemaError` are), 3 missing data, and 1 for any
+other exception, a bare `ValueError` included, as an internal error.
 Each subcommand declares only the options it reads, each with its default
 (README lists them; --help shows them), and every one takes --json-summary and
 --config.  Flags override values from an optional flat `key = value` config
@@ -25,16 +27,13 @@ import numpy as np
 
 from . import __version__, lattice, population, selfcheck, simulate, spectral
 from .data import find_cifar_batches, read_cifar10, write_run_summary, write_spectrum_csv
+from .errors import InvalidInput
 from .records import RunSummary, SpectrumEstimate
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 EXIT_MISSING_DATA = 3
-
-
-class CLIError(Exception):
-    """Invalid input; maps to exit code 2."""
 
 
 def _parse_exponents(text: str) -> tuple[float, ...]:
@@ -44,9 +43,9 @@ def _parse_exponents(text: str) -> tuple[float, ...]:
         try:
             out.append(float(token))
         except ValueError:
-            raise CLIError(f"bad exponent list {text!r}: token {token!r} is not a number")
+            raise InvalidInput(f"bad exponent list {text!r}: token {token!r} is not a number")
     if not out:
-        raise CLIError("empty exponent list")
+        raise InvalidInput("empty exponent list")
     return tuple(out)
 
 
@@ -54,9 +53,9 @@ def _parse_widths(text: str) -> tuple[int, ...]:
     try:
         widths = tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
-        raise CLIError(f"bad widths list {text!r}")
+        raise InvalidInput(f"bad widths list {text!r}")
     if not widths:
-        raise CLIError("empty widths list")
+        raise InvalidInput("empty widths list")
     return widths
 
 
@@ -64,13 +63,13 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
     """Parse LO..HI with 1 <= LO <= HI; errors name the range."""
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise CLIError(f"bad {name} range {text!r}: expected LO..HI")
+        raise InvalidInput(f"bad {name} range {text!r}: expected LO..HI")
     try:
         lo, hi = int(lo), int(hi)
     except ValueError:
-        raise CLIError(f"bad {name} range {text!r}")
+        raise InvalidInput(f"bad {name} range {text!r}")
     if not 1 <= lo <= hi:
-        raise CLIError(f"bad {name} range {lo}..{hi}: need 1 <= lo <= hi")
+        raise InvalidInput(f"bad {name} range {lo}..{hi}: need 1 <= lo <= hi")
     return lo, hi
 
 
@@ -85,7 +84,7 @@ def _load_config_file(path: str) -> dict[str, str]:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise CLIError(f"config line without '=': {raw!r}")
+            raise InvalidInput(f"config line without '=': {raw!r}")
         out[key.strip()] = value.strip()
     return out
 
@@ -102,7 +101,7 @@ def _config_defaults(args, path: str) -> dict[str, object]:
     for key, raw in _load_config_file(path).items():
         action = actions.get(key)
         if action is None:
-            raise CLIError(
+            raise InvalidInput(
                 f"config key {key!r} is not an option of this subcommand "
                 f"(known: {', '.join(sorted(actions))})"
             )
@@ -162,12 +161,12 @@ def cmd_lattice(args) -> int:
     exps = _parse_exponents(args.pi)
     X = args.X
     if X is None:
-        raise CLIError("--X is required")
+        raise InvalidInput("--X is required")
     ordered = args.ordered
     bound_v = args.bound_v
     exact = args.lattice_cmd == "count" or args.with_exact
     if bound_v is not None and not (ordered and exact):
-        raise CLIError("--bound-v caps the coordinates of an ordered exact count; it needs --ordered"
+        raise InvalidInput("--bound-v caps the coordinates of an ordered exact count; it needs --ordered"
                        + ("" if exact else " and --with-exact"))
 
     def exact_count() -> int:
@@ -201,7 +200,7 @@ def _asym_value(X: float, exps: tuple[float, ...], ordered: bool) -> float:
         return lattice.asymptotic_unordered(X, exps)
     first = exps[0]
     if any(a != first for a in exps):
-        raise CLIError(
+        raise InvalidInput(
             "ordered asymptotics require equal exponents (unequal exponents "
             "admit only an upper-bound shape; see ordered_shape)"
         )
@@ -218,9 +217,9 @@ def cmd_spectrum(args) -> int:
 
     if args.spectrum_cmd == "hpi":
         exps = _parse_exponents(args.pi)
+        if not all(a.is_integer() for a in exps):
+            raise InvalidInput("--pi must be positive integers for the tuple spectrum")
         parts = tuple(int(a) for a in exps)
-        if any(p != a for p, a in zip(parts, exps)):
-            raise CLIError("--pi must be positive integers for the tuple spectrum")
         v, k = args.v, args.k
         H = population.PowerLawSpectrum(alpha, v)
         top = population.hpi_top_k(H, parts, k)
@@ -268,8 +267,8 @@ def cmd_spectrum(args) -> int:
     if not alpha > 1.0:
         problems.append(f"alpha must exceed 1, got {alpha}")
     if args.spectrum_cmd == "mc":
-        if args.m < 100:
-            problems.append(f"m must be >= 100, got {args.m}")
+        if args.m < simulate.MIN_MC_SAMPLES:
+            problems.append(f"m must be >= {simulate.MIN_MC_SAMPLES}, got {args.m}")
         if args.threads < 1:
             problems.append(f"threads must be >= 1, got {args.threads}")
         if args.data is not None and args.dist.partition(":")[0].strip() != "cifar10":
@@ -280,30 +279,30 @@ def cmd_spectrum(args) -> int:
     if act_text is None:
         try:
             act = simulate.Activation("monomial", p if p is not None else 1)
-        except ValueError as exc:
+        except InvalidInput as exc:
             problems.append(str(exc))
     elif p is not None:
         problems.append("give either --p or --act, not both")
     else:
         try:
             act = simulate.Activation.parse(act_text)
-        except ValueError as exc:
+        except InvalidInput as exc:
             problems.append(str(exc))
     if args.spectrum_cmd == "exact":
         if act is not None and act.kind != "monomial":
             problems.append("the exact population route supports monomial activations")
-        if p is not None and p > 6:
-            problems.append(f"exact route supports p <= 6, got {p}")
+        if p is not None and p > simulate.MAX_EXACT_DEGREE:
+            problems.append(f"exact route supports p <= {simulate.MAX_EXACT_DEGREE}, got {p}")
     try:
         fit_lo, fit_hi = _parse_range(args.fit, "fit")
-    except CLIError as exc:
+    except InvalidInput as exc:
         problems.append(str(exc))
     else:  # the spectrum has min(m, d) eigenvalues for mc, d for exact
         size = min(args.m, d) if args.spectrum_cmd == "mc" else d
         if 1 <= size < fit_lo:
             problems.append(f"fit range {fit_lo}..{fit_hi} starts past the spectrum's {size} eigenvalues")
     if problems:
-        raise CLIError("invalid configuration:\n  " + "\n  ".join(problems))
+        raise InvalidInput("invalid configuration:\n  " + "\n  ".join(problems))
 
     params = {"alpha": alpha, "v": v, "d": d, "act": act.label}
     if args.spectrum_cmd == "exact":
@@ -347,15 +346,12 @@ def _parse_distribution(text: str, data_dir: str | None, m: int) -> simulate.Dat
         try:
             df = float(param) if param else 5.0
         except ValueError:
-            raise CLIError(f"bad --dist {text!r}: NU in student_t:NU must be a number, got {param!r}")
+            raise InvalidInput(f"bad --dist {text!r}: NU in student_t:NU must be a number, got {param!r}")
         return simulate.DataDistribution("student_t", df=df)
     if kind == "cifar10":
         X = read_cifar10(find_cifar_batches(data_dir), limit=m)
         return simulate.DataDistribution("external", matrix=X)
-    try:
-        return simulate.DataDistribution(kind)
-    except ValueError as exc:
-        raise CLIError(str(exc))
+    return simulate.DataDistribution(kind)
 
 
 # --------------------------------------------------------------------------
@@ -368,15 +364,14 @@ def cmd_layers(args) -> int:
     act = simulate.Activation.parse(args.act)
     fit_lo, fit_hi = _parse_range(args.fit, "fit")
     if n < 1:
-        raise CLIError(f"n must be >= 1, got {n}")
+        raise InvalidInput(f"n must be >= 1, got {n}")
 
     params = {"data": source}
     if source == "synthetic":
         v = args.v
         params.update(v=v, alpha=alpha)
         H = population.PowerLawSpectrum(alpha, v)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(97,))))
-        X = rng.standard_normal((n, v)) * np.sqrt(H.eigenvalues)
+        X = simulate._stream(seed, 97).standard_normal((n, v)) * np.sqrt(H.eigenvalues)
         tag = f"synthetic (alpha={alpha:g}, v={v})"
     else:
         X = read_cifar10(find_cifar_batches(source), limit=n)
@@ -546,13 +541,13 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         args._started = started
         return args.func(args)
-    except (CLIError, ValueError) as exc:  # BudgetExceededError is a ValueError
+    except InvalidInput as exc:  # BudgetExceededError and SchemaError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_DATA
-    except Exception as exc:  # pragma: no cover - internal failure path
+    except Exception as exc:  # a bare ValueError included: a bug, not bad input
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -25,6 +25,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .errors import InvalidInput
+
 __all__ = [
     "Composition",
     "Pairing",
@@ -51,7 +53,7 @@ HERMITE_DEGREE_CAP = 64
 def double_factorial(n: int) -> int:
     """n!! with the convention (-1)!! = 0!! = 1."""
     if n < -1:
-        raise ValueError(f"double factorial undefined for n={n}")
+        raise InvalidInput(f"double factorial undefined for n={n}")
     out = 1
     while n > 1:
         out *= n
@@ -72,9 +74,9 @@ class Composition:
     def __post_init__(self) -> None:
         parts = tuple(int(p) for p in self.parts)
         if not parts:
-            raise ValueError("composition needs at least one part")
+            raise InvalidInput("composition needs at least one part")
         if any(p < 1 for p in parts):
-            raise ValueError(f"all parts must be >= 1, got {parts}")
+            raise InvalidInput(f"all parts must be >= 1, got {parts}")
         object.__setattr__(self, "parts", parts)
 
     @property
@@ -99,11 +101,11 @@ def compositions(q: int, length_filter: int | None = None) -> list[Composition]:
     compositions of that exact length are returned (same relative order).
     """
     if q < 1:
-        raise ValueError(f"q must be a positive integer, got {q}")
+        raise InvalidInput(f"q must be a positive integer, got {q}")
     if q > 24:
-        raise ValueError(f"q={q} would enumerate 2^{q - 1} compositions")
+        raise InvalidInput(f"q={q} would enumerate 2^{q - 1} compositions")
     if length_filter is not None and not 1 <= length_filter <= q:
-        raise ValueError(f"length_filter must lie in [1, {q}], got {length_filter}")
+        raise InvalidInput(f"length_filter must lie in [1, {q}], got {length_filter}")
 
     out: list[Composition] = []
     prefix: list[int] = []
@@ -136,10 +138,10 @@ class Pairing:
         seen: set[int] = set()
         for a, b in pairs:
             if a == b or a in seen or b in seen:
-                raise ValueError(f"not a perfect matching: {pairs}")
+                raise InvalidInput(f"not a perfect matching: {pairs}")
             seen.update((a, b))
         if seen != set(range(1, 2 * self.degree + 1)):
-            raise ValueError(f"pairs must cover 1..{2 * self.degree} exactly")
+            raise InvalidInput(f"pairs must cover 1..{2 * self.degree} exactly")
         object.__setattr__(self, "pairs", pairs)
 
     @property
@@ -164,9 +166,9 @@ def _iter_matchings(vertices: tuple[int, ...]) -> Iterator[tuple[tuple[int, int]
 def iter_pairings(p: int) -> Iterator[Pairing]:
     """Stream the (2p-1)!! perfect matchings of {1..2p} in deterministic order."""
     if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+        raise InvalidInput(f"p must be >= 1, got {p}")
     if p > ENUMERATION_CAP:
-        raise ValueError(
+        raise InvalidInput(
             f"p={p} exceeds the enumeration cap {ENUMERATION_CAP} "
             f"((2p-1)!! growth; enumeration exists for oracle checks only)"
         )
@@ -197,7 +199,7 @@ def pairing_class_counts(p: int) -> PairingClassTable:
     counts[q] > 0 only for q = p, p-2, p-4, ...; the table sums to (2p-1)!!.
     """
     if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+        raise InvalidInput(f"p must be >= 1, got {p}")
     counts: dict[int, int] = {}
     for q in range(p % 2, p + 1, 2):
         counts[q] = math.comb(p, q) ** 2 * math.factorial(q) * double_factorial(p - q - 1) ** 2
@@ -213,9 +215,9 @@ def kernel_pair_value(y_i: Sequence[float], y_j: Sequence[float], p: int) -> flo
     yi = np.asarray(y_i, dtype=float)
     yj = np.asarray(y_j, dtype=float)
     if yi.ndim != 1 or yi.shape != yj.shape:
-        raise ValueError(f"dimension mismatch: {yi.shape} vs {yj.shape}")
+        raise InvalidInput(f"dimension mismatch: {yi.shape} vs {yj.shape}")
     if not (np.all(np.isfinite(yi)) and np.all(np.isfinite(yj))):
-        raise ValueError("vectors must be finite")
+        raise InvalidInput("vectors must be finite")
     gii = float(yi @ yi)
     gjj = float(yj @ yj)
     gij = float(yi @ yj)
@@ -241,7 +243,7 @@ def isserlis_moment(indices: Sequence, covariance, *, odd: str = "zero") -> floa
     n = len(labels)
     if n % 2:
         if odd == "error":
-            raise ValueError(f"odd moment of {n} centered Gaussians requested")
+            raise InvalidInput(f"odd moment of {n} centered Gaussians requested")
         warnings.warn(
             "odd-size index multiset: moment is zero by symmetry", OddMomentWarning, stacklevel=2
         )
@@ -249,7 +251,7 @@ def isserlis_moment(indices: Sequence, covariance, *, odd: str = "zero") -> floa
     if n == 0:
         return 1.0
     if n > 16:
-        raise ValueError(f"multiset size {n} exceeds the cap of 16")
+        raise InvalidInput(f"multiset size {n} exceeds the cap of 16")
 
     if callable(covariance):
         cov: Callable = covariance
@@ -294,7 +296,7 @@ def monomial_hermite_coefficients(p: int) -> HermiteExpansion:
     integer (it counts partial matchings of p points leaving k unpaired).
     """
     if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+        raise InvalidInput(f"p must be >= 1, got {p}")
     coeffs: dict[int, int] = {}
     for k in range(p % 2, p + 1, 2):
         half = (p - k) // 2
@@ -309,7 +311,7 @@ def hermite_value(k: int, y):
     numpy arrays (applied elementwise).
     """
     if not 0 <= k <= HERMITE_DEGREE_CAP:
-        raise ValueError(f"k must lie in [0, {HERMITE_DEGREE_CAP}], got {k}")
+        raise InvalidInput(f"k must lie in [0, {HERMITE_DEGREE_CAP}], got {k}")
     arr = np.asarray(y, dtype=float)
     prev = np.ones_like(arr)
     if k == 0:
@@ -329,18 +331,23 @@ class FeynmanAssignment:
 
     def __post_init__(self) -> None:
         comp = _as_composition(self.composition)
-        eta = tuple(int(e) for e in self.eta)
-        if len(eta) != comp.length:
-            raise ValueError(f"eta length {len(eta)} != composition length {comp.length}")
-        for pi_j, eta_j in zip(comp.parts, eta):
-            if eta_j < 0 or 2 * eta_j > pi_j:
-                raise ValueError(f"eta out of range: need 0 <= 2*{eta_j} <= {pi_j}")
         object.__setattr__(self, "composition", comp)
-        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta", _checked_eta(comp, self.eta))
 
     @property
     def count(self) -> int:
         return feynman_count(self.composition, self.eta)
+
+
+def _checked_eta(comp: Composition, eta: Sequence[int]) -> tuple[int, ...]:
+    """eta as ints, one per slot, each with 0 <= 2 eta_j <= pi_j."""
+    etas = tuple(int(e) for e in eta)
+    if len(etas) != comp.length:
+        raise InvalidInput(f"eta length {len(etas)} != composition length {comp.length}")
+    for pi_j, eta_j in zip(comp.parts, etas):
+        if eta_j < 0 or 2 * eta_j > pi_j:
+            raise InvalidInput(f"eta out of range: need 0 <= 2*{eta_j} <= {pi_j}")
+    return etas
 
 
 def feynman_count(composition, eta: Sequence[int]) -> int:
@@ -350,13 +357,8 @@ def feynman_count(composition, eta: Sequence[int]) -> int:
     independent labels and contribute nothing.
     """
     comp = _as_composition(composition)
-    etas = tuple(int(e) for e in eta)
-    if len(etas) != comp.length:
-        raise ValueError(f"eta length {len(etas)} != composition length {comp.length}")
     out = 1
-    for pi_j, eta_j in zip(comp.parts, etas):
-        if eta_j < 0 or 2 * eta_j > pi_j:
-            raise ValueError(f"eta out of range: need 0 <= 2*{eta_j} <= {pi_j}")
+    for pi_j, eta_j in zip(comp.parts, _checked_eta(comp, eta)):
         out *= math.comb(pi_j, 2 * eta_j) * double_factorial(2 * eta_j - 1)
     return out
 
@@ -371,7 +373,7 @@ def wick_product_value(composition, gaussians):
     comp = _as_composition(composition)
     g = np.asarray(gaussians, dtype=float)
     if g.ndim == 0 or g.shape[-1] != comp.length:
-        raise ValueError(f"need {comp.length} coordinate values, got shape {g.shape}")
+        raise InvalidInput(f"need {comp.length} coordinate values, got shape {g.shape}")
     out = np.ones(g.shape[:-1])
     for j, pi_j in enumerate(comp.parts):
         out = out * hermite_value(pi_j, g[..., j])

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import InvalidInput
 from .records import RunSummary, SpectrumEstimate
 from .spectral import SlopeFit
 
@@ -34,7 +35,7 @@ CIFAR_FEATURES = 3072
 _CSV_BLOCK = 8192  # rows formatted per write
 
 
-class SchemaError(ValueError):
+class SchemaError(InvalidInput):
     """A structured file is missing a required field or is malformed."""
 
 
@@ -70,12 +71,12 @@ def read_cifar10(paths: Sequence, limit: int | None = None) -> np.ndarray:
     if isinstance(paths, (str, Path)):
         paths = [paths]
     if not paths:
-        raise ValueError("no batch files given")
+        raise InvalidInput("no batch files given")
     chunks = []
     for path in paths:
         raw = Path(path).read_bytes()
         if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
-            raise ValueError(
+            raise InvalidInput(
                 f"{path}: size {len(raw)} is not a positive multiple of {CIFAR_RECORD_BYTES}"
             )
         records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
@@ -162,9 +163,11 @@ def write_run_summary(summary: RunSummary, path) -> None:
     """The record as one JSON object, one top-level key per field; read_run_summary reads it back.
 
     Floats print shortest-exact and params sort by name, so two runs with
-    identical seeds differ only in elapsed_ms.
+    identical seeds differ only in elapsed_ms.  A NaN or infinity raises
+    ValueError, since JSON has no spelling for it.
     """
-    Path(path).write_text(json.dumps(_run_summary_fields(summary), indent=2) + "\n")
+    text = json.dumps(_run_summary_fields(summary), indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def read_run_summary(path) -> RunSummary:

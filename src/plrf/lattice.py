@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInput
+
 __all__ = [
     "BudgetExceededError",
     "Exponents",
@@ -48,11 +50,12 @@ __all__ = [
 ]
 
 ITERATION_BUDGET = 10**9
+COORDINATE_LIMIT = 2**53  # floats hold every integer below this, but not past it
 _INCLUSION_GUARD = 1.0 + 1e-12  # boundary ties resolve toward inclusion
 _EQ_RTOL = 1e-9  # exponents closer than this are treated as equal
 
 
-class BudgetExceededError(ValueError):
+class BudgetExceededError(InvalidInput):
     """Exact counting would exceed the iteration budget."""
 
     def __init__(self, estimate: float):
@@ -71,9 +74,9 @@ class Exponents:
     def __post_init__(self) -> None:
         values = tuple(float(a) for a in self.values)
         if not values:
-            raise ValueError("need at least one exponent")
+            raise InvalidInput("need at least one exponent")
         if any(not (a > 0 and math.isfinite(a)) for a in values):
-            raise ValueError(f"exponents must be positive and finite, got {values}")
+            raise InvalidInput(f"exponents must be positive and finite, got {values}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -116,16 +119,22 @@ class CountResult:
     bound_v: int | None = None
 
 
-def _max_coordinate(x: float, power: float) -> int:
-    """Largest integer n >= 0 with n**power <= x, robust at float boundaries.
+def _max_coordinate(x: float, power: float, cap: int | None = None) -> int:
+    """Largest integer n >= 0 with n**power <= x, robust at float boundaries; at most `cap`.
 
     Integer exponents with integer-valued x are resolved exactly; otherwise a
-    relative 1e-12 guard band rounds boundary ties toward inclusion.
+    relative 1e-12 guard band rounds boundary ties toward inclusion.  An x
+    clearly above cap**power returns `cap` at once, with no power of x taken.
     """
     if x * _INCLUSION_GUARD < 1.0:
         return 0
+    if cap is not None:
+        if math.log(x) > power * math.log(cap) + 1e-9:
+            return cap
+        return min(_max_coordinate(x, power), cap)
     n = int(x ** (1.0 / power))
-    if power == int(power) and x < 2**53 and float(x).is_integer():
+    # below 2^53 a power past 53 leaves only n <= 1, which needs no exact integers
+    if power == int(power) and power <= 53 and x < 2**53 and float(x).is_integer():
         p, xi = int(power), int(x)
         while (n + 1) ** p <= xi:
             n += 1
@@ -192,9 +201,7 @@ def _count_general(
     pi0 = pis[0]
     rest = pis[1:]
     if not rest:
-        n = _max_coordinate(X / prefix, pi0)
-        if bound is not None:
-            n = min(n, bound)
+        n = _max_coordinate(X / prefix, pi0, bound)
         return max(0, n - start + 1)
     if rest == (pi0,) and not strict and bound is None:
         # s^a t^a <= Y exactly when s t <= floor(Y^(1/a)): a divisor sum
@@ -244,6 +251,28 @@ def _budget_or_raise(exps: Exponents, X: float, strict: bool) -> None:
         raise BudgetExceededError(est)
 
 
+def _coordinate_limit_or_raise(X: float, a: float, bound_v: int | None) -> None:
+    """Refuse a count whose coordinates reach COORDINATE_LIMIT = 2^53.
+
+    The largest coordinate is min(bound_v, X^(1/a)), `a` the exponent of the
+    coordinate resolved last; past 2^53 floats skip integers, so the count
+    is no longer exact.  Compared in logs, so X^(1/a) never overflows.
+    """
+    capped = bound_v is not None and bound_v < COORDINATE_LIMIT
+    if not capped and math.log2(X) >= math.log2(COORDINATE_LIMIT) * a:
+        raise InvalidInput(
+            f"coordinate bound X^(1/a) = {X!r}^(1/{a!r}) reaches 2^53, "
+            "past which floats skip integers; exact counts stop there"
+        )
+
+
+def _finite_X(X) -> float:
+    Xf = float(X)
+    if not math.isfinite(Xf):
+        raise InvalidInput(f"X must be finite, got {X}")
+    return Xf
+
+
 def count_unordered(X: float, exponents) -> CountResult:
     """Exact #{(s_1,...,s_k) in N^k : s_1^{a_1} ... s_k^{a_k} <= X}.
 
@@ -257,13 +286,12 @@ def count_unordered(X: float, exponents) -> CountResult:
     """
     exps = _as_exponents(exponents)
     if exps.k > 4:
-        raise ValueError(f"exact counting supports k <= 4, got k={exps.k}")
-    Xf = float(X)
-    if not math.isfinite(Xf):
-        raise ValueError(f"X must be finite, got {X}")
+        raise InvalidInput(f"exact counting supports k <= 4, got k={exps.k}")
+    Xf = _finite_X(X)
     if Xf * _INCLUSION_GUARD < 1.0:
         return CountResult(0, Xf, exps, ordered=False)
     _budget_or_raise(exps, Xf, strict=False)
+    _coordinate_limit_or_raise(Xf, exps.pi_star, None)
     if exps.k >= 3 and all(a == 1.0 for a in exps.values):
         count = _count_ones(_max_coordinate(Xf, 1.0), exps.k)
     else:
@@ -280,15 +308,14 @@ def count_ordered(X: float, exponents, bound_v: int | None = None) -> CountResul
     """
     exps = _as_exponents(exponents)
     if exps.k > 4:
-        raise ValueError(f"exact counting supports k <= 4, got k={exps.k}")
+        raise InvalidInput(f"exact counting supports k <= 4, got k={exps.k}")
     if bound_v is not None and bound_v < 1:
-        raise ValueError(f"bound_v must be >= 1, got {bound_v}")
-    Xf = float(X)
-    if not math.isfinite(Xf):
-        raise ValueError(f"X must be finite, got {X}")
+        raise InvalidInput(f"bound_v must be >= 1, got {bound_v}")
+    Xf = _finite_X(X)
     if Xf * _INCLUSION_GUARD < 1.0:
         return CountResult(0, Xf, exps, ordered=True, bound_v=bound_v)
     _budget_or_raise(exps, Xf, strict=True)
+    _coordinate_limit_or_raise(Xf, exps.values[-1], bound_v)
     count = _count_general(exps.values, Xf, 1.0, 1, strict=True, bound=bound_v)
     return CountResult(count, Xf, exps, ordered=True, bound_v=bound_v)
 
@@ -313,7 +340,7 @@ def zeta(s: float) -> float:
     """
     s = float(s)
     if not s > 1.0 + 1e-6:
-        raise ValueError(f"zeta(s) requires s > 1 + 1e-6, got {s}")
+        raise InvalidInput(f"zeta(s) requires s > 1 + 1e-6, got {s}")
     N = _ZETA_N
     out = sum(n ** -s for n in range(1, N))
     out += N ** (1.0 - s) / (s - 1.0) + 0.5 * N**-s
@@ -326,11 +353,28 @@ def zeta(s: float) -> float:
     return out
 
 
+def _asymptotic_X(X) -> float:
+    Xf = _finite_X(X)
+    if Xf <= 1.0:
+        raise InvalidInput(f"asymptotic defined for X > 1, got {X}")
+    return Xf
+
+
+def _leading_term(const: float, X: float, a: float, log_power: int) -> float:
+    """const * X^(1/a) * (log X)^log_power, refused when it leaves float range."""
+    try:
+        out = const * X ** (1.0 / a) * math.log(X) ** log_power
+    except OverflowError:
+        out = math.inf
+    if not out < math.inf:
+        raise InvalidInput(f"asymptotic at X = {X!r} with exponent {a!r} exceeds float range")
+    return out
+
+
 def asymptotic_unordered(X: float, exponents) -> float:
     """Leading-order value of the unordered count A_k(X) as X grows."""
     exps = _as_exponents(exponents)
-    if X <= 1.0:
-        raise ValueError(f"asymptotic defined for X > 1, got {X}")
+    X = _asymptotic_X(X)
     a_star = exps.pi_star
     m = exps.multiplicity
     const = a_star ** (1.0 - m) / math.exp(math.lgamma(m))
@@ -338,7 +382,7 @@ def asymptotic_unordered(X: float, exponents) -> float:
     for a in exps.values:
         if not math.isclose(a, a_star, rel_tol=_EQ_RTOL):
             zprod *= zeta(a / a_star)
-    return const * zprod * X ** (1.0 / a_star) * math.log(X) ** (m - 1)
+    return _leading_term(const * zprod, X, a_star, m - 1)
 
 
 def ordered_shape(exponents) -> OrderedShape:
@@ -365,15 +409,14 @@ def asymptotic_ordered_equal(X: float, pi_common: float, k: int) -> float:
 
     N(X) ~ a^(1-k) / (Gamma(k) Gamma(k+1)) * X^(1/a) * (log X)^(k-1).
     """
-    if X <= 1.0:
-        raise ValueError(f"asymptotic defined for X > 1, got {X}")
+    X = _asymptotic_X(X)
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise InvalidInput(f"k must be >= 1, got {k}")
     a = float(pi_common)
-    if a <= 0:
-        raise ValueError(f"exponent must be positive, got {a}")
+    if not (a > 0 and math.isfinite(a)):
+        raise InvalidInput(f"exponent must be positive and finite, got {a}")
     const = a ** (1.0 - k) / math.exp(math.lgamma(k) + math.lgamma(k + 1))
-    return const * X ** (1.0 / a) * math.log(X) ** (k - 1)
+    return _leading_term(const, X, a, k - 1)
 
 
 def _invert_increasing(f, targets, lo: float, hi: float, rel_tol: float, max_iter: int):
@@ -416,14 +459,14 @@ def invert_count_equal(
     `_invert_increasing`, the bisection that also inverts the theory curves.
     """
     if N < 3:
-        raise ValueError(f"N >= 3 required, got {N}")
+        raise InvalidInput(f"N >= 3 required, got {N}")
     a = float(pi_common)
     f = np.vectorize(lambda x: asymptotic_ordered_equal(x, a, k))
     seed = (N / math.log(N) ** (k - 1)) ** a
     lo = max(math.e, seed / 4.0)
     while f(lo) > N:
         if lo <= math.e:
-            raise ValueError(f"no solution with X > e: N={N} below the asymptotic at X=e")
+            raise InvalidInput(f"no solution with X > e: N={N} below the asymptotic at X=e")
         lo = max(math.e, lo / 4.0)
     hi = max(2.0 * lo, seed * 4.0)
     return float(_invert_increasing(f, [N], lo, hi, rel_tol, max_iter)[0])

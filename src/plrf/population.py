@@ -23,6 +23,7 @@ import numpy as np
 
 from . import lattice
 from .combinatorics import Composition, _as_composition
+from .errors import InvalidInput
 
 __all__ = [
     "PowerLawSpectrum",
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 _TIE_GUARD = 1.0 - 1e-12  # values this close to the threshold count as above
+_TINY = np.finfo(float).tiny  # smallest normal float; eps_j below it has underflowed
 MAX_TUPLE_LENGTH = 4
 MAX_TOP_K = 10**7
 
@@ -51,19 +53,24 @@ class PowerLawSpectrum:
 
     def __post_init__(self) -> None:
         if not self.alpha > 1.0:
-            raise ValueError(f"alpha > 1 required, got {self.alpha}")
+            raise InvalidInput(f"alpha > 1 required, got {self.alpha}")
         if self.v < 1:
-            raise ValueError(f"dimension v must be >= 1, got {self.v}")
+            raise InvalidInput(f"dimension v must be >= 1, got {self.v}")
         if self.eigenvalues is None:
             eig = np.arange(1, self.v + 1, dtype=float) ** -self.alpha
         else:
             eig = np.array(self.eigenvalues, dtype=float)
             if eig.shape != (self.v,):
-                raise ValueError(f"expected {self.v} eigenvalues, got shape {eig.shape}")
-            if not np.all(eig > 0):
-                raise ValueError("eigenvalues must be strictly positive")
-            if np.any(np.diff(eig) > 0):
-                raise ValueError("eigenvalues must be nonincreasing")
+                raise InvalidInput(f"expected {self.v} eigenvalues, got shape {eig.shape}")
+        bad = np.flatnonzero(~((eig > 0) & (eig < np.inf)))
+        if bad.size:  # the default j^(-alpha) underflows to 0 for a large alpha
+            j, value = int(bad[0]) + 1, float(eig[bad[0]])
+            raise InvalidInput(
+                f"eigenvalues must be strictly positive and finite, got H_{j} = {value!r} "
+                f"(alpha = {self.alpha!r}, v = {self.v})"
+            )
+        if np.any(np.diff(eig) > 0):
+            raise InvalidInput("eigenvalues must be nonincreasing")
         eig.flags.writeable = False
         object.__setattr__(self, "eigenvalues", eig)
 
@@ -187,7 +194,7 @@ def hpi_count_above(H: PowerLawSpectrum, composition, eps: float) -> int:
     relative 1e-12 of eps count as above.
     """
     if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+        raise InvalidInput(f"eps must be positive, got {eps}")
     return _prefix_search(H, _as_composition(composition), eps, emit=False)
 
 
@@ -202,12 +209,12 @@ def hpi_top_k(H: PowerLawSpectrum, composition, k: int) -> TopTuples:
     """
     comp = _as_composition(composition)
     if not 1 <= k <= MAX_TOP_K:
-        raise ValueError(f"k must lie in [1, {MAX_TOP_K}], got {k}")
+        raise InvalidInput(f"k must lie in [1, {MAX_TOP_K}], got {k}")
     l = comp.length
     if l > MAX_TUPLE_LENGTH:
-        raise ValueError(f"composition length <= {MAX_TUPLE_LENGTH} supported, got {l}")
+        raise InvalidInput(f"composition length <= {MAX_TUPLE_LENGTH} supported, got {l}")
     if l > H.v:
-        raise ValueError(f"need v >= {l} base entries, got v={H.v}")
+        raise InvalidInput(f"need v >= {l} base entries, got v={H.v}")
     total = math.comb(H.v, l)
     k_eff = min(k, total)
 
@@ -248,7 +255,7 @@ def hpi_top_k(H: PowerLawSpectrum, composition, k: int) -> TopTuples:
 def envelope(j: int, alpha: float, p: int) -> float:
     """Eigenvalue envelope (log^(p-1)(j+1) / j)^alpha."""
     if j < 1:
-        raise ValueError(f"index j must be >= 1, got {j}")
+        raise InvalidInput(f"index j must be >= 1, got {j}")
     return float((math.log(j + 1.0) ** (p - 1) / j) ** alpha)
 
 
@@ -275,7 +282,7 @@ class CountingCurve:
     def evaluate(self, u):
         """N(u) at a float u or elementwise over an array of u."""
         if not np.all(u > 0):
-            raise ValueError(f"curve defined for u > 0, got {u}")
+            raise InvalidInput(f"curve defined for u > 0, got {u}")
         return self.principal_weight * u * np.log(u) ** (self.p - 1) + self.b_theory * u
 
 
@@ -285,10 +292,12 @@ def theory_curve(p: int, alpha: float) -> CountingCurve:
     p=1: N(u) = u.  p=2: N(u) = u log(u) / 2 with no linear correction.
     p=3: N(u) = u log^2(u) / 12 + b u with b = zeta(2)/2^(1/alpha) + 4^(-1/alpha);
     the diagonal O(u^(1/3)) term is recorded with kind "diagonal" and dropped.
-    Like PowerLawSpectrum, the curves assume alpha > 1.
+    Like PowerLawSpectrum, the curves assume alpha > 1; alpha must be finite.
     """
     if not alpha > 1.0:
-        raise ValueError(f"alpha > 1 required, got {alpha}")
+        raise InvalidInput(f"alpha > 1 required, got {alpha}")
+    if not math.isfinite(alpha):
+        raise InvalidInput(f"alpha must be finite, got {alpha}")
     if p == 1:
         return CountingCurve(1, alpha, 1.0, (), 1.0)
     if p == 2:
@@ -300,7 +309,7 @@ def theory_curve(p: int, alpha: float) -> CountingCurve:
             (6.0 ** (-1.0 / (3.0 * alpha)), (3,), "diagonal"),
         )
         return CountingCurve(3, alpha, 1.0 / 12.0, sub, 36.0)
-    raise ValueError(f"theory curves are available for p in {{1, 2, 3}}, got p={p}")
+    raise InvalidInput(f"theory curves are available for p in {{1, 2, 3}}, got p={p}")
 
 
 def predicted_spectrum(curve: CountingCurve, C: float, j_range) -> np.ndarray:
@@ -308,24 +317,38 @@ def predicted_spectrum(curve: CountingCurve, C: float, j_range) -> np.ndarray:
 
     `j_range` is an iterable of indices in [1, 1e7].  All u_j are solved by one
     masked bisection to |N(u_j) - j| <= 1e-8 j (closed form for p=1); the
-    output is strictly decreasing.
+    output is strictly decreasing.  C and alpha must be finite, and an eps_j
+    outside the normal float range (below 2.2e-308 or infinite) is refused
+    naming the first j affected.
     """
     if not C > 0:
-        raise ValueError(f"scale C must be positive, got {C}")
+        raise InvalidInput(f"scale C must be positive, got {C}")
+    if not math.isfinite(C):
+        raise InvalidInput(f"scale C must be finite, got {C}")
+    if not math.isfinite(curve.alpha):
+        raise InvalidInput(f"alpha must be finite, got {curve.alpha}")
     js = np.fromiter(map(int, j_range), dtype=float)
     if not js.size:
         return np.empty(0)
     if js.min() < 1 or js.max() > 10**7:
-        raise ValueError("indices must lie within [1, 1e7]")
+        raise InvalidInput("indices must lie within [1, 1e7]")
     if np.any(np.diff(js) <= 0):
-        raise ValueError("j_range must be strictly increasing")
+        raise InvalidInput("j_range must be strictly increasing")
 
     if curve.p == 1:
         us = js
     else:
         lo = 1.0 if curve.p == 2 else 1e-9
         us = lattice._invert_increasing(curve.evaluate, js, lo, 4.0, 1e-8, 200)
-    out = C * us ** -curve.alpha
-    if np.any(np.diff(out) >= 0):
+    with np.errstate(over="ignore"):
+        out = C * us ** -curve.alpha
+    bad = np.flatnonzero((out < _TINY) | (out == np.inf))
+    if bad.size:
+        j, eps = int(js[bad[0]]), out[bad[0]]
+        raise InvalidInput(
+            f"eps_j = C u_j^(-alpha) {'underflows' if eps < _TINY else 'overflows'} float range "
+            f"from j = {j} (C = {C!r}, alpha = {curve.alpha!r}, p = {curve.p})"
+        )
+    if not np.all(np.diff(out) < 0):  # also fails on NaN
         raise RuntimeError("predicted spectrum is not strictly decreasing")
     return out

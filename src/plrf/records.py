@@ -7,6 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import InvalidInput
 from .spectral import SlopeFit
 
 __all__ = ["SpectrumEstimate", "RunSummary"]
@@ -26,7 +27,7 @@ class SpectrumEstimate:
     def __post_init__(self) -> None:
         eig = np.array(self.eigenvalues, dtype=float)
         if eig.ndim != 1:
-            raise ValueError(f"eigenvalues must be a vector, got shape {eig.shape}")
+            raise InvalidInput(f"eigenvalues must be a vector, got shape {eig.shape}")
         eig.flags.writeable = False
         object.__setattr__(self, "eigenvalues", eig)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))

@@ -24,7 +24,14 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .combinatorics import _as_composition, hermite_value, pairing_class_counts, wick_product_value
+from .combinatorics import (
+    HERMITE_DEGREE_CAP,
+    _as_composition,
+    hermite_value,
+    pairing_class_counts,
+    wick_product_value,
+)
+from .errors import InvalidInput
 from .population import PowerLawSpectrum
 from .records import SpectrumEstimate
 from .spectral import SlopeFit, clamped_slope_fit, gram_spectrum, sym_eigenvalues
@@ -52,6 +59,8 @@ _BLOCK = 8192
 _DENSE_FEATURE_CAP = 5 * 10**7  # materialise the feature matrix below this m*d
 MAX_SKETCH_ENTRIES = 10**9
 MAX_LAYER_WIDTH = 4096
+MIN_MC_SAMPLES = 100  # RFConfig.m
+MAX_EXACT_DEGREE = 6  # exact_population_covariance's p
 
 
 def _int_power(y: np.ndarray, p: int) -> np.ndarray:
@@ -66,7 +75,7 @@ def _int_power(y: np.ndarray, p: int) -> np.ndarray:
     stays within (p - 1) units of 2**-53 to first order.
     """
     if p < 1:
-        raise ValueError(f"need an exponent p >= 1, got {p}")
+        raise InvalidInput(f"need an exponent p >= 1, got {p}")
     out = y.copy() if p == 1 else y * y
     for k, bit in enumerate(bin(p)[3:]):
         if k:
@@ -77,6 +86,8 @@ def _int_power(y: np.ndarray, p: int) -> np.ndarray:
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -97,24 +108,28 @@ class Activation:
     def __post_init__(self) -> None:
         if self.kind in self._PARAMETRIC:
             if self.param is None:
-                raise ValueError(f"activation {self.kind!r} needs a degree parameter")
+                raise InvalidInput(f"activation {self.kind!r} needs a degree parameter")
             p = int(self.param)
             if self.kind == "monomial" and p < 1:
-                raise ValueError(f"monomial degree must be >= 1, got {p}")
-            if self.kind == "hermite" and not 0 <= p <= 64:
-                raise ValueError(f"hermite degree must lie in [0, 64], got {p}")
+                raise InvalidInput(f"monomial degree must be >= 1, got {p}")
+            if self.kind == "hermite" and not 0 <= p <= HERMITE_DEGREE_CAP:
+                raise InvalidInput(f"hermite degree must lie in [0, {HERMITE_DEGREE_CAP}], got {p}")
             object.__setattr__(self, "param", p)
         elif self.kind in self._PLAIN:
             if self.param is not None:
-                raise ValueError(f"activation {self.kind!r} takes no parameter")
+                raise InvalidInput(f"activation {self.kind!r} takes no parameter")
         else:
-            raise ValueError(f"unknown activation kind {self.kind!r}")
+            raise InvalidInput(f"unknown activation kind {self.kind!r}")
 
     @classmethod
     def parse(cls, text: str) -> "Activation":
         """Parse 'monomial:2', 'hermite:3', or a plain kind like 'tanh'."""
         kind, _, param = text.partition(":")
-        return cls(kind.strip(), int(param) if param else None)
+        try:
+            degree = int(param) if param else None
+        except ValueError:
+            raise InvalidInput(f"bad activation {text!r}: degree must be an integer") from None
+        return cls(kind.strip(), degree)
 
     @property
     def label(self) -> str:
@@ -151,17 +166,17 @@ class DataDistribution:
 
     def __post_init__(self) -> None:
         if self.kind == "student_t":
-            if self.df is None or not self.df > 4:
-                raise ValueError(f"student_t needs df > 4, got {self.df}")
+            if self.df is None or not 4 < self.df < math.inf:
+                raise InvalidInput(f"student_t needs a finite df > 4, got {self.df}")
         elif self.kind == "external":
             if self.matrix is None:
-                raise ValueError("external distribution needs a data matrix")
+                raise InvalidInput("external distribution needs a data matrix")
             mat = np.asarray(self.matrix, dtype=float)
             if mat.ndim != 2:
-                raise ValueError(f"external matrix must be 2-D, got shape {mat.shape}")
+                raise InvalidInput(f"external matrix must be 2-D, got shape {mat.shape}")
             object.__setattr__(self, "matrix", mat)
         elif self.kind not in ("gaussian", "rademacher"):
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
+            raise InvalidInput(f"unknown distribution kind {self.kind!r}")
 
     @property
     def label(self) -> str:
@@ -177,7 +192,7 @@ class DataDistribution:
             return rng.integers(0, 2, size=(n, v)).astype(float) * 2.0 - 1.0
         if self.kind == "student_t":
             return rng.standard_t(self.df, size=(n, v)) * math.sqrt((self.df - 2.0) / self.df)
-        raise ValueError("external distributions provide samples, not unit draws")
+        raise InvalidInput("external distributions provide samples, not unit draws")
 
 
 @dataclass(frozen=True)
@@ -199,11 +214,11 @@ class RFConfig:
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         object.__setattr__(self, "alpha", float(self.alpha))
         if self.d < 1 or self.v < self.d:
-            raise ValueError(f"need v >= d >= 1, got v={self.v}, d={self.d}")
-        if self.m < 100:
-            raise ValueError(f"need m >= 100 Monte Carlo samples, got {self.m}")
+            raise InvalidInput(f"need v >= d >= 1, got v={self.v}, d={self.d}")
+        if self.m < MIN_MC_SAMPLES:
+            raise InvalidInput(f"need m >= {MIN_MC_SAMPLES} Monte Carlo samples, got {self.m}")
         if not self.alpha > 1.0:
-            raise ValueError(f"alpha > 1 required, got {self.alpha}")
+            raise InvalidInput(f"alpha > 1 required, got {self.alpha}")
 
     @property
     def feature_scale(self) -> float:
@@ -221,17 +236,17 @@ class LayerSpec:
 
     def __post_init__(self) -> None:
         if not 1 <= self.width <= MAX_LAYER_WIDTH:
-            raise ValueError(f"width must lie in [1, {MAX_LAYER_WIDTH}], got {self.width}")
+            raise InvalidInput(f"width must lie in [1, {MAX_LAYER_WIDTH}], got {self.width}")
         if self.normalization not in ("none", "rmsnorm", "layernorm"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
+            raise InvalidInput(f"unknown normalization {self.normalization!r}")
 
 
 def sample_sketch(v: int, d: int, seed: int) -> np.ndarray:
     """v x d matrix of iid N(0,1) entries, bit-reproducible for a fixed seed."""
     if v < 1 or d < 1:
-        raise ValueError(f"dimensions must be positive, got {v} x {d}")
+        raise InvalidInput(f"dimensions must be positive, got {v} x {d}")
     if v * d > MAX_SKETCH_ENTRIES:
-        raise ValueError(f"{v} x {d} exceeds the {MAX_SKETCH_ENTRIES:.0e}-entry cap")
+        raise InvalidInput(f"{v} x {d} exceeds the {MAX_SKETCH_ENTRIES:.0e}-entry cap")
     return _stream(seed, _SKETCH).standard_normal((v, d))
 
 
@@ -246,7 +261,7 @@ def _feature_block(cfg: RFConfig, W: np.ndarray, block: int, lo: int, hi: int) -
         F = cfg.activation.apply(Y)
     if not np.all(np.isfinite(F)):
         bad = int(np.flatnonzero(~np.isfinite(F).all(axis=1))[0])
-        raise ValueError(
+        raise InvalidInput(
             f"non-finite feature at sample index {lo + bad} "
             f"(activation {cfg.activation.label}, distribution {cfg.distribution.label})"
         )
@@ -281,12 +296,12 @@ def _sample_blocks(cfg: RFConfig, threads: int, per_block) -> Iterator:
     `threads`.  Validation runs at call time, before any block is sampled.
     """
     if threads < 1:
-        raise ValueError(f"need threads >= 1, got {threads}")
+        raise InvalidInput(f"need threads >= 1, got {threads}")
     W = sample_sketch(cfg.v, cfg.d, cfg.seed)  # a fresh array, so it may be scaled in place
     if cfg.distribution.kind == "external":
         mat = cfg.distribution.matrix
         if mat.shape[0] < cfg.m or mat.shape[1] != cfg.v:
-            raise ValueError(
+            raise InvalidInput(
                 f"external data {mat.shape} cannot supply m={cfg.m} samples of dim v={cfg.v}"
             )
     else:  # x = H^(1/2) u, so W'x = (H^(1/2) W)'u: the sketch carries H^(1/2)
@@ -365,14 +380,14 @@ def exact_population_covariance(W, H: PowerLawSpectrum, p: int) -> np.ndarray:
     """
     Wm = np.asarray(W, dtype=float)
     if Wm.ndim != 2:
-        raise ValueError(f"sketch must be 2-D, got shape {Wm.shape}")
+        raise InvalidInput(f"sketch must be 2-D, got shape {Wm.shape}")
     v, d = Wm.shape
     if v != H.v:
-        raise ValueError(f"sketch rows {v} != spectrum dimension {H.v}")
-    if p > 6:
-        raise ValueError(f"exact kernel supports p <= 6, got {p}")
+        raise InvalidInput(f"sketch rows {v} != spectrum dimension {H.v}")
+    if p > MAX_EXACT_DEGREE:
+        raise InvalidInput(f"exact kernel supports p <= {MAX_EXACT_DEGREE}, got {p}")
     if d > 2000:
-        raise ValueError(f"exact kernel supports d <= 2000, got {d}")
+        raise InvalidInput(f"exact kernel supports d <= 2000, got {d}")
     Y = np.sqrt(H.eigenvalues)[:, None] * Wm
     G = Y.T @ Y
     nrm = np.diag(G).copy()
@@ -410,11 +425,11 @@ def iterated_sketch(
     """
     dims = [int(d) for d in dims]
     if not dims:
-        raise ValueError("need at least one sketch dimension")
+        raise InvalidInput("need at least one sketch dimension")
     if dims[0] > H.v:
-        raise ValueError(f"first sketch dim {dims[0]} exceeds v={H.v}")
+        raise InvalidInput(f"first sketch dim {dims[0]} exceeds v={H.v}")
     if any(b > a for a, b in zip(dims, dims[1:])):
-        raise ValueError(f"dims must be nonincreasing, got {dims}")
+        raise InvalidInput(f"dims must be nonincreasing, got {dims}")
     out = [
         SpectrumEstimate(
             eigenvalues=H.eigenvalues,
@@ -429,7 +444,7 @@ def iterated_sketch(
     for t, dt in enumerate(dims):
         if identity_sketch:
             if dt != prev:
-                raise ValueError("identity sketch needs square stages")
+                raise InvalidInput("identity sketch needs square stages")
             Wt = math.sqrt(dt) * np.eye(prev)
         else:
             Wt = _stream(seed, _STAGE, t).standard_normal((prev, dt))
@@ -453,7 +468,7 @@ def iterated_sketch(
 
 
 def _normalize_rows(A: np.ndarray, mode: str, layer: int) -> np.ndarray:
-    """Per-row rmsnorm or layernorm; a row it would divide by zero raises ValueError."""
+    """Per-row rmsnorm or layernorm; a row it would divide by zero raises InvalidInput."""
     if mode == "none":
         return A
     if mode == "rmsnorm":
@@ -465,7 +480,7 @@ def _normalize_rows(A: np.ndarray, mode: str, layer: int) -> np.ndarray:
         degenerate, kind = (scale[:, 0] == 0) | (np.ptp(A, axis=1) == 0), "constant"
     rows = np.flatnonzero(degenerate)
     if rows.size:
-        raise ValueError(f"layer {layer}: {mode} cannot normalize row {rows[0]}, which is {kind}")
+        raise InvalidInput(f"layer {layer}: {mode} cannot normalize row {rows[0]}, which is {kind}")
     return A / scale if mode == "rmsnorm" else (A - mu) / scale
 
 
@@ -481,7 +496,7 @@ def propagate_layers(
     """
     cur = np.asarray(X, dtype=float)
     if cur.ndim != 2 or cur.shape[0] < 1:
-        raise ValueError(f"data must be n x v with n >= 1, got shape {cur.shape}")
+        raise InvalidInput(f"data must be n x v with n >= 1, got shape {cur.shape}")
     n = cur.shape[0]
     out: list[tuple[SpectrumEstimate, SlopeFit]] = []
     for t, layer in enumerate(layers):
@@ -490,13 +505,13 @@ def propagate_layers(
         A = layer.activation.apply(cur @ Wt / math.sqrt(fan_in))
         A = _normalize_rows(A, layer.normalization, t + 1)
         if not np.all(np.isfinite(A)):
-            raise ValueError(f"non-finite activations at layer {t + 1}")
+            raise InvalidInput(f"non-finite activations at layer {t + 1}")
         centered = A - A.mean(axis=0)
         eig = gram_spectrum(centered, 1.0 / n)
         try:
             fit = clamped_slope_fit(eig, *fit_range, owner="the layer's")
-        except ValueError as exc:
-            raise ValueError(f"layer {t + 1}: {exc}") from None
+        except InvalidInput as exc:
+            raise InvalidInput(f"layer {t + 1}: {exc}") from None
         est = SpectrumEstimate(
             eigenvalues=eig,
             dims=(fan_in, layer.width),
@@ -519,11 +534,11 @@ def head_concentration(v: int, d: int, k_star: int, seed: int) -> float:
     head spectrum transfers two-sidedly).
     """
     if not 1 <= k_star <= v:
-        raise ValueError(f"k_star must lie in [1, {v}], got {k_star}")
+        raise InvalidInput(f"k_star must lie in [1, {v}], got {k_star}")
     if d < 1:
-        raise ValueError(f"sketch dimension must be positive, got {d}")
+        raise InvalidInput(f"sketch dimension must be positive, got {d}")
     if k_star * d > MAX_SKETCH_ENTRIES:
-        raise ValueError(f"{k_star} x {d} exceeds the {MAX_SKETCH_ENTRIES:.0e}-entry cap")
+        raise InvalidInput(f"{k_star} x {d} exceeds the {MAX_SKETCH_ENTRIES:.0e}-entry cap")
     W0 = _stream(seed, _SKETCH).standard_normal((k_star, d))  # the sketch's leading rows
     A = W0 @ W0.T / d - np.eye(k_star)
     return float(np.max(np.abs(np.linalg.eigvalsh(A))))
@@ -543,7 +558,7 @@ def wick_empirical_moments(composition, m: int, seed: int) -> WickMoments:
     against the same product on a shifted coordinate tuple (target: 0).
     """
     if m < 10**4:
-        raise ValueError(f"need m >= 1e4 draws, got {m}")
+        raise InvalidInput(f"need m >= 1e4 draws, got {m}")
     comp = _as_composition(composition)
     l = comp.length
     g = _stream(seed, _WICK).standard_normal((m, l + 1))

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInput
+
 __all__ = [
     "SlopeFit",
     "sym_eigenvalues",
@@ -41,16 +43,16 @@ def sym_eigenvalues(M) -> np.ndarray:
     """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+        raise InvalidInput(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
     if n > MAX_EIG_DIM:
-        raise ValueError(f"dimension {n} exceeds the cap of {MAX_EIG_DIM}")
+        raise InvalidInput(f"dimension {n} exceeds the cap of {MAX_EIG_DIM}")
     if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
+        raise InvalidInput("matrix has non-finite entries")
     fro = float(np.linalg.norm(A))
     skew = float(np.max(np.abs(A - A.T))) if n > 0 else 0.0
     if skew > _SYM_RTOL * max(fro, np.finfo(float).tiny):
-        raise ValueError(f"asymmetry {skew:.3e} exceeds tolerance {_SYM_RTOL * fro:.3e}")
+        raise InvalidInput(f"asymmetry {skew:.3e} exceeds tolerance {_SYM_RTOL * fro:.3e}")
     return np.linalg.eigvalsh(A)[::-1]
 
 
@@ -63,9 +65,9 @@ def gram_spectrum(F, scale: float) -> np.ndarray:
     """
     A = np.asarray(F, dtype=float)
     if A.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {A.shape}")
+        raise InvalidInput(f"expected a 2-D matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
+        raise InvalidInput("matrix has non-finite entries")
     m, d = A.shape
     G = A.T @ A if d <= m else A @ A.T
     G = (G + G.T) * (0.5 * scale)
@@ -81,15 +83,15 @@ def slope_fit(eigs, j_min: int = 1, j_max: int = 100) -> SlopeFit:
     """
     lam = np.asarray(eigs, dtype=float)
     if lam.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {lam.shape}")
+        raise InvalidInput(f"expected a vector, got shape {lam.shape}")
     if not 1 <= j_min <= j_max <= lam.size:
-        raise ValueError(f"fit range [{j_min}, {j_max}] invalid for {lam.size} eigenvalues")
+        raise InvalidInput(f"fit range [{j_min}, {j_max}] invalid for {lam.size} eigenvalues")
     j = np.arange(j_min, j_max + 1)
     vals = lam[j_min - 1 : j_max]
     mask = vals > _EIG_FLOOR
     used = int(np.count_nonzero(mask))
     if used < 10:
-        raise ValueError(f"only {used} usable points in [{j_min}, {j_max}]; need >= 10")
+        raise InvalidInput(f"only {used} usable points in [{j_min}, {j_max}]; need >= 10")
     x = np.log(j[mask].astype(float))
     y = np.log(vals[mask])
     design = np.column_stack([x, np.ones_like(x)])
@@ -106,24 +108,24 @@ def clamped_slope_fit(eigs, j_min: int, j_max: int, owner: str = "the spectrum's
     """`slope_fit` over j_min..min(j_max, size); errors name the requested range.
 
     A range that starts past the spectrum, or a fit the clamp leaves short,
-    raises ValueError naming the requested range, the clamp and the size.
+    raises InvalidInput naming the requested range, the clamp and the size.
     """
     size = np.asarray(eigs).size
     if j_min > size:
-        raise ValueError(f"fit range {j_min}..{j_max} starts past {owner} {size} eigenvalues")
+        raise InvalidInput(f"fit range {j_min}..{j_max} starts past {owner} {size} eigenvalues")
     try:
         return slope_fit(eigs, j_min, min(j_max, size))
-    except ValueError as exc:
+    except InvalidInput as exc:
         if j_max <= size:
             raise
-        raise ValueError(f"fit range {j_min}..{j_max} clamped to {owner} {size} eigenvalues: {exc}") from None
+        raise InvalidInput(f"fit range {j_min}..{j_max} clamped to {owner} {size} eigenvalues: {exc}") from None
 
 
 def normalize_top(eigs) -> np.ndarray:
     """Spectrum divided by its leading eigenvalue; first entry is exactly 1."""
     lam = np.asarray(eigs, dtype=float)
     if lam.size == 0:
-        raise ValueError("empty spectrum")
+        raise InvalidInput("empty spectrum")
     if not lam[0] > 0:
-        raise ValueError(f"leading eigenvalue must be positive, got {lam[0]}")
+        raise InvalidInput(f"leading eigenvalue must be positive, got {lam[0]}")
     return lam / lam[0]

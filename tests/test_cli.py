@@ -4,8 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from plrf import cli, lattice, selfcheck, simulate
-from plrf.data import read_cifar10, read_run_summary, read_spectrum_csv, write_run_summary
+import plrf
+from plrf import cli, lattice, population, selfcheck, simulate
+from plrf.data import (
+    SchemaError,
+    read_cifar10,
+    read_run_summary,
+    read_spectrum_csv,
+    write_run_summary,
+)
 
 
 def run_cli(capsys, *argv):
@@ -705,3 +712,57 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# exit codes: 2 for plrf.InvalidInput, 1 for any other exception
+
+
+def test_invalid_input_is_the_one_exit_2_type():
+    assert issubclass(plrf.InvalidInput, ValueError)
+    assert issubclass(lattice.BudgetExceededError, plrf.InvalidInput)
+    assert issubclass(SchemaError, plrf.InvalidInput)
+
+
+def test_bare_value_error_is_an_internal_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(population, "predicted_spectrum", broken)
+    code, out, err = run_cli(capsys, "spectrum", "theory", "--j", "1..5")
+    assert (code, out, err) == (1, "", "internal error: boom\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "mc", "--v", "50", "--m", "200"],
+    ["layers", "--v", "32", "--n", "64", "--widths", "16"],
+])
+def test_activation_degree_not_an_integer_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--act", "monomial:x")
+    assert (code, out) == (2, "")
+    assert "bad activation 'monomial:x': degree must be an integer" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lattice", "asym", "--X", "nan", "--pi", "1,1"], "X must be finite, got nan"),
+    (["lattice", "asym", "--X", "inf", "--pi", "1,1"], "X must be finite, got inf"),
+    (["lattice", "count", "--X", "100", "--pi", "0.1"], "reaches 2^53"),
+    (["lattice", "count", "--X", "1e10", "--pi", "0.01"], "reaches 2^53"),
+    (["lattice", "asym", "--X", "1e308", "--pi", "0.01,1"], "exceeds float range"),
+    (["spectrum", "theory", "--C", "inf"], "scale C must be finite, got inf"),
+    (["spectrum", "theory", "--alpha", "inf"], "alpha must be finite, got inf"),
+    (["spectrum", "theory", "--p", "3", "--alpha", "400", "--j", "1..50"],
+     "underflows float range from j = 18"),
+    (["spectrum", "mc", "--alpha", "inf"], "got H_2 = 0.0 (alpha = inf"),
+    (["spectrum", "exact", "--alpha", "inf"], "got H_2 = 0.0 (alpha = inf"),
+    (["spectrum", "mc", "--act", "monomial:x"], "bad activation 'monomial:x'"),
+    (["spectrum", "exact", "--p", "2", "--v", "50", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["spectrum", "hpi", "--pi", "nan"], "--pi must be positive integers"),
+])
+def test_out_of_range_input_exits_2_at_once(tmp_path, capsys, within, argv, message):
+    record = tmp_path / "run.json"
+    with within(5.0):
+        code, out, err = run_cli(capsys, *argv, "--json-summary", str(record))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert not record.exists()

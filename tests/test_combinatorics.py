@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from plrf import InvalidInput
 from plrf import combinatorics as comb
 
 
@@ -385,6 +386,18 @@ def test_feynman_assignment_type():
     assert fa.count == 6
     with pytest.raises(ValueError):
         comb.FeynmanAssignment(comb.Composition((2,)), (2,))
+
+
+@pytest.mark.parametrize("eta, message", [
+    ((1,), "eta length 1 != composition length 2"),
+    ((2, 0), r"eta out of range: need 0 <= 2\*2 <= 2"),
+    ((0, -1), r"eta out of range: need 0 <= 2\*-1 <= 1"),
+])
+def test_feynman_count_and_assignment_share_the_eta_rule(eta, message):
+    with pytest.raises(InvalidInput, match=message):
+        comb.feynman_count((2, 1), eta)
+    with pytest.raises(InvalidInput, match=message):
+        comb.FeynmanAssignment(comb.Composition((2, 1)), eta)
 
 
 # ---------------------------------------------------------------------------

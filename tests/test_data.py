@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plrf import InvalidInput
 from plrf import data as dio
 from plrf.records import RunSummary, SpectrumEstimate
 from plrf.spectral import SlopeFit
@@ -212,6 +213,15 @@ def test_run_summary_identical_modulo_elapsed(tmp_path):
     l2 = [ln for ln in p2.read_text().splitlines() if '"elapsed_ms"' not in ln]
     assert l1 == l2
     assert p1.read_text() != p2.read_text()
+
+
+def test_run_summary_refuses_non_finite_floats(tmp_path):
+    # JSON has no NaN; one that slips past validation is an internal error, not a file
+    path = tmp_path / "nan.summary"
+    with pytest.raises(ValueError) as exc:
+        dio.write_run_summary(replace(_summary(), results={"asymptotic": float("nan")}), path)
+    assert not isinstance(exc.value, InvalidInput)
+    assert not path.exists()
 
 
 def test_run_summary_missing_field(tmp_path):

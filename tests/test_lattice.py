@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plrf import lattice
+from plrf import InvalidInput, lattice
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +258,28 @@ def test_count_input_validation():
         lattice.Exponents((1.0, -2.0))
 
 
+def test_count_stops_at_a_2_to_the_53_coordinate(within):
+    # past 2^53 floats skip integers, and the guard band alone is 1e-12 n / a steps
+    assert lattice.count_unordered(2.0**52, (1,)).count == 2**52
+    with within(5.0):
+        for X, pis in (
+            (2.0**53, (1,)), (100.0, (0.1,)), (1e6, (0.1,)), (1e6, (0.1, 1)), (1e10, (0.01,))
+        ):
+            with pytest.raises(InvalidInput, match=r"reaches 2\^53"):
+                lattice.count_unordered(X, pis)
+        with pytest.raises(InvalidInput, match=r"reaches 2\^53"):
+            lattice.count_ordered(1e6, (0.1,))
+        with pytest.raises(InvalidInput, match=r"reaches 2\^53"):
+            lattice.count_ordered(1e6, (0.1,), bound_v=2**53)
+
+
+def test_bounded_count_caps_coordinates_before_stepping(within):
+    with within(1.0):
+        assert lattice.count_ordered(1e6, (0.1,), bound_v=1000).count == 1000
+        assert lattice.count_ordered(1e10, (0.01,), bound_v=7).count == 7
+        assert lattice.count_ordered(1e6, (1, 0.1), bound_v=50).count == 50 * 49 // 2
+
+
 # ---------------------------------------------------------------------------
 # zeta
 
@@ -317,6 +339,24 @@ def test_asymptotic_matches_exact_at_large_X():
     exact = lattice.count_unordered(X, (1, 1)).count
     asym = lattice.asymptotic_unordered(X, (1, 1))
     assert 0.8 <= exact / asym <= 1.2
+
+
+@pytest.mark.parametrize("X", [math.nan, math.inf, -math.inf])
+def test_asymptotics_need_a_finite_X(X):
+    with pytest.raises(InvalidInput, match="X must be finite"):
+        lattice.asymptotic_unordered(X, (1, 1))
+    with pytest.raises(InvalidInput, match="X must be finite"):
+        lattice.asymptotic_ordered_equal(X, 1.0, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lattice.asymptotic_unordered(1e308, (0.01, 1)),  # X^(1/a) raises OverflowError
+    lambda: lattice.asymptotic_unordered(1e308, (1, 1)),  # the product rounds to inf
+    lambda: lattice.asymptotic_ordered_equal(1e308, 1.0, 3),
+])
+def test_asymptotics_refuse_float_overflow(call):
+    with pytest.raises(InvalidInput, match="exceeds float range"):
+        call()
 
 
 def test_ordered_shape_examples():

@@ -1,13 +1,14 @@
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plrf import lattice, population
+from plrf import InvalidInput, lattice, population
 from plrf.combinatorics import Composition, compositions
 from plrf.population import PowerLawSpectrum, TopTuples, TupleEigenvalue
 from plrf.selfcheck import _brute_top_k as brute_top_k
@@ -36,6 +37,17 @@ def test_spectrum_validation():
         PowerLawSpectrum(1.5, 3, np.array([1.0, 0.5, -0.1]))
     with pytest.raises(ValueError):
         PowerLawSpectrum(1.5, 3, np.array([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("alpha, eigenvalues, bad", [
+    (math.inf, None, "H_2 = 0.0"),  # the default j^(-alpha) underflows
+    (1e6, None, "H_2 = 0.0"),
+    (1.5, [math.inf, 1.0, 0.5], "H_1 = inf"),
+    (1.5, [1.0, math.nan, 0.5], "H_2 = nan"),
+])
+def test_spectrum_eigenvalues_must_be_positive_and_finite(alpha, eigenvalues, bad):
+    with pytest.raises(InvalidInput, match=f"strictly positive and finite, got {bad}"):
+        PowerLawSpectrum(alpha, 3, eigenvalues)
 
 
 def test_spectrum_is_immutable():
@@ -402,6 +414,32 @@ def test_predicted_spectrum_validation():
     with pytest.raises(ValueError):
         population.predicted_spectrum(curve, 1.0, [0, 1])
     assert population.predicted_spectrum(curve, 1.0, []).size == 0
+
+
+def test_theory_curves_need_finite_alpha_and_C():
+    with pytest.raises(InvalidInput, match="alpha must be finite, got inf"):
+        population.theory_curve(2, math.inf)
+    curve = population.theory_curve(2, 1.31)
+    with pytest.raises(InvalidInput, match="scale C must be finite, got inf"):
+        population.predicted_spectrum(curve, math.inf, range(1, 5))
+    with pytest.raises(InvalidInput, match="alpha must be finite, got inf"):
+        population.predicted_spectrum(replace(curve, alpha=math.inf), 1.0, range(1, 5))
+
+
+def test_predicted_spectrum_outside_float_range_names_the_first_j():
+    curve = population.theory_curve(3, 400.0)
+    with pytest.raises(InvalidInput, match="underflows float range from j = 18 "):
+        population.predicted_spectrum(curve, curve.scale, range(1, 51))
+    assert population.predicted_spectrum(curve, curve.scale, range(1, 18))[-1] > 0
+    # u_1 = 0.756 for p = 3, so C u_1^(-2) passes the largest float
+    with pytest.raises(InvalidInput, match="overflows float range from j = 1 "):
+        population.predicted_spectrum(population.theory_curve(3, 2.0), 1.7e308, range(1, 5))
+
+
+def test_predicted_spectrum_nan_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(lattice, "_invert_increasing", lambda f, t, *args: np.full(len(t), np.nan))
+    with pytest.raises(RuntimeError, match="not strictly decreasing"):
+        population.predicted_spectrum(population.theory_curve(2, 1.31), 2.0, range(1, 5))
 
 
 # bits of the scalar per-j bisection that the masked one replaced, recorded

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plrf import simulate, spectral
-from plrf.combinatorics import pairing_class_counts
+from plrf import InvalidInput, simulate, spectral
+from plrf.combinatorics import HERMITE_DEGREE_CAP, pairing_class_counts
 from plrf.population import PowerLawSpectrum
 from plrf.simulate import Activation, DataDistribution, LayerSpec, RFConfig
 
@@ -103,9 +103,36 @@ def test_activation_validation():
         Activation("tanh", 2)
 
 
+@pytest.mark.parametrize("text", ["monomial:x", "hermite:2.5", "monomial: "])
+def test_activation_parse_names_the_text(text):
+    with pytest.raises(InvalidInput, match=f"bad activation {text!r}: degree must be an integer"):
+        Activation.parse(text)
+
+
+def test_library_limits_are_named_once():
+    assert Activation("hermite", HERMITE_DEGREE_CAP).param == 64
+    with pytest.raises(InvalidInput, match=r"hermite degree must lie in \[0, 64\], got 65"):
+        Activation("hermite", 65)
+    cfg = dict(v=10, d=10, alpha=1.31, activation=Activation("monomial", 1))
+    RFConfig(m=simulate.MIN_MC_SAMPLES, **cfg)
+    with pytest.raises(InvalidInput, match="need m >= 100 Monte Carlo samples, got 99"):
+        RFConfig(m=99, **cfg)
+    W, H = simulate.sample_sketch(5, 3, 0), PowerLawSpectrum(1.31, 5)
+    assert simulate.exact_population_covariance(W, H, simulate.MAX_EXACT_DEGREE).shape == (3, 3)
+    with pytest.raises(InvalidInput, match="exact kernel supports p <= 6, got 7"):
+        simulate.exact_population_covariance(W, H, 7)
+
+
+def test_negative_seed_is_invalid_input():
+    with pytest.raises(InvalidInput, match="seed must be >= 0, got -1"):
+        simulate.sample_sketch(5, 3, -1)
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError):
         DataDistribution("student_t", df=4.0)  # needs df > 4
+    with pytest.raises(InvalidInput, match="student_t needs a finite df > 4, got inf"):
+        DataDistribution("student_t", df=math.inf)
     with pytest.raises(ValueError):
         DataDistribution("external")
     with pytest.raises(ValueError):
