@@ -269,6 +269,8 @@ def cmd_spectrum(args) -> int:
     if args.spectrum_cmd == "mc":
         if args.m < simulate.MIN_MC_SAMPLES:
             problems.append(f"m must be >= {simulate.MIN_MC_SAMPLES}, got {args.m}")
+        if args.threads is None:
+            args.threads = simulate.usable_cpu_count()
         if args.threads < 1:
             problems.append(f"threads must be >= 1, got {args.threads}")
         if args.data is not None and args.dist.partition(":")[0].strip() != "cifar10":
@@ -461,7 +463,8 @@ _SPECTRUM_FLAGS = {
     "data": {"type": str, "help": "dataset dir for --dist cifar10"},
     "fit": {"type": str, "default": "5..100", "help": "slope fit range"},
     "centered": {"action": "store_true", "help": "subtract the feature mean"},
-    "threads": {"type": int, "default": 1, "help": "threads for sample blocks; same output"},
+    "threads": {"type": int,
+                "help": "threads for sample blocks (default: the usable cpu count); same output"},
     "pi": {"type": str, "default": "1,1", "help": "composition, e.g. 1,1"},
     "k": {"type": int, "default": 1000, "help": "top-k size"},
     "j": {"type": str, "default": "1..1000", "help": "index range LO..HI"},

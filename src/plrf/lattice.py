@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -119,12 +120,42 @@ class CountResult:
     bound_v: int | None = None
 
 
+def _last_true(ok, n: int) -> int:
+    """Largest k >= 0 with ok(k), for a predicate true at 0 and monotone; n is a guess.
+
+    Gallops from the guess by doubling steps, then bisects, so a guess off
+    by D costs about 2 log2(D) evaluations; a right guess costs two.
+    """
+    if ok(n + 1):
+        lo, step = n + 1, 1  # ok(lo)
+        while ok(lo + step):
+            lo += step
+            step *= 2
+        hi = lo + step  # not ok(hi)
+    else:
+        hi, step = n + 1, 1  # not ok(hi)
+        while hi - step > 0 and not ok(hi - step):
+            hi -= step
+            step *= 2
+        lo = max(hi - step, 0)  # ok(lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _max_coordinate(x: float, power: float, cap: int | None = None) -> int:
     """Largest integer n >= 0 with n**power <= x, robust at float boundaries; at most `cap`.
 
     Integer exponents with integer-valued x are resolved exactly; otherwise a
     relative 1e-12 guard band rounds boundary ties toward inclusion.  An x
     clearly above cap**power returns `cap` at once, with no power of x taken.
+    A power past float range exceeds every x.  The search starts from
+    int(x ** (1/power)) and gallops, so it takes O(log) steps however far
+    rounding puts that guess.
     """
     if x * _INCLUSION_GUARD < 1.0:
         return 0
@@ -136,17 +167,29 @@ def _max_coordinate(x: float, power: float, cap: int | None = None) -> int:
     # below 2^53 a power past 53 leaves only n <= 1, which needs no exact integers
     if power == int(power) and power <= 53 and x < 2**53 and float(x).is_integer():
         p, xi = int(power), int(x)
-        while (n + 1) ** p <= xi:
-            n += 1
-        while n >= 1 and n**p > xi:
-            n -= 1
-        return n
+        if n**p <= xi < (n + 1) ** p:  # the usual case: the guess is right
+            return n
+        return _last_true(partial(_int_fits, p, xi), n)
     lim = x * _INCLUSION_GUARD
-    while (n + 1) ** power <= lim:
-        n += 1
-    while n >= 1 and n**power > lim:
-        n -= 1
-    return n
+    try:
+        if n**power <= lim < (n + 1) ** power:
+            return n
+    except OverflowError:  # (n + 1)**power is past float range; the search handles it
+        pass
+    return _last_true(partial(_float_fits, power, lim), n)
+
+
+# module-level predicates bound by `partial`: a closure in `_max_coordinate`
+# would turn its locals into cell variables and slow the usual case
+def _int_fits(p: int, xi: int, k: int) -> bool:
+    return k**p <= xi
+
+
+def _float_fits(power: float, lim: float, k: int) -> bool:
+    try:
+        return k**power <= lim
+    except OverflowError:  # past float range, so past lim
+        return False
 
 
 def _divisor_sum(X: int) -> int:
@@ -212,9 +255,12 @@ def _count_general(
     s = start
     s_cap = None if bound is None else (bound - len(rest) if strict else bound)
     while s_cap is None or s <= s_cap:
-        value = prefix * s**pi0
-        # best completion: remaining coords are >= s+1 (strict) or >= 1
-        completion = float(s + 1) ** rest_sum if strict else 1.0
+        try:
+            value = prefix * s**pi0
+            # best completion: remaining coords are >= s+1 (strict) or >= 1
+            completion = float(s + 1) ** rest_sum if strict else 1.0
+        except OverflowError:  # a power past float range exceeds X
+            break
         if value * completion > lim:
             break
         total += _count_general(rest, X, value, s + 1 if strict else 1, strict, bound)
@@ -222,7 +268,7 @@ def _count_general(
     return total
 
 
-def _budget_or_raise(exps: Exponents, X: float, strict: bool) -> None:
+def _budget_or_raise(exps: Exponents, X: float, strict: bool, bound_v: int | None = None) -> None:
     if exps.k == 1 or X <= 1.0:
         return
     logx = max(1.0, math.log(X))
@@ -233,6 +279,9 @@ def _budget_or_raise(exps: Exponents, X: float, strict: bool) -> None:
         fused = head[:-1] + (head[-1] + exps.values[-1],)
         shape = ordered_shape(fused)
         est = X**shape.theta_star * logx ** (shape.mu - 1)
+        if bound_v is not None:
+            # coordinates <= bound_v: at most C(bound_v, j) increasing prefixes of each length j < k
+            est = min(est, sum(math.comb(bound_v, j) for j in range(1, exps.k)))
     elif exps.k >= 3 and all(a == 1.0 for a in exps.values):
         # hyperbola kernels: about 1.5 X^(2/3) for the triple sum, and about
         # 5.4 X^(5/6) for triples over X // s_1
@@ -314,7 +363,7 @@ def count_ordered(X: float, exponents, bound_v: int | None = None) -> CountResul
     Xf = _finite_X(X)
     if Xf * _INCLUSION_GUARD < 1.0:
         return CountResult(0, Xf, exps, ordered=True, bound_v=bound_v)
-    _budget_or_raise(exps, Xf, strict=True)
+    _budget_or_raise(exps, Xf, strict=True, bound_v=bound_v)
     _coordinate_limit_or_raise(Xf, exps.values[-1], bound_v)
     count = _count_general(exps.values, Xf, 1.0, 1, strict=True, bound=bound_v)
     return CountResult(count, Xf, exps, ordered=True, bound_v=bound_v)

@@ -7,16 +7,25 @@ concentration/orthogonality diagnostics.  Monte Carlo features act(W'x) use
 W'x = (H^(1/2) W)'u: the sketch carries H^(1/2), so a sample block is one
 draw of u, one product and one activation.
 
+Monte Carlo samples are planned in blocks of `_BLOCK` = 4096 rows (the last
+one short), and the blocks run on a pool of worker threads, by default one
+per usable cpu.  A block writes its product straight into its destination
+(its rows of the feature matrix, or a fresh block x d array when the
+covariance is accumulated blockwise) and applies the activation there in
+place, so a worker holds one block x v draw and no block x d copy.
+
 Randomness is counter-based (Philox): every consumer derives its own stream
 from (seed, purpose, block), so block sampling is reproducible regardless of
 execution order and covariance accumulation is reduced in fixed block order.
-Identical (config, seed) therefore give bit-identical spectra.
+Identical (config, seed) therefore give bit-identical spectra for every
+thread count.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,6 +52,7 @@ __all__ = [
     "LayerSpec",
     "WickMoments",
     "sample_sketch",
+    "usable_cpu_count",
     "mc_covariance",
     "mc_covariance_matrix",
     "exact_population_covariance",
@@ -55,7 +65,7 @@ __all__ = [
 # stream purposes for derived generators; a changed key moves every draw made from it
 _SKETCH, _DATA, _STAGE, _LAYER, _WICK = 0, 1, 2, 3, 5
 
-_BLOCK = 8192
+_BLOCK = 4096  # Monte Carlo samples per block; m <= _BLOCK is one block
 _DENSE_FEATURE_CAP = 5 * 10**7  # materialise the feature matrix below this m*d
 MAX_SKETCH_ENTRIES = 10**9
 MAX_LAYER_WIDTH = 4096
@@ -63,26 +73,37 @@ MIN_MC_SAMPLES = 100  # RFConfig.m
 MAX_EXACT_DEGREE = 6  # exact_population_covariance's p
 
 
-def _int_power(y: np.ndarray, p: int) -> np.ndarray:
+def _int_power(y: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
     """y**p for an integer p >= 1 by left-to-right square-and-multiply.
 
     numpy's `**` with an integer exponent of 3 or more calls libm `pow` per
     element, about 20 times slower than multiplying.  Here each binary digit
     of p after the leading one is a squaring, plus one multiplication by y
-    when the digit is 1, done in place on a single output array.  So p = 1
-    is a copy, p = 2 is exactly y * y (what numpy's `**2` computes) and
-    p = 3 is (y * y) * y.  Every step rounds once, and the relative error
-    stays within (p - 1) units of 2**-53 to first order.
+    when the digit is 1.  So p = 1 is a copy, p = 2 is exactly y * y (what
+    numpy's `**2` computes) and p = 3 is (y * y) * y.  Every step rounds
+    once, and the relative error stays within (p - 1) units of 2**-53 to
+    first order.  The last step writes into `out` (a fresh array when None;
+    it may be y itself), so p >= 3 needs a single temporary.
     """
     if p < 1:
         raise InvalidInput(f"need an exponent p >= 1, got {p}")
-    out = y.copy() if p == 1 else y * y
+    if p == 1:
+        if out is None:
+            return y.copy()
+        np.copyto(out, y)
+        return out
+    steps: list[bool] = []  # True squares the accumulator, False multiplies it by y
     for k, bit in enumerate(bin(p)[3:]):
         if k:
-            out *= out
+            steps.append(True)
         if bit == "1":
-            out *= y
-    return out
+            steps.append(False)
+    if not steps:
+        return np.multiply(y, y, out=out)
+    acc = y * y
+    for square in steps[:-1]:
+        np.multiply(acc, acc if square else y, out=acc)
+    return np.multiply(acc, acc if steps[-1] else y, out=out)
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -135,20 +156,27 @@ class Activation:
     def label(self) -> str:
         return self.kind if self.param is None else f"{self.kind}:{self.param}"
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
+    def apply(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The activation of y, written into `out` when given (`out` may be y itself)."""
         if self.kind == "monomial":
-            return _int_power(y, self.param)
+            return _int_power(y, self.param, out)
         if self.kind == "relu":
-            return np.maximum(y, 0.0)
+            return np.maximum(y, 0.0, out=out)
         if self.kind == "tanh":
-            return np.tanh(y)
+            return np.tanh(y, out=out)
         if self.kind == "heaviside":
-            return np.heaviside(y, 0.5)
+            return np.heaviside(y, 0.5, out=out)
         if self.kind == "gauss_bump":
-            return y * y * np.exp(-(y * y))
+            sq = y * y
+            return np.multiply(sq, np.exp(-sq), out=out)
         if self.kind == "hermite":
-            return hermite_value(self.param, y)
-        return np.asarray(y, dtype=float)  # identity
+            value = hermite_value(self.param, y)
+        else:  # identity
+            value = np.asarray(y, dtype=float)
+        if out is None:
+            return value
+        out[...] = value
+        return out
 
 
 @dataclass(frozen=True)
@@ -250,22 +278,31 @@ def sample_sketch(v: int, d: int, seed: int) -> np.ndarray:
     return _stream(seed, _SKETCH).standard_normal((v, d))
 
 
-def _feature_block(cfg: RFConfig, W: np.ndarray, block: int, lo: int, hi: int) -> np.ndarray:
+def usable_cpu_count() -> int:
+    """How many cpus this process may run on: the default Monte Carlo thread count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _feature_block(cfg: RFConfig, W: np.ndarray, block: int, lo: int, out: np.ndarray) -> None:
+    """Features of samples lo .. lo + len(out), written into `out` in place."""
+    hi = lo + out.shape[0]
     if cfg.distribution.kind == "external":
         rows = cfg.distribution.matrix[lo:hi]
     else:
         rows = cfg.distribution.draw_unit(hi - lo, cfg.v, _stream(cfg.seed, _DATA, block))
-    Y = rows @ W
+    np.matmul(rows, W, out=out)
     del rows  # the v-wide draw goes before the activation
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
-        F = cfg.activation.apply(Y)
-    if not np.all(np.isfinite(F)):
-        bad = int(np.flatnonzero(~np.isfinite(F).all(axis=1))[0])
+        cfg.activation.apply(out, out=out)
+    if not np.all(np.isfinite(out)):
+        bad = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
         raise InvalidInput(
             f"non-finite feature at sample index {lo + bad} "
             f"(activation {cfg.activation.label}, distribution {cfg.distribution.label})"
         )
-    return F
 
 
 def _ordered_map(fn, items, threads: int) -> Iterator:
@@ -288,13 +325,19 @@ def _ordered_map(fn, items, threads: int) -> Iterator:
             yield pending.popleft().result()
 
 
-def _sample_blocks(cfg: RFConfig, threads: int, per_block) -> Iterator:
-    """per_block(lo, hi, F) for every sample block of features F, in block order.
+def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) -> Iterator:
+    """reduce(F) for the features F of every sample block, in block order.
 
-    Validates the config, draws the sketch and plans fixed-size blocks, each
-    with its own derived data stream, so the results do not depend on
-    `threads`.  Validation runs at call time, before any block is sampled.
+    Validates the config, draws the sketch and plans blocks of `_BLOCK`
+    samples, each with its own derived data stream, so the results do not
+    depend on `threads` (None: `usable_cpu_count()`; never more than there
+    are blocks).  Block features are written into their rows of `Phi` when
+    it is given, else into a fresh block x d array; `reduce` runs on the
+    worker, and None yields None per block.  Validation runs at call time,
+    before any block is sampled.
     """
+    if threads is None:
+        threads = usable_cpu_count()
     if threads < 1:
         raise InvalidInput(f"need threads >= 1, got {threads}")
     W = sample_sketch(cfg.v, cfg.d, cfg.seed)  # a fresh array, so it may be scaled in place
@@ -306,19 +349,25 @@ def _sample_blocks(cfg: RFConfig, threads: int, per_block) -> Iterator:
             )
     else:  # x = H^(1/2) u, so W'x = (H^(1/2) W)'u: the sketch carries H^(1/2)
         W *= np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)[:, None]
+    blocks = -(-cfg.m // _BLOCK)
 
     def work(b: int):
         lo, hi = b * _BLOCK, min((b + 1) * _BLOCK, cfg.m)
-        return per_block(lo, hi, _feature_block(cfg, W, b, lo, hi))
+        F = np.empty((hi - lo, cfg.d)) if Phi is None else Phi[lo:hi]
+        _feature_block(cfg, W, b, lo, F)
+        return None if reduce is None else reduce(F)
 
-    return _ordered_map(work, range(-(-cfg.m // _BLOCK)), threads)
+    return _ordered_map(work, range(blocks), min(threads, blocks))
 
 
-def mc_covariance(cfg: RFConfig, threads: int = 1) -> SpectrumEstimate:
+def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate:
     """Spectrum of the Monte Carlo feature covariance scale * mean_i f(W'x_i)^(x2).
 
-    Samples in fixed blocks with per-block derived streams; the sketch
-    carries H^(1/2), so a block of unit draws U has features f(U H^(1/2) W).
+    Samples in blocks of `_BLOCK` = 4096 rows with per-block derived streams,
+    run on `threads` worker threads (default: the usable cpu count).  The
+    sketch carries H^(1/2), so a block of unit draws U has features
+    f(U H^(1/2) W): the product is written straight into the block's rows of
+    the m x d feature matrix and the activation is applied there in place.
     The centered variant subtracts the empirical feature mean.  When m*d is
     moderate the feature matrix is materialised and handed to the Gram trick,
     otherwise the spectrum is that of `mc_covariance_matrix`; both paths give
@@ -326,14 +375,10 @@ def mc_covariance(cfg: RFConfig, threads: int = 1) -> SpectrumEstimate:
     """
     if cfg.m * cfg.d <= _DENSE_FEATURE_CAP:
         Phi = np.empty((cfg.m, cfg.d))
-
-        def store(lo: int, hi: int, F: np.ndarray) -> None:
-            Phi[lo:hi] = F
-
-        for _ in _sample_blocks(cfg, threads, store):
+        for _ in _sample_blocks(cfg, threads, Phi=Phi):
             pass
         if cfg.centered:
-            Phi = Phi - Phi.mean(axis=0)
+            Phi -= Phi.mean(axis=0)
         eig = gram_spectrum(Phi, cfg.feature_scale / cfg.m)
     else:
         eig = sym_eigenvalues(mc_covariance_matrix(cfg, threads))[: min(cfg.m, cfg.d)]
@@ -353,14 +398,16 @@ def mc_covariance(cfg: RFConfig, threads: int = 1) -> SpectrumEstimate:
     )
 
 
-def mc_covariance_matrix(cfg: RFConfig, threads: int = 1) -> np.ndarray:
+def mc_covariance_matrix(cfg: RFConfig, threads: int | None = None) -> np.ndarray:
     """The d x d Monte Carlo feature covariance itself (same sampling as mc_covariance).
 
-    Per-block second moments are summed in fixed block order as they arrive.
+    Each block's features go into a fresh block x d array; its second
+    moment and column sums are taken on the worker, and the partials are
+    summed in fixed block order as they arrive.
     """
     G = np.zeros((cfg.d, cfg.d))
     colsum = np.zeros(cfg.d)
-    for Gb, sb in _sample_blocks(cfg, threads, lambda lo, hi, F: (F.T @ F, F.sum(axis=0))):
+    for Gb, sb in _sample_blocks(cfg, threads, lambda F: (F.T @ F, F.sum(axis=0))):
         G += Gb
         colsum += sb
     C = G / cfg.m

@@ -62,6 +62,14 @@ def test_lattice_bad_exponent_token(capsys):
     assert "'x'" in err
 
 
+def test_lattice_count_with_an_exponent_past_float_range(capsys):
+    # 2**1e300 overflows a float; only the tuple of ones counts
+    code, out, err = run_cli(capsys, "lattice", "count", "--X", "5", "--pi", "1e300")
+    assert (code, out, err) == (0, "count = 1\n", "")
+    code, out, _ = run_cli(capsys, "lattice", "count", "--X", "5", "--pi", "1e300,1", "--ordered")
+    assert (code, out) == (0, "count = 4\n")
+
+
 def test_lattice_budget_exceeded_exit_code(capsys):
     code, _, err = run_cli(capsys, "lattice", "count", "--X", "1e18", "--pi", "1,1,1")
     assert code == 2
@@ -231,7 +239,7 @@ def test_spectrum_mc_summary_and_json_hold_one_record(tmp_path, capsys):
     assert summary.command == "spectrum mc"
     assert summary.params == {
         "v": 60, "d": 50, "m": 400, "alpha": 1.31, "act": "monomial:2",
-        "dist": "gaussian", "centered": False, "threads": 1,
+        "dist": "gaussian", "centered": False, "threads": simulate.usable_cpu_count(),
     }
     (fit,) = summary.fits
     assert (fit.j_min, fit.j_max, fit.points_used) == (2, 30, 29)

@@ -228,6 +228,103 @@ def test_bounded_below_unbounded():
         )
 
 
+def _max_coordinate_linear_walk(x, power, cap=None):
+    # the former search: step +-1 from int(x ** (1/power))
+    if x * lattice._INCLUSION_GUARD < 1.0:
+        return 0
+    if cap is not None:
+        if math.log(x) > power * math.log(cap) + 1e-9:
+            return cap
+        return min(_max_coordinate_linear_walk(x, power), cap)
+    n = int(x ** (1.0 / power))
+    if power == int(power) and power <= 53 and x < 2**53 and float(x).is_integer():
+        p, xi = int(power), int(x)
+        while (n + 1) ** p <= xi:
+            n += 1
+        while n >= 1 and n**p > xi:
+            n -= 1
+        return n
+    lim = x * lattice._INCLUSION_GUARD
+    while (n + 1) ** power <= lim:
+        n += 1
+    while n >= 1 and n**power > lim:
+        n -= 1
+    return n
+
+
+_GRID_X = sorted(
+    {float(x) for x in (1, 2, 3, 7, 8, 9, 10, 26, 27, 28, 99.5, 100, 1000, 4096, 10**6, 10**9 + 7, 2.0**40)}
+    | {x * f for x in (8.0, 27.0, 1000.0, 1e6) for f in (1 - 1e-12, 1 + 5e-13, 1 + 2e-12)}
+)
+_GRID_POWER = (0.05, 0.3, 0.5, 1.0, 1.31, 2.0, 3.0, 7.0, 53.0, 60.0, 1e300)
+
+
+def test_max_coordinate_matches_the_linear_walk_on_a_grid():
+    for x, power, cap in itertools.product(_GRID_X, _GRID_POWER, (None, 1, 5, 1000)):
+        if math.log2(x) >= 53 * power:
+            continue  # past the 2^53 coordinate limit, which the counts refuse first
+        try:
+            want = _max_coordinate_linear_walk(x, power, cap)
+        except OverflowError:  # the walk's own failure on a power past float range
+            assert power == 1e300
+            want = min(1, cap) if cap is not None else 1
+        assert lattice._max_coordinate(x, power, cap) == want, (x, power, cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(1.0, 1e12),
+    power=st.floats(0.05, 40.0),
+    cap=st.none() | st.integers(1, 10**6),
+)
+def test_max_coordinate_matches_the_linear_walk(x, power, cap):
+    if x ** (1.0 / power) > 1e7:
+        return  # the walk is linear in its distance from the guess; keep it short
+    assert lattice._max_coordinate(x, power, cap) == _max_coordinate_linear_walk(x, power, cap)
+
+
+def test_last_true_finds_the_boundary_from_any_guess():
+    # a guess off by D costs at most 2 log2(D + 1) + 2 evaluations, and never one below 0
+    for t in range(0, 80):
+        for guess in range(0, 160):
+            calls = []
+
+            def ok(k):
+                calls.append(k)
+                return k <= t
+
+            assert lattice._last_true(ok, guess) == t
+            assert min(calls) >= 0
+            assert len(calls) <= 2 * math.log2(abs(t - guess) + 1) + 2, (t, guess, calls)
+
+
+def test_max_coordinate_gallops_across_the_guard_band(within):
+    # the guard band is about 1e-12 n / a steps wide: 6e7 steps for the linear walk
+    with within(0.1):
+        assert lattice.count_unordered(2 ** 52.5e-4, (1e-4,)).count == 6369051736225185
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_count_with_a_power_past_float_range(ordered):
+    # s**a overflows for s >= 2, so only coordinates equal to 1 can take such an exponent
+    count = lattice.count_ordered if ordered else lattice.count_unordered
+    assert count(5, (1e300,)).count == 1
+    assert count(5, (1e300, 1e300)).count == (0 if ordered else 1)
+    assert count(5, (1e300, 1)).count == (4 if ordered else 5)  # (1, t) for t in 2..5, or 1..5
+    assert count(5, (1, 1e300)).count == (0 if ordered else 5)
+    assert count(5, (2000.0, 1, 1)).count == (0 if ordered else 10)  # 2**2000 overflows too
+
+
+def test_strict_budget_counts_only_the_bounded_prefixes(within):
+    # unbounded, the estimate is 1e30; below bound_v = 1000 at most 1000 prefixes exist
+    with within(0.5):
+        assert lattice.count_ordered(1e6, (0.1, 0.1), bound_v=1000).count == 499500
+    with pytest.raises(lattice.BudgetExceededError):
+        lattice.count_ordered(1e6, (0.1, 0.1))
+    with pytest.raises(lattice.BudgetExceededError):  # C(10^5, 2) + 10^5 prefixes
+        lattice.count_ordered(1e30, (0.1, 0.1, 0.1), bound_v=10**5)
+
+
 def test_count_budget_error():
     with pytest.raises(lattice.BudgetExceededError) as err:
         lattice.count_unordered(1e18, (1, 1, 1))

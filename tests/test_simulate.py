@@ -1,4 +1,6 @@
+import hashlib
 import math
+import os
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -34,6 +36,37 @@ def test_activation_values():
     assert np.allclose(Activation("hermite", 3).apply(y), y**3 - 3 * y)
     hs = Activation("heaviside").apply(np.array([-1.0, 0.0, 2.0]))
     assert np.array_equal(hs, [0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize(
+    "text", ["monomial:1", "monomial:2", "monomial:3", "monomial:4", "monomial:7", "relu", "tanh",
+             "heaviside", "gauss_bump", "hermite:0", "hermite:3", "identity"],
+)
+def test_activation_applied_in_place_matches_a_fresh_result(text):
+    act = Activation.parse(text)
+    y = np.random.default_rng(5).standard_normal((33, 9)) * 2.0
+    want = act.apply(y)
+    buf = y.copy()
+    assert act.apply(buf, out=buf) is buf
+    assert np.array_equal(buf, want)
+    other = np.empty_like(y)
+    assert act.apply(y, out=other) is other
+    assert np.array_equal(other, want)
+
+
+def test_int_power_in_place_is_the_square_and_multiply_chain():
+    y = np.random.default_rng(6).standard_normal(200) * 1.5
+    for p in range(1, 17):
+        chain = y.copy() if p == 1 else y * y  # the chain done wholly in place
+        for k, bit in enumerate(bin(p)[3:]):
+            if k:
+                chain *= chain
+            if bit == "1":
+                chain *= y
+        buf = y.copy()
+        simulate._int_power(buf, p, out=buf)
+        assert np.array_equal(buf, chain)
+        assert np.array_equal(simulate._int_power(y, p), chain)
 
 
 _OVERFLOW = Fraction(2) ** 1024 - Fraction(2) ** 970  # exact values at or above round to inf
@@ -313,16 +346,127 @@ def test_mc_covariance_matrix_equals_data_scaled_features(dist, centered):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_mc_covariance_matrix_block_holds_one_v_wide_array():
-    # one 8192 x 400 draw is 26 MB; scaling it in the block would hold a second one
-    cfg = RFConfig(v=400, d=100, m=20000, alpha=1.31, activation=Activation("monomial", 2), seed=1)
+def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
-        simulate.mc_covariance_matrix(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_mc_covariance_matrix_block_holds_one_v_wide_array():
+    # one 4096 x 400 draw is 13 MB; scaling it in the block would hold a second one
+    cfg = RFConfig(v=400, d=100, m=20000, alpha=1.31, activation=Activation("monomial", 2), seed=1)
+    peak = _traced_peak(lambda: simulate.mc_covariance_matrix(cfg, threads=1))
     assert peak < 1.6 * simulate._BLOCK * cfg.v * 8, peak
+
+
+def test_mc_covariance_matrix_workers_hold_one_v_wide_array_each():
+    # five blocks on two workers: at most two draws are alive at once
+    cfg = RFConfig(v=400, d=100, m=20000, alpha=1.31, activation=Activation("monomial", 2), seed=1)
+    peak = _traced_peak(lambda: simulate.mc_covariance_matrix(cfg, threads=2))
+    assert peak < 2 * 1.6 * simulate._BLOCK * cfg.v * 8, peak
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("p", [2, 3])
+def test_mc_covariance_dense_route_keeps_no_block_by_d_copy(threads, p):
+    # features go straight into their rows of the m x d matrix: the peak is that
+    # matrix, one v-wide draw per worker and the sketch, plus 1 MB measured slack
+    # (about 0.05 MB at v=400, d=200); a kept block x d copy would add 6.5 MB
+    cfg = RFConfig(v=400, d=200, m=10000, alpha=1.31, activation=Activation("monomial", p), seed=2)
+    assert cfg.m * cfg.d <= simulate._DENSE_FEATURE_CAP
+    peak = _traced_peak(lambda: simulate.mc_covariance(cfg, threads=threads))
+    bound = 8 * (cfg.m * cfg.d + threads * simulate._BLOCK * cfg.v + cfg.v * cfg.d) + 1_000_000
+    assert peak < bound, (peak, bound)
+
+
+@pytest.mark.parametrize("centered", [False, True])
+@pytest.mark.parametrize("act", ["monomial:2", "monomial:3", "tanh"])
+@pytest.mark.parametrize(
+    "dist", [DataDistribution("gaussian"), DataDistribution("rademacher"), DataDistribution("student_t", df=5.0)]
+)
+def test_mc_results_do_not_depend_on_the_thread_count(dist, act, centered):
+    # three blocks, the last one short; None is the usable cpu count
+    cfg = RFConfig(
+        v=40, d=16, m=2 * simulate._BLOCK + 700, alpha=1.31, activation=Activation.parse(act),
+        distribution=dist, seed=8, centered=centered,
+    )
+    eig = simulate.mc_covariance(cfg, threads=1).eigenvalues
+    mat = simulate.mc_covariance_matrix(cfg, threads=1)
+    for threads in (None, 2, 3):
+        assert np.array_equal(simulate.mc_covariance(cfg, threads=threads).eigenvalues, eig)
+        assert np.array_equal(simulate.mc_covariance_matrix(cfg, threads=threads), mat)
+
+
+def test_default_thread_count_is_the_usable_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert simulate.usable_cpu_count() == len(os.sched_getaffinity(0))
+    seen = []
+    monkeypatch.setattr(simulate, "_ordered_map", lambda fn, items, threads: seen.append(threads) or [])
+    monkeypatch.setattr(simulate, "usable_cpu_count", lambda: 7)
+    act = Activation("monomial", 1)
+    for m in (10 * simulate._BLOCK, 3 * simulate._BLOCK):
+        simulate.mc_covariance_matrix(RFConfig(v=40, d=16, m=m, alpha=1.31, activation=act))
+    assert seen == [7, 3]  # never more workers than blocks
+
+
+# sha256 of the little-endian float64 output (eigenvalues of mc_covariance,
+# then the mc_covariance_matrix entries) at threads=1, recorded with the
+# 8192-sample block plan (numpy 2.4, OpenBLAS 0.3.31, x86-64).  m <= 4096 is
+# one block under either plan, so these bits must not move; BLAS kernels are
+# picked by CPU, so another machine may differ in the last bit, and
+# `test_one_block_output_is_the_single_draw_recipe` checks the same recipe
+# on whatever machine runs.
+_ONE_BLOCK_GOLDEN = {
+    ("gaussian", "monomial:3", 4096, False): (
+        "fc8d3f918d0ec148ed275d85e51fdfcf4bd14a50f25d5d74b71966d27f971506",
+        "85e5cd9201a56c693257c16cc8b119036b1a6f73cf8ebc20c601abed066a97c4",
+    ),
+    ("student_t", "monomial:2", 4000, True): (
+        "990d608191fbf8c5982c00d3b98d3695c3c05d723bee9456aae9ba90fbfbea5e",
+        "b87365d040d64c356b38ebbb5e6041d1b9c0c95713a3f9474c07cc905a0dfd5d",
+    ),
+    ("rademacher", "tanh", 4096, True): (
+        "48d1a15bdc44b03791d5aa8151c575ddc7baf7a62e0a9ec7e6f66c943a5a5e35",
+        "8c16d4946eb7f85488e931b0d85fae10fa0f9dcb0b9aa3354f693516f4917b63",
+    ),
+}
+
+
+def _one_block_cfg(dist: str, act: str, m: int, centered: bool) -> RFConfig:
+    law = DataDistribution("student_t", df=10.0) if dist == "student_t" else DataDistribution(dist)
+    return RFConfig(
+        v=160, d=80, m=m, alpha=1.31, activation=Activation.parse(act), distribution=law,
+        seed=20260, centered=centered,
+    )
+
+
+def _sha(a: np.ndarray) -> str:
+    return hashlib.sha256(np.asarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(_ONE_BLOCK_GOLDEN))
+def test_one_block_output_bits_pinned(key):
+    cfg = _one_block_cfg(*key)
+    got = (_sha(simulate.mc_covariance(cfg).eigenvalues), _sha(simulate.mc_covariance_matrix(cfg)))
+    assert got == _ONE_BLOCK_GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(_ONE_BLOCK_GOLDEN))
+def test_one_block_output_is_the_single_draw_recipe(key):
+    # one draw from stream (seed, data, 0), one product with the H^(1/2)-scaled
+    # sketch, a fresh activated array, then the Gram trick
+    cfg = _one_block_cfg(*key)
+    W = simulate.sample_sketch(cfg.v, cfg.d, cfg.seed)
+    W *= np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)[:, None]
+    U = cfg.distribution.draw_unit(cfg.m, cfg.v, simulate._stream(cfg.seed, simulate._DATA, 0))
+    F = cfg.activation.apply(U @ W)
+    if cfg.centered:
+        F = F - F.mean(axis=0)
+    want = spectral.gram_spectrum(F, cfg.feature_scale / cfg.m)
+    assert simulate.mc_covariance(cfg).eigenvalues.tobytes() == want.tobytes()
 
 
 def test_mc_covariance_centered_subtracts_mean():
