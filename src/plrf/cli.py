@@ -269,9 +269,7 @@ def cmd_spectrum(args) -> int:
     if args.spectrum_cmd == "mc":
         if args.m < simulate.MIN_MC_SAMPLES:
             problems.append(f"m must be >= {simulate.MIN_MC_SAMPLES}, got {args.m}")
-        if args.threads is None:
-            args.threads = simulate.usable_cpu_count()
-        if args.threads < 1:
+        if args.threads is not None and args.threads < 1:
             problems.append(f"threads must be >= 1, got {args.threads}")
         if args.data is not None and args.dist.partition(":")[0].strip() != "cifar10":
             problems.append(f"--data is read only with --dist cifar10, got --dist {args.dist}")
@@ -323,8 +321,9 @@ def cmd_spectrum(args) -> int:
             seed=seed,
             centered=args.centered,
         )
-        eig = simulate.mc_covariance(cfg, threads=args.threads).eigenvalues
-        params.update(m=args.m, dist=args.dist, centered=args.centered, threads=args.threads)
+        threads = simulate.mc_worker_count(cfg.m, cfg.v, args.threads)
+        eig = simulate.mc_covariance(cfg, threads=threads).eigenvalues
+        params.update(m=args.m, dist=args.dist, centered=args.centered, threads=threads)
 
     fit = spectral.clamped_slope_fit(eig, fit_lo, fit_hi)
     _write_spectra(args, eig)

@@ -9,7 +9,9 @@ draw of u, one product and one activation.
 
 Monte Carlo samples are planned in blocks of `_BLOCK` = 4096 rows (the last
 one short), and the blocks run on a pool of worker threads, by default one
-per usable cpu.  A block writes its product straight into its destination
+per usable cpu, never more than there are blocks nor more than the block
+draws that fit in `_DENSE_FEATURE_CAP` entries (`mc_worker_count`).  A
+block writes its product straight into its destination
 (its rows of the feature matrix, or a fresh block x d array when the
 covariance is accumulated blockwise) and applies the activation there in
 place, so a worker holds one block x v draw and no block x d copy.
@@ -52,7 +54,7 @@ __all__ = [
     "LayerSpec",
     "WickMoments",
     "sample_sketch",
-    "usable_cpu_count",
+    "mc_worker_count",
     "mc_covariance",
     "mc_covariance_matrix",
     "exact_population_covariance",
@@ -66,7 +68,9 @@ __all__ = [
 _SKETCH, _DATA, _STAGE, _LAYER, _WICK = 0, 1, 2, 3, 5
 
 _BLOCK = 4096  # Monte Carlo samples per block; m <= _BLOCK is one block
-_DENSE_FEATURE_CAP = 5 * 10**7  # materialise the feature matrix below this m*d
+# entries: the feature matrix is materialised up to this m*d, and the v-wide
+# draws of concurrent sample blocks are held to it (at least one draw)
+_DENSE_FEATURE_CAP = 5 * 10**7
 MAX_SKETCH_ENTRIES = 10**9
 MAX_LAYER_WIDTH = 4096
 MIN_MC_SAMPLES = 100  # RFConfig.m
@@ -278,12 +282,26 @@ def sample_sketch(v: int, d: int, seed: int) -> np.ndarray:
     return _stream(seed, _SKETCH).standard_normal((v, d))
 
 
-def usable_cpu_count() -> int:
-    """How many cpus this process may run on: the default Monte Carlo thread count."""
+def _usable_cpu_count() -> int:
+    """How many cpus this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def mc_worker_count(m: int, v: int, threads: int | None = None) -> int:
+    """Worker threads a Monte Carlo run of m samples of dimension v uses.
+
+    `threads` (None: the usable cpu count), but never more than there are
+    sample blocks, nor more than the `_BLOCK` x v draws that fit in
+    `_DENSE_FEATURE_CAP` entries, since every worker holds one; at least one.
+    """
+    if threads is None:
+        threads = _usable_cpu_count()
+    if threads < 1:
+        raise InvalidInput(f"need threads >= 1, got {threads}")
+    return max(1, min(threads, -(-m // _BLOCK), _DENSE_FEATURE_CAP // (_BLOCK * v)))
 
 
 def _feature_block(cfg: RFConfig, W: np.ndarray, block: int, lo: int, out: np.ndarray) -> None:
@@ -330,16 +348,13 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
 
     Validates the config, draws the sketch and plans blocks of `_BLOCK`
     samples, each with its own derived data stream, so the results do not
-    depend on `threads` (None: `usable_cpu_count()`; never more than there
-    are blocks).  Block features are written into their rows of `Phi` when
-    it is given, else into a fresh block x d array; `reduce` runs on the
-    worker, and None yields None per block.  Validation runs at call time,
+    depend on `threads`, which `mc_worker_count` resolves.  Block features
+    are written into their rows of `Phi` when it is given, else into a
+    fresh block x d array; `reduce` runs on the worker, and None yields
+    None per block.  Validation runs at call time,
     before any block is sampled.
     """
-    if threads is None:
-        threads = usable_cpu_count()
-    if threads < 1:
-        raise InvalidInput(f"need threads >= 1, got {threads}")
+    workers = mc_worker_count(cfg.m, cfg.v, threads)
     W = sample_sketch(cfg.v, cfg.d, cfg.seed)  # a fresh array, so it may be scaled in place
     if cfg.distribution.kind == "external":
         mat = cfg.distribution.matrix
@@ -357,14 +372,14 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
         _feature_block(cfg, W, b, lo, F)
         return None if reduce is None else reduce(F)
 
-    return _ordered_map(work, range(blocks), min(threads, blocks))
+    return _ordered_map(work, range(blocks), workers)
 
 
 def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate:
     """Spectrum of the Monte Carlo feature covariance scale * mean_i f(W'x_i)^(x2).
 
     Samples in blocks of `_BLOCK` = 4096 rows with per-block derived streams,
-    run on `threads` worker threads (default: the usable cpu count).  The
+    run on `mc_worker_count(cfg.m, cfg.v, threads)` worker threads.  The
     sketch carries H^(1/2), so a block of unit draws U has features
     f(U H^(1/2) W): the product is written straight into the block's rows of
     the m x d feature matrix and the activation is applied there in place.

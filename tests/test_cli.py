@@ -198,11 +198,12 @@ def test_spectrum_mc_deterministic(tmp_path, capsys):
         "spectrum", "mc", "--p", "1", "--v", "80", "--d", "80", "--m", "500",
         "--seed", "7",
     ]
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    code1, _, _ = run_cli(capsys, *args, "--out", str(out1))
+    out1, out2, out3 = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+    code1, _, _ = run_cli(capsys, *args, "--threads", "1", "--out", str(out1))
     code2, _, _ = run_cli(capsys, *args, "--threads", "3", "--out", str(out2))
-    assert code1 == code2 == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    code3, _, _ = run_cli(capsys, *args, "--out", str(out3))
+    assert code1 == code2 == code3 == 0
+    assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
 
 
 def test_spectrum_mc_writes_summary_and_normalized(tmp_path, capsys):
@@ -239,7 +240,7 @@ def test_spectrum_mc_summary_and_json_hold_one_record(tmp_path, capsys):
     assert summary.command == "spectrum mc"
     assert summary.params == {
         "v": 60, "d": 50, "m": 400, "alpha": 1.31, "act": "monomial:2",
-        "dist": "gaussian", "centered": False, "threads": simulate.usable_cpu_count(),
+        "dist": "gaussian", "centered": False, "threads": 1,  # one block runs on one worker
     }
     (fit,) = summary.fits
     assert (fit.j_min, fit.j_max, fit.points_used) == (2, 30, 29)
@@ -368,10 +369,11 @@ def test_spectrum_mc_threads_match_deterministic(tmp_path, capsys):
         "spectrum", "mc", "--p", "2", "--v", "64", "--d", "64", "--m", "20000",
         "--seed", "11",
     ]
-    out_det, out_thr = tmp_path / "det.csv", tmp_path / "thr.csv"
-    assert run_cli(capsys, *base, "--out", str(out_det))[0] == 0
+    out_det, out_thr, out_def = tmp_path / "det.csv", tmp_path / "thr.csv", tmp_path / "def.csv"
+    assert run_cli(capsys, *base, "--threads", "1", "--out", str(out_det))[0] == 0
     assert run_cli(capsys, *base, "--threads", "3", "--out", str(out_thr))[0] == 0
-    assert out_det.read_bytes() == out_thr.read_bytes()
+    assert run_cli(capsys, *base, "--out", str(out_def))[0] == 0
+    assert out_det.read_bytes() == out_thr.read_bytes() == out_def.read_bytes()
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
