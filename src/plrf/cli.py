@@ -307,8 +307,8 @@ def cmd_spectrum(args) -> int:
     params = {"alpha": alpha, "v": v, "d": d, "act": act.label}
     if args.spectrum_cmd == "exact":
         H = population.PowerLawSpectrum(alpha, v)
-        W = simulate.sample_sketch(v, d, seed)
-        K = simulate.exact_population_covariance(W, H, act.param)
+        # the sketch is spent once K is built: it goes before the eigensolve
+        K = simulate.exact_population_covariance(simulate.sample_sketch(v, d, seed), H, act.param)
         eig = spectral.sym_eigenvalues(K)
     else:  # mc
         cfg = simulate.RFConfig(

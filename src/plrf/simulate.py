@@ -9,12 +9,19 @@ draw of u, one product and one activation.
 
 Monte Carlo samples are planned in blocks of `_BLOCK` = 4096 rows (the last
 one short), and the blocks run on a pool of worker threads, by default one
-per usable cpu, never more than there are blocks nor more than the block
+per usable cpu (the affinity count, capped by a cgroup cpu quota), never
+more than there are blocks nor more than the block
 draws that fit in `_DENSE_FEATURE_CAP` entries (`mc_worker_count`).  A
 block writes its product straight into its destination
 (its rows of the feature matrix, or a fresh block x d array when the
 covariance is accumulated blockwise) and applies the activation there in
 place, so a worker holds one block x v draw and no block x d copy.
+
+The dense routines hold a fixed number of large arrays: the exact kernel
+two beyond the caller's sketch (the scaled sketch and the Gram matrix, then
+K and its symmetrization, since it overwrites the Gram matrix with K row
+block by row block), the d x d Monte Carlo covariance two after sampling,
+and layer propagation three n-row arrays, the caller's data among them.
 
 Randomness is counter-based (Philox): every consumer derives its own stream
 from (seed, purpose, block), so block sampling is reproducible regardless of
@@ -75,6 +82,7 @@ MAX_SKETCH_ENTRIES = 10**9
 MAX_LAYER_WIDTH = 4096
 MIN_MC_SAMPLES = 100  # RFConfig.m
 MAX_EXACT_DEGREE = 6  # exact_population_covariance's p
+_KERNEL_BLOCK = 2**16  # entries per row block of the exact kernel's scratch
 
 
 def _int_power(y: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -282,12 +290,65 @@ def sample_sketch(v: int, d: int, seed: int) -> np.ndarray:
     return _stream(seed, _SKETCH).standard_normal((v, d))
 
 
-def _usable_cpu_count() -> int:
-    """How many cpus this process may run on."""
+def _cgroup_cpu_limit(proc_cgroup: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> int | None:
+    """ceil(quota / period) of this process's cgroup cpu quota; None without one.
+
+    The process's cgroups are read from `proc_cgroup`.  cgroup v2 keeps the
+    quota in `cpu.max` ("<quota> <period>", or "max" for none) under `root`
+    or `root`/unified; v1 keeps it in `cpu.cfs_quota_us` (-1 for none) and
+    `cpu.cfs_period_us` under the cpu controller's mount.  Each is looked up
+    in the process's own cgroup directory, else at the mount's top, which is
+    the container's own cgroup when the listed path is the host's.  The
+    smallest quota found wins; a missing file or one that does not parse
+    counts as no quota.
+
+    Files are read unbuffered as bytes: a buffered text reader's heap buffers
+    raised the peak RSS of a Monte Carlo run by 2.4 MB.
+    """
     try:
-        return len(os.sched_getaffinity(0))
+        with open(proc_cgroup, "rb", buffering=0) as fh:
+            entries = [line.split(":", 2) for line in os.fsdecode(fh.read()).splitlines()]
+    except OSError:
+        return None
+    limits = []
+    for entry in entries:
+        if len(entry) != 3:
+            continue
+        _, controllers, path = entry
+        if not controllers:
+            mounts, names = (root, os.path.join(root, "unified")), ("cpu.max",)
+        elif "cpu" in controllers.split(","):
+            mounts = (os.path.join(root, controllers), os.path.join(root, "cpu"))
+            names = ("cpu.cfs_quota_us", "cpu.cfs_period_us")
+        else:
+            continue
+        dirs = [os.path.join(m, path.lstrip("/")) for m in mounts] + list(mounts)
+        for directory in dirs:
+            try:
+                fields = []
+                for name in names:
+                    with open(os.path.join(directory, name), "rb", buffering=0) as fh:
+                        fields += fh.read().split()
+            except OSError:
+                continue
+            try:
+                quota, period = map(int, fields)
+            except ValueError:  # "max", or not two integers
+                break
+            if quota > 0 and period > 0:
+                limits.append(-(-quota // period))
+            break
+    return min(limits) if limits else None
+
+
+def _usable_cpu_count() -> int:
+    """How many cpus this process may run on: its affinity, capped by a cgroup cpu quota."""
+    try:
+        count = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        count = os.cpu_count() or 1
+    limit = _cgroup_cpu_limit()
+    return count if limit is None else max(1, min(count, limit))
 
 
 def mc_worker_count(m: int, v: int, threads: int | None = None) -> int:
@@ -418,18 +479,23 @@ def mc_covariance_matrix(cfg: RFConfig, threads: int | None = None) -> np.ndarra
 
     Each block's features go into a fresh block x d array; its second
     moment and column sums are taken on the worker, and the partials are
-    summed in fixed block order as they arrive.
+    summed in fixed block order as they arrive.  The sum is finished in
+    place, so after sampling at most two d x d arrays are alive.
     """
     G = np.zeros((cfg.d, cfg.d))
     colsum = np.zeros(cfg.d)
     for Gb, sb in _sample_blocks(cfg, threads, lambda F: (F.T @ F, F.sum(axis=0))):
         G += Gb
         colsum += sb
-    C = G / cfg.m
+        del Gb  # before the next block is awaited
+    G /= cfg.m
     if cfg.centered:
         mu = colsum / cfg.m
-        C = C - np.outer(mu, mu)
-    return cfg.feature_scale * (C + C.T) / 2.0
+        G -= np.outer(mu, mu)
+    C = G + G.T
+    C *= cfg.feature_scale
+    C /= 2.0
+    return C
 
 
 def exact_population_covariance(W, H: PowerLawSpectrum, p: int) -> np.ndarray:
@@ -439,6 +505,12 @@ def exact_population_covariance(W, H: PowerLawSpectrum, p: int) -> np.ndarray:
     from the matching class counts; exact up to float round-off.  The integer
     powers of the Gram entries are computed by multiplication (`_int_power`),
     and a factor with exponent 0 is left out.
+
+    K_ij needs only G_ij and the diagonal of G, so the kernel overwrites the
+    Gram matrix in blocks of about `_KERNEL_BLOCK` entries (whole rows), and
+    every term is built in block-sized scratch.  Beyond the caller's W the
+    peak is two large arrays: the scaled sketch and the Gram matrix during
+    the product, then K and its symmetrization.
     """
     Wm = np.asarray(W, dtype=float)
     if Wm.ndim != 2:
@@ -450,20 +522,27 @@ def exact_population_covariance(W, H: PowerLawSpectrum, p: int) -> np.ndarray:
         raise InvalidInput(f"exact kernel supports p <= {MAX_EXACT_DEGREE}, got {p}")
     if d > 2000:
         raise InvalidInput(f"exact kernel supports d <= 2000, got {d}")
+    terms = sorted(pairing_class_counts(p).counts.items())
     Y = np.sqrt(H.eigenvalues)[:, None] * Wm
-    G = Y.T @ Y
-    nrm = np.diag(G).copy()
-    outer = np.outer(nrm, nrm)
-    K = np.zeros((d, d))
-    for q, cnt in sorted(pairing_class_counts(p).counts.items()):
-        term = cnt
-        if q < p:
-            term = term * _int_power(outer, (p - q) // 2)
-        if q:
-            term = term * _int_power(G, q)
-        K += term
-    K /= d
-    return (K + K.T) / 2.0
+    K = Y.T @ Y  # the Gram matrix G until its rows are overwritten
+    del Y
+    nrm = np.diag(K).copy()
+    rows = max(1, _KERNEL_BLOCK // d)
+    for lo in range(0, d, rows):
+        G = K[lo : lo + rows]
+        outer = np.outer(nrm[lo : lo + rows], nrm)
+        acc = np.zeros(G.shape)
+        for q, cnt in terms:  # cnt * outer^((p-q)/2) * G^q, multiplied in that order
+            term = np.full(G.shape, float(cnt))
+            if q < p:
+                term *= _int_power(outer, (p - q) // 2)
+            if q:
+                term *= G if q == 1 else _int_power(G, q)
+            acc += term
+        np.divide(acc, d, out=G)  # K's rows replace the Gram rows they were built from
+    S = K + K.T
+    S /= 2.0
+    return S
 
 
 def iterated_sketch(
@@ -529,10 +608,14 @@ def iterated_sketch(
     return out
 
 
-def _normalize_rows(A: np.ndarray, mode: str, layer: int) -> np.ndarray:
-    """Per-row rmsnorm or layernorm; a row it would divide by zero raises InvalidInput."""
+def _normalize_rows(A: np.ndarray, mode: str, layer: int) -> None:
+    """Per-row rmsnorm or layernorm of A, in place.
+
+    A row it would divide by zero raises InvalidInput before A changes.  The
+    row statistics hold one temporary the size of A.
+    """
     if mode == "none":
-        return A
+        return
     if mode == "rmsnorm":
         scale = np.sqrt(np.mean(A * A, axis=1, keepdims=True))
         degenerate, kind = scale[:, 0] == 0, "all zero"
@@ -543,7 +626,9 @@ def _normalize_rows(A: np.ndarray, mode: str, layer: int) -> np.ndarray:
     rows = np.flatnonzero(degenerate)
     if rows.size:
         raise InvalidInput(f"layer {layer}: {mode} cannot normalize row {rows[0]}, which is {kind}")
-    return A / scale if mode == "rmsnorm" else (A - mu) / scale
+    if mode == "layernorm":
+        A -= mu
+    A /= scale
 
 
 def propagate_layers(
@@ -555,6 +640,13 @@ def propagate_layers(
     activation entrywise and then the per-sample normalization.  Each layer
     reports the centered sample covariance spectrum (Gram trick when the
     width exceeds the sample count) with an OLS slope over `fit_range`.
+
+    The activations are scaled, activated and normalized in place, and a
+    layer's input goes once its product is taken, so at most three n-row
+    arrays are alive: the caller's X, the current activations, and one of
+    the previous layer's activations (during the product), the
+    normalization's row statistics temporary, or the centered copy.  W_t
+    and the Gram matrix of `gram_spectrum` come on top.
     """
     cur = np.asarray(X, dtype=float)
     if cur.ndim != 2 or cur.shape[0] < 1:
@@ -563,13 +655,15 @@ def propagate_layers(
     out: list[tuple[SpectrumEstimate, SlopeFit]] = []
     for t, layer in enumerate(layers):
         fan_in = cur.shape[1]
-        Wt = _stream(seed, _LAYER, t).standard_normal((fan_in, layer.width))
-        A = layer.activation.apply(cur @ Wt / math.sqrt(fan_in))
-        A = _normalize_rows(A, layer.normalization, t + 1)
-        if not np.all(np.isfinite(A)):
+        cur = cur @ _stream(seed, _LAYER, t).standard_normal((fan_in, layer.width))
+        cur /= math.sqrt(fan_in)
+        layer.activation.apply(cur, out=cur)
+        _normalize_rows(cur, layer.normalization, t + 1)
+        if not np.all(np.isfinite(cur)):
             raise InvalidInput(f"non-finite activations at layer {t + 1}")
-        centered = A - A.mean(axis=0)
+        centered = cur - cur.mean(axis=0)
         eig = gram_spectrum(centered, 1.0 / n)
+        del centered
         try:
             fit = clamped_slope_fit(eig, *fit_range, owner="the layer's")
         except InvalidInput as exc:
@@ -583,7 +677,6 @@ def propagate_layers(
             meta={"layer": str(t + 1), "normalization": layer.normalization},
         )
         out.append((est, fit))
-        cur = A
     return out
 
 

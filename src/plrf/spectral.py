@@ -38,8 +38,9 @@ def sym_eigenvalues(M) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, descending.
 
     Rejects non-finite entries and asymmetry beyond 1e-12 of the Frobenius
-    norm.  Zero and negative eigenvalues are reported as computed (not
-    clipped) so PSD violations stay visible.
+    norm; the asymmetry check holds one n x n temporary.  Zero and negative
+    eigenvalues are reported as computed (not clipped) so PSD violations stay
+    visible.
     """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -50,7 +51,11 @@ def sym_eigenvalues(M) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise InvalidInput("matrix has non-finite entries")
     fro = float(np.linalg.norm(A))
-    skew = float(np.max(np.abs(A - A.T))) if n > 0 else 0.0
+    skew = 0.0
+    if n > 0:
+        diff = np.subtract(A, A.T)
+        skew = float(np.abs(diff, out=diff).max())
+        del diff  # before eigvalsh copies A
     if skew > _SYM_RTOL * max(fro, np.finfo(float).tiny):
         raise InvalidInput(f"asymmetry {skew:.3e} exceeds tolerance {_SYM_RTOL * fro:.3e}")
     return np.linalg.eigvalsh(A)[::-1]

@@ -402,7 +402,9 @@ def test_mc_results_do_not_depend_on_the_thread_count(dist, act, centered):
 
 def test_default_thread_count_is_the_usable_cpu_count(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
-        assert simulate._usable_cpu_count() == len(os.sched_getaffinity(0))
+        limit = simulate._cgroup_cpu_limit()
+        cpus = len(os.sched_getaffinity(0))
+        assert simulate._usable_cpu_count() == (cpus if limit is None else max(1, min(cpus, limit)))
     seen = []
     monkeypatch.setattr(simulate, "_ordered_map", lambda fn, items, threads: seen.append(threads) or [])
     monkeypatch.setattr(simulate, "_usable_cpu_count", lambda: 7)
@@ -433,6 +435,75 @@ def test_workers_past_the_dense_cap_hold_one_draw(monkeypatch):
     peak = _traced_peak(lambda: simulate.mc_covariance_matrix(cfg, threads=4))
     assert peak < 1.6 * simulate._BLOCK * cfg.v * 8, peak
     assert np.array_equal(simulate.mc_covariance_matrix(cfg, threads=4), want)
+
+
+def _cgroup_tree(tmp_path, listing: str, files: dict) -> tuple[str, str]:
+    """A fake /proc/self/cgroup holding `listing` and a cgroup mount with `files`."""
+    proc = tmp_path / "cgroup"
+    proc.write_text(listing)
+    root = tmp_path / "fs"
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    return str(proc), str(root)
+
+
+@pytest.mark.parametrize(
+    "listing, files, want",
+    [
+        ("0::/job\n", {"job/cpu.max": "150000 100000\n"}, 2),  # v2: ceil(1.5)
+        ("0::/job\n", {"job/cpu.max": "max 100000\n"}, None),
+        ("0::/\n", {"unified/cpu.max": "300000 100000\n"}, 3),  # hybrid mount
+        ("0::/job\n", {"job/cpu.max": "20000 100000\n"}, 1),  # a fraction of a cpu is one
+        # v1 with the host's path listed: the quota sits at the mount's top
+        (
+            "4:cpu,cpuacct:/docker/abc\n3:memory:/docker/abc\n",
+            {"cpu,cpuacct/cpu.cfs_quota_us": "250000\n", "cpu,cpuacct/cpu.cfs_period_us": "100000\n"},
+            3,
+        ),
+        ("1:cpu:/\n", {"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+        (
+            "1:cpu:/\n0::/\n",
+            {"cpu/cpu.cfs_quota_us": "400000", "cpu/cpu.cfs_period_us": "100000", "cpu.max": "200000 100000"},
+            2,  # the smallest quota wins
+        ),
+        ("1:cpu:/\n", {"cpu/cpu.cfs_quota_us": "50000\n"}, None),  # no period file
+        ("1:cpu:/\n", {"cpu/cpu.cfs_quota_us": "lots", "cpu/cpu.cfs_period_us": "100000"}, None),
+        ("0::/job\n", {"job/cpu.max": "150000\n"}, None),
+        ("garbage\n", {"cpu.max": "100000 100000"}, None),
+        ("3:memory:/x\n", {}, None),
+    ],
+)
+def test_cgroup_cpu_quota(tmp_path, listing, files, want):
+    assert simulate._cgroup_cpu_limit(*_cgroup_tree(tmp_path, listing, files)) == want
+
+
+def test_cgroup_cpu_quota_without_a_cgroup_listing(tmp_path):
+    assert simulate._cgroup_cpu_limit(str(tmp_path / "missing"), str(tmp_path)) is None
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no cpu affinity call")
+@pytest.mark.parametrize("limit", [None, 1, 10**6])
+def test_usable_cpu_count_is_capped_by_the_cgroup_quota(monkeypatch, limit):
+    cpus = len(os.sched_getaffinity(0))
+    monkeypatch.setattr(simulate, "_cgroup_cpu_limit", lambda: limit)
+    assert simulate._usable_cpu_count() == (cpus if limit is None else min(cpus, limit))
+
+
+@pytest.mark.parametrize("centered", [False, True])
+def test_mc_covariance_matrix_tail_holds_two_d_by_d_arrays(monkeypatch, centered):
+    # the partial sums arrive untraced: the tail holds the sum G and one more
+    # d x d array (the mean's outer product, then the symmetrized result)
+    cfg = RFConfig(v=500, d=500, m=100, alpha=1.31, activation=Activation("monomial", 2), seed=1, centered=centered)
+    want = simulate.mc_covariance_matrix(cfg, threads=1)
+    F = np.empty((cfg.m, cfg.d))
+    for _ in simulate._sample_blocks(cfg, 1, Phi=F):
+        pass
+    parts = [(F.T @ F, F.sum(axis=0))]
+    monkeypatch.setattr(simulate, "_sample_blocks", lambda cfg, threads, reduce: iter(parts))
+    peak = _traced_peak(lambda: simulate.mc_covariance_matrix(cfg, threads=1))
+    assert peak < 2.2 * cfg.d * cfg.d * 8, peak
+    assert np.array_equal(simulate.mc_covariance_matrix(cfg, threads=1), want)
 
 
 # sha256 of the little-endian float64 output (eigenvalues of mc_covariance,
@@ -657,6 +728,52 @@ def test_exact_population_covariance_matches_kernel_entries():
                 assert K[i, j] == pytest.approx(want, rel=1e-10)
 
 
+def kernel_by_whole_terms(W, H, p):
+    """The exact kernel with every term a fresh d x d array: the reference for the row-block build."""
+    Y = np.sqrt(H.eigenvalues)[:, None] * W
+    G = Y.T @ Y
+    nrm = np.diag(G).copy()
+    outer = np.outer(nrm, nrm)
+    K = np.zeros_like(G)
+    for q, cnt in sorted(pairing_class_counts(p).counts.items()):
+        term = cnt
+        if q < p:
+            term = term * simulate._int_power(outer, (p - q) // 2)
+        if q:
+            term = term * simulate._int_power(G, q)
+        K += term
+    K /= G.shape[0]
+    return (K + K.T) / 2.0
+
+
+@pytest.mark.parametrize("block", [None, 7, 120])  # None: the module's block size
+@pytest.mark.parametrize("p", range(1, 7))
+def test_exact_population_covariance_bytes_are_the_whole_term_formula(monkeypatch, p, block):
+    if block is not None:  # 7 <= d gives one-row blocks; 120 leaves a short last block at d = 30
+        monkeypatch.setattr(simulate, "_KERNEL_BLOCK", block)
+    for v, d, seed in ((9, 7, 0), (40, 30, 1), (700, 600, 2)):
+        if block is not None and d > 30:
+            continue
+        H = PowerLawSpectrum(1.31, v)
+        W = simulate.sample_sketch(v, d, seed)
+        for sketch in (W, np.zeros((v, d)), -W):
+            got = simulate.exact_population_covariance(sketch, H, p)
+            assert got.tobytes() == kernel_by_whole_terms(sketch, H, p).tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 6])
+def test_exact_population_covariance_holds_two_d_by_d_arrays(p):
+    # beyond the caller's W: the scaled sketch and G during the product, then
+    # K and its symmetrization, plus a few row blocks of scratch (the
+    # whole-term build held six or seven d x d arrays)
+    v = d = 800
+    H = PowerLawSpectrum(1.31, v)
+    W = simulate.sample_sketch(v, d, 4)
+    peak = _traced_peak(lambda: simulate.exact_population_covariance(W, H, p))
+    bound = 8 * (2 * d * d + 4 * simulate._KERNEL_BLOCK)
+    assert peak < bound, (peak, bound)
+
+
 def test_exact_population_covariance_validation():
     H = PowerLawSpectrum(1.31, 10)
     W = np.zeros((10, 5))
@@ -755,9 +872,10 @@ def test_propagate_layers_linear_layer_matches_direct():
 
 def test_propagate_layers_normalizations():
     A = np.random.default_rng(10).standard_normal((50, 20)) * 3.0 + 1.0
-    rms = simulate._normalize_rows(A, "rmsnorm", 1)
+    rms, ln = A.copy(), A.copy()
+    simulate._normalize_rows(rms, "rmsnorm", 1)  # both normalize in place
     assert np.allclose(np.sqrt(np.mean(rms * rms, axis=1)), 1.0, atol=1e-12)
-    ln = simulate._normalize_rows(A, "layernorm", 1)
+    simulate._normalize_rows(ln, "layernorm", 1)
     assert np.max(np.abs(ln.mean(axis=1))) <= 1e-10
     assert np.allclose(ln.var(axis=1), 1.0, atol=1e-8)
 
@@ -782,6 +900,50 @@ def test_propagate_layers_gram_trick_when_wide():
     (est, fit), = simulate.propagate_layers(X, layers, seed=12, fit_range=(1, 40))
     assert est.eigenvalues.size == 40  # min(n, width)
     assert fit.points_used >= 10
+
+
+def layers_by_fresh_arrays(X, layers, seed, fit_range):
+    """propagate_layers with a fresh array per step: the reference for the in-place build."""
+    cur, out = X, []
+    for t, layer in enumerate(layers):
+        fan_in = cur.shape[1]
+        Wt = simulate._stream(seed, simulate._LAYER, t).standard_normal((fan_in, layer.width))
+        A = layer.activation.apply(cur @ Wt / math.sqrt(fan_in))
+        if layer.normalization == "rmsnorm":
+            A = A / np.sqrt(np.mean(A * A, axis=1, keepdims=True))
+        elif layer.normalization == "layernorm":
+            A = (A - A.mean(axis=1, keepdims=True)) / A.std(axis=1, keepdims=True)
+        eig = spectral.gram_spectrum(A - A.mean(axis=0), 1.0 / X.shape[0])
+        out.append((eig, spectral.clamped_slope_fit(eig, *fit_range)))
+        cur = A
+    return out
+
+
+@pytest.mark.parametrize("norm", ["none", "rmsnorm", "layernorm"])
+@pytest.mark.parametrize("act", ["tanh", "relu", "monomial:3", "hermite:2", "identity", "gauss_bump"])
+def test_propagate_layers_bytes_are_the_fresh_array_recipe(act, norm):
+    X = np.random.default_rng(14).standard_normal((120, 24)) * np.arange(1, 25) ** -0.65
+    layers = [LayerSpec(w, Activation.parse(act), norm) for w in (48, 200, 32)]
+    got = simulate.propagate_layers(X, layers, seed=15, fit_range=(1, 30))
+    want = layers_by_fresh_arrays(X, layers, 15, (1, 30))
+    for (est, fit), (eig, want_fit) in zip(got, want, strict=True):
+        assert est.eigenvalues.tobytes() == eig.tobytes()
+        assert fit == want_fit
+
+
+@pytest.mark.parametrize("norm", ["none", "rmsnorm", "layernorm"])
+@pytest.mark.parametrize("act", ["tanh", "monomial:3"])
+def test_propagate_layers_holds_three_n_row_arrays(act, norm):
+    # beyond the caller's X: the activations and one more n x w array (the
+    # previous layer's during the product, a normalization or power
+    # temporary, or the centered copy), W_t and the Gram matrix with its
+    # symmetrization; fresh arrays per step held four or five
+    n, v, w = 3000, 200, 200
+    X = np.random.default_rng(16).standard_normal((n, v))
+    layers = [LayerSpec(w, Activation.parse(act), norm)] * 3
+    peak = _traced_peak(lambda: simulate.propagate_layers(X, layers, seed=17, fit_range=(1, 50)))
+    bound = 8 * (2 * n * w + v * w + 2 * w * w) + 500_000
+    assert peak < bound, (peak, bound)
 
 
 def test_propagate_layers_validation():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,23 @@ def test_eigenvalues_rejects_asymmetry_and_nonfinite():
 def test_eigenvalues_negative_kept_visible():
     eig = spectral.sym_eigenvalues(np.diag([1.0, -0.5]))
     assert np.allclose(eig, [1.0, -0.5])
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eigenvalues_asymmetry_check_holds_one_temporary():
+    # |A - A'| is formed in one n x n array (two were held before)
+    B = np.random.default_rng(5).standard_normal((600, 600))
+    A = B + B.T
+    peak = _traced_peak(lambda: spectral.sym_eigenvalues(A))
+    assert peak < 1.3 * A.nbytes, peak
 
 
 # ---------------------------------------------------------------------------
