@@ -293,6 +293,8 @@ def cmd_spectrum(args) -> int:
             problems.append("the exact population route supports monomial activations")
         if p is not None and p > simulate.MAX_EXACT_DEGREE:
             problems.append(f"exact route supports p <= {simulate.MAX_EXACT_DEGREE}, got {p}")
+        if d > simulate.MAX_EXACT_DIM:
+            problems.append(f"exact route supports d <= {simulate.MAX_EXACT_DIM}, got {d}")
     try:
         fit_lo, fit_hi = _parse_range(args.fit, "fit")
     except InvalidInput as exc:
@@ -321,7 +323,7 @@ def cmd_spectrum(args) -> int:
             seed=seed,
             centered=args.centered,
         )
-        threads = simulate.mc_worker_count(cfg.m, cfg.v, args.threads)
+        threads = simulate.mc_worker_count(cfg.m, cfg.v, cfg.d, args.threads)
         eig = simulate.mc_covariance(cfg, threads=threads).eigenvalues
         params.update(m=args.m, dist=args.dist, centered=args.centered, threads=threads)
 

@@ -10,12 +10,16 @@ draw of u, one product and one activation.
 Monte Carlo samples are planned in blocks of `_BLOCK` = 4096 rows (the last
 one short), and the blocks run on a pool of worker threads, by default one
 per usable cpu (the affinity count, capped by a cgroup cpu quota), never
-more than there are blocks nor more than the block
-draws that fit in `_DENSE_FEATURE_CAP` entries (`mc_worker_count`).  A
-block writes its product straight into its destination
-(its rows of the feature matrix, or a fresh block x d array when the
-covariance is accumulated blockwise) and applies the activation there in
-place, so a worker holds one block x v draw and no block x d copy.
+more than there are blocks nor more than the worker holdings that fit in
+`_DENSE_FEATURE_CAP` entries (`mc_worker_count`).  A block is drawn in
+near-equal row chunks of at most `_chunk_rows(v)` = max(`_MIN_CHUNK_ROWS`,
+`_CHUNK // v`) rows, so a draw holds at most `_CHUNK` entries (8 MB) up to
+v = 1024 and `_MIN_CHUNK_ROWS` rows past it, whatever m: each chunk's
+product is written straight into its rows of the block's destination (its
+rows of the feature matrix, or a fresh block x d array when the covariance
+is accumulated blockwise) and activated there in place.  A worker holds one
+chunk x v draw and no block x d copy; on the blockwise route it also holds
+its block x d features and d x d partial.
 
 The dense routines hold a fixed number of large arrays: the exact kernel
 two beyond the caller's sketch (the scaled sketch and the Gram matrix, then
@@ -75,13 +79,18 @@ __all__ = [
 _SKETCH, _DATA, _STAGE, _LAYER, _WICK = 0, 1, 2, 3, 5
 
 _BLOCK = 4096  # Monte Carlo samples per block; m <= _BLOCK is one block
-# entries: the feature matrix is materialised up to this m*d, and the v-wide
-# draws of concurrent sample blocks are held to it (at least one draw)
+# entries per chunk draw of a block; the row floor keeps every product long
+# enough that re-packing the sketch per chunk stays cheap at large v
+_CHUNK = 2**20
+_MIN_CHUNK_ROWS = 1024
+# entries: the feature matrix is materialised up to this m*d, and what the
+# concurrent workers hold (`mc_worker_count`) is held to it (at least one worker)
 _DENSE_FEATURE_CAP = 5 * 10**7
 MAX_SKETCH_ENTRIES = 10**9
 MAX_LAYER_WIDTH = 4096
 MIN_MC_SAMPLES = 100  # RFConfig.m
 MAX_EXACT_DEGREE = 6  # exact_population_covariance's p
+MAX_EXACT_DIM = 2000  # exact_population_covariance's d
 _KERNEL_BLOCK = 2**16  # entries per row block of the exact kernel's scratch
 
 
@@ -351,31 +360,50 @@ def _usable_cpu_count() -> int:
     return count if limit is None else max(1, min(count, limit))
 
 
-def mc_worker_count(m: int, v: int, threads: int | None = None) -> int:
-    """Worker threads a Monte Carlo run of m samples of dimension v uses.
+def _chunk_rows(v: int) -> int:
+    """Most rows of one chunk draw of a sample block of dimension v."""
+    return max(_MIN_CHUNK_ROWS, _CHUNK // v)
+
+
+def mc_worker_count(m: int, v: int, d: int, threads: int | None = None) -> int:
+    """Worker threads a Monte Carlo run of m samples, dimension v and d features uses.
 
     `threads` (None: the usable cpu count), but never more than there are
-    sample blocks, nor more than the `_BLOCK` x v draws that fit in
-    `_DENSE_FEATURE_CAP` entries, since every worker holds one; at least one.
+    sample blocks, nor more workers than fit in `_DENSE_FEATURE_CAP` entries
+    when each holds one chunk draw (at most `_chunk_rows(v)` x v), a
+    `_BLOCK` x d feature block and a d x d partial, as on the blockwise
+    route; at least one.
     """
     if threads is None:
         threads = _usable_cpu_count()
     if threads < 1:
         raise InvalidInput(f"need threads >= 1, got {threads}")
-    return max(1, min(threads, -(-m // _BLOCK), _DENSE_FEATURE_CAP // (_BLOCK * v)))
+    held = min(_BLOCK, _chunk_rows(v)) * v + _BLOCK * d + d * d
+    return max(1, min(threads, -(-m // _BLOCK), _DENSE_FEATURE_CAP // held))
 
 
 def _feature_block(cfg: RFConfig, W: np.ndarray, block: int, lo: int, out: np.ndarray) -> None:
-    """Features of samples lo .. lo + len(out), written into `out` in place."""
-    hi = lo + out.shape[0]
-    if cfg.distribution.kind == "external":
-        rows = cfg.distribution.matrix[lo:hi]
-    else:
-        rows = cfg.distribution.draw_unit(hi - lo, cfg.v, _stream(cfg.seed, _DATA, block))
-    np.matmul(rows, W, out=out)
-    del rows  # the v-wide draw goes before the activation
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
-        cfg.activation.apply(out, out=out)
+    """Features of samples lo .. lo + len(out), written into `out` in place.
+
+    The block is taken in near-equal row chunks of at most `_chunk_rows(v)`
+    rows, drawn one after another from the block's own stream, so the draws
+    are those of one block-sized draw: each chunk is multiplied into its
+    rows of `out` and activated there, and its draw goes before the next.
+    """
+    n = out.shape[0]
+    parts = -(-n // _chunk_rows(cfg.v))
+    rng = None if cfg.distribution.kind == "external" else _stream(cfg.seed, _DATA, block)
+    for k in range(parts):
+        a, b = k * n // parts, (k + 1) * n // parts
+        if rng is None:
+            rows = cfg.distribution.matrix[lo + a : lo + b]
+        else:
+            rows = cfg.distribution.draw_unit(b - a, cfg.v, rng)
+        chunk = out[a:b]
+        np.matmul(rows, W, out=chunk)
+        del rows  # the v-wide draw goes before the activation
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
+            cfg.activation.apply(chunk, out=chunk)
     if not np.all(np.isfinite(out)):
         bad = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
         raise InvalidInput(
@@ -415,7 +443,7 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
     None per block.  Validation runs at call time,
     before any block is sampled.
     """
-    workers = mc_worker_count(cfg.m, cfg.v, threads)
+    workers = mc_worker_count(cfg.m, cfg.v, cfg.d, threads)
     W = sample_sketch(cfg.v, cfg.d, cfg.seed)  # a fresh array, so it may be scaled in place
     if cfg.distribution.kind == "external":
         mat = cfg.distribution.matrix
@@ -440,10 +468,13 @@ def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate
     """Spectrum of the Monte Carlo feature covariance scale * mean_i f(W'x_i)^(x2).
 
     Samples in blocks of `_BLOCK` = 4096 rows with per-block derived streams,
-    run on `mc_worker_count(cfg.m, cfg.v, threads)` worker threads.  The
-    sketch carries H^(1/2), so a block of unit draws U has features
-    f(U H^(1/2) W): the product is written straight into the block's rows of
-    the m x d feature matrix and the activation is applied there in place.
+    run on `mc_worker_count(cfg.m, cfg.v, cfg.d, threads)` worker threads.
+    The sketch carries H^(1/2), so unit draws U have features
+    f(U H^(1/2) W).  A block is drawn in row chunks of at most
+    `_chunk_rows(v)` rows: each chunk's product is written straight into its
+    rows of the m x d feature matrix and activated there in place, so a
+    worker holds one chunk x v draw.  Chunk bounds depend only on v and the
+    block's length, never on `threads`.
     The centered variant subtracts the empirical feature mean.  When m*d is
     moderate the feature matrix is materialised and handed to the Gram trick,
     otherwise the spectrum is that of `mc_covariance_matrix`; both paths give
@@ -520,8 +551,8 @@ def exact_population_covariance(W, H: PowerLawSpectrum, p: int) -> np.ndarray:
         raise InvalidInput(f"sketch rows {v} != spectrum dimension {H.v}")
     if p > MAX_EXACT_DEGREE:
         raise InvalidInput(f"exact kernel supports p <= {MAX_EXACT_DEGREE}, got {p}")
-    if d > 2000:
-        raise InvalidInput(f"exact kernel supports d <= 2000, got {d}")
+    if d > MAX_EXACT_DIM:
+        raise InvalidInput(f"exact kernel supports d <= {MAX_EXACT_DIM}, got {d}")
     terms = sorted(pairing_class_counts(p).counts.items())
     Y = np.sqrt(H.eigenvalues)[:, None] * Wm
     K = Y.T @ Y  # the Gram matrix G until its rows are overwritten

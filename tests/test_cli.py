@@ -356,6 +356,18 @@ def test_spectrum_fit_past_spectrum_fails_before_sampling(capsys, monkeypatch, r
                    "  fit range 60..100 starts past the spectrum's 50 eigenvalues\n")
 
 
+def test_spectrum_exact_past_the_dimension_cap_fails_before_sampling(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("drew the sketch despite d past the exact kernel's cap")
+
+    monkeypatch.setattr(simulate, "sample_sketch", fail)
+    d = simulate.MAX_EXACT_DIM + 500
+    code, stdout, err = run_cli(capsys, "spectrum", "exact", "--p", "3", "--v", "4000", "--d", str(d))
+    assert (code, stdout) == (2, "")
+    assert err == ("error: invalid configuration:\n"
+                   f"  exact route supports d <= {simulate.MAX_EXACT_DIM}, got {d}\n")
+
+
 def test_spectrum_mc_data_without_cifar10_fails(capsys):
     code, stdout, err = run_cli(capsys, "spectrum", "mc", "--p", "1", "--v", "50", "--m", "200",
                                 "--fit", "1..20", "--data", "/no/such/dir")

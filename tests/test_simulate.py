@@ -315,16 +315,22 @@ def test_mc_covariance_matrix_reduction_memory_is_bounded(monkeypatch, threads):
 
 
 def scaled_data_covariance(cfg):
-    """The covariance from features act((U * sqrt(h)) @ W): H^(1/2) scales every data block."""
+    """The covariance from features act((U * sqrt(h)) @ W), one whole draw U per block.
+
+    H^(1/2) scales every data block; external rows are used as x directly.
+    """
     W = simulate.sample_sketch(cfg.v, cfg.d, cfg.seed)
-    sqrt_h = np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)
-    blocks = []
-    for b, lo in enumerate(range(0, cfg.m, simulate._BLOCK)):
-        U = cfg.distribution.draw_unit(
-            min(lo + simulate._BLOCK, cfg.m) - lo, cfg.v, simulate._stream(cfg.seed, simulate._DATA, b)
-        )
-        blocks.append(cfg.activation.apply((U * sqrt_h) @ W))
-    F = np.vstack(blocks)
+    if cfg.distribution.kind == "external":
+        F = cfg.activation.apply(cfg.distribution.matrix[: cfg.m] @ W)
+    else:
+        sqrt_h = np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)
+        blocks = []
+        for b, lo in enumerate(range(0, cfg.m, simulate._BLOCK)):
+            U = cfg.distribution.draw_unit(
+                min(lo + simulate._BLOCK, cfg.m) - lo, cfg.v, simulate._stream(cfg.seed, simulate._DATA, b)
+            )
+            blocks.append(cfg.activation.apply((U * sqrt_h) @ W))
+        F = np.vstack(blocks)
     if cfg.centered:
         F = F - F.mean(axis=0)
     C = F.T @ F / cfg.m / cfg.d
@@ -346,6 +352,41 @@ def test_mc_covariance_matrix_equals_data_scaled_features(dist, centered):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("centered", [False, True])
+@pytest.mark.parametrize("act", ["monomial:2", "monomial:3", "tanh"])
+@pytest.mark.parametrize("dist", ["gaussian", "rademacher", "student_t", "external"])
+def test_chunked_blocks_keep_the_recipe(monkeypatch, dist, act, centered):
+    # chunks of at most 700 rows: a 4096-row block is six chunks of 682 or 683
+    # rows and the last, 1500-row block three of 500, drawn in turn from the
+    # block's stream, so the features are those of one block-sized draw
+    monkeypatch.setattr(simulate, "_CHUNK", 40 * 700)
+    monkeypatch.setattr(simulate, "_MIN_CHUNK_ROWS", 1)
+    m = 2 * simulate._BLOCK + 1500
+    if dist == "external":
+        law = DataDistribution("external", matrix=np.random.default_rng(3).standard_normal((m, 40)))
+    else:
+        law = DataDistribution(dist, df=5.0 if dist == "student_t" else None)
+    cfg = RFConfig(
+        v=40, d=16, m=m, alpha=1.31, activation=Activation.parse(act), distribution=law, seed=6,
+        centered=centered,
+    )
+    want = scaled_data_covariance(cfg)
+    want_eig = spectral.sym_eigenvalues(want)
+    sizes = []
+    draw = DataDistribution.draw_unit
+    monkeypatch.setattr(
+        DataDistribution, "draw_unit", lambda self, n, v, rng: sizes.append(n) or draw(self, n, v, rng)
+    )
+    mat = simulate.mc_covariance_matrix(cfg, threads=1)
+    assert sizes == ([] if dist == "external" else [682, 683, 683, 682, 683, 683] * 2 + [500] * 3)
+    assert np.linalg.norm(mat - want) <= 1e-12 * np.linalg.norm(want)
+    eig = simulate.mc_covariance(cfg, threads=1).eigenvalues
+    assert np.max(np.abs(eig - want_eig)) <= 1e-12 * want_eig[0]
+    for threads in (2, 3):
+        assert np.array_equal(simulate.mc_covariance_matrix(cfg, threads=threads), mat)
+        assert np.array_equal(simulate.mc_covariance(cfg, threads=threads).eigenvalues, eig)
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -355,30 +396,38 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def _worker_entries(v: int, d: int) -> int:
+    """What one Monte Carlo worker holds: a chunk draw, a block x d feature block, a d x d partial."""
+    return min(simulate._BLOCK, simulate._chunk_rows(v)) * v + simulate._BLOCK * d + d * d
+
+
 def test_mc_covariance_matrix_block_holds_one_v_wide_array():
-    # one 4096 x 400 draw is 13 MB; scaling it in the block would hold a second one
+    # a block is drawn in chunks of at most 2621 x 400 (8.4 MB), not as one
+    # 4096 x 400 draw (13 MB); scaling a chunk would hold a second one
     cfg = RFConfig(v=400, d=100, m=20000, alpha=1.31, activation=Activation("monomial", 2), seed=1)
     peak = _traced_peak(lambda: simulate.mc_covariance_matrix(cfg, threads=1))
-    assert peak < 1.6 * simulate._BLOCK * cfg.v * 8, peak
+    assert peak < 8 * (_worker_entries(cfg.v, cfg.d) + cfg.v * cfg.d) + 1_000_000, peak
 
 
 def test_mc_covariance_matrix_workers_hold_one_v_wide_array_each():
-    # five blocks on two workers: at most two draws are alive at once
+    # five blocks on two workers: at most two chunk draws are alive at once
     cfg = RFConfig(v=400, d=100, m=20000, alpha=1.31, activation=Activation("monomial", 2), seed=1)
     peak = _traced_peak(lambda: simulate.mc_covariance_matrix(cfg, threads=2))
-    assert peak < 2 * 1.6 * simulate._BLOCK * cfg.v * 8, peak
+    assert peak < 8 * (2 * _worker_entries(cfg.v, cfg.d) + cfg.v * cfg.d) + 1_000_000, peak
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("p", [2, 3])
 def test_mc_covariance_dense_route_keeps_no_block_by_d_copy(threads, p):
     # features go straight into their rows of the m x d matrix: the peak is that
-    # matrix, one v-wide draw per worker and the sketch, plus 1 MB measured slack
-    # (about 0.05 MB at v=400, d=200); a kept block x d copy would add 6.5 MB
+    # matrix, one chunk draw per worker (at most 2621 x 400, not a whole
+    # 4096 x 400 block) and the sketch, plus 1 MB slack; a kept block x d copy
+    # would add 6.5 MB
     cfg = RFConfig(v=400, d=200, m=10000, alpha=1.31, activation=Activation("monomial", p), seed=2)
     assert cfg.m * cfg.d <= simulate._DENSE_FEATURE_CAP
     peak = _traced_peak(lambda: simulate.mc_covariance(cfg, threads=threads))
-    bound = 8 * (cfg.m * cfg.d + threads * simulate._BLOCK * cfg.v + cfg.v * cfg.d) + 1_000_000
+    chunk = min(simulate._BLOCK, simulate._chunk_rows(cfg.v))
+    bound = 8 * (cfg.m * cfg.d + threads * chunk * cfg.v + cfg.v * cfg.d) + 1_000_000
     assert peak < bound, (peak, bound)
 
 
@@ -412,28 +461,32 @@ def test_default_thread_count_is_the_usable_cpu_count(monkeypatch):
     for m in (10 * simulate._BLOCK, 3 * simulate._BLOCK):
         simulate.mc_covariance_matrix(RFConfig(v=40, d=16, m=m, alpha=1.31, activation=act))
     assert seen == [7, 3]  # never more workers than blocks
-    assert [simulate.mc_worker_count(m, 40) for m in (10 * simulate._BLOCK, 3 * simulate._BLOCK)] == seen
+    assert [simulate.mc_worker_count(m, 40, 16) for m in (10 * simulate._BLOCK, 3 * simulate._BLOCK)] == seen
 
 
 def test_worker_count_holds_block_draws_to_the_dense_cap():
-    # every worker holds one _BLOCK x v draw: their entries stay within the cap
+    # every worker holds one chunk draw (2**20 entries, at least 1024 rows), a
+    # 4096 x d feature block and a d x d partial: their entries stay within the cap
     m, cap = 100 * simulate._BLOCK, simulate._DENSE_FEATURE_CAP
-    for v in (800, 2000, 12000, 20000, 10**6):
-        workers = simulate.mc_worker_count(m, v, threads=64)
-        assert workers == max(1, cap // (simulate._BLOCK * v))
-        assert workers == 1 or workers * simulate._BLOCK * v <= cap
-    assert simulate.mc_worker_count(m, 20000) == 1  # the v = 20000 draw is 82e6 entries alone
+    shapes = ((800, 400), (2000, 1000), (16000, 800), (20000, 2000), (10**6, 10))
+    counts = [simulate.mc_worker_count(m, v, d, threads=64) for v, d in shapes]
+    assert counts == [17, 6, 2, 1, 1]
+    for (v, d), workers in zip(shapes, counts):
+        held = _worker_entries(v, d)
+        assert workers == 1 or workers * held <= cap < (workers + 1) * held
+    assert simulate.mc_worker_count(m, 800, 400, threads=2) == 2  # the benchmark's jobs
     with pytest.raises(InvalidInput, match="threads"):
-        simulate.mc_worker_count(m, 800, threads=0)
+        simulate.mc_worker_count(m, 800, 400, threads=0)
 
 
 def test_workers_past_the_dense_cap_hold_one_draw(monkeypatch):
-    # a cap of one 4096 x 400 draw leaves one worker whatever threads asks for
+    # a cap of one worker's holdings leaves one worker whatever threads asks for
     cfg = RFConfig(v=400, d=100, m=20000, alpha=1.31, activation=Activation("monomial", 2), seed=1)
     want = simulate.mc_covariance_matrix(cfg, threads=1)
-    monkeypatch.setattr(simulate, "_DENSE_FEATURE_CAP", simulate._BLOCK * cfg.v)
+    monkeypatch.setattr(simulate, "_DENSE_FEATURE_CAP", _worker_entries(cfg.v, cfg.d))
+    assert simulate.mc_worker_count(cfg.m, cfg.v, cfg.d, threads=4) == 1
     peak = _traced_peak(lambda: simulate.mc_covariance_matrix(cfg, threads=4))
-    assert peak < 1.6 * simulate._BLOCK * cfg.v * 8, peak
+    assert peak < 8 * (_worker_entries(cfg.v, cfg.d) + cfg.v * cfg.d) + 1_000_000, peak
     assert np.array_equal(simulate.mc_covariance_matrix(cfg, threads=4), want)
 
 
