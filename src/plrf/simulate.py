@@ -7,19 +7,20 @@ concentration/orthogonality diagnostics.  Monte Carlo features act(W'x) use
 W'x = (H^(1/2) W)'u: the sketch carries H^(1/2), so a sample block is one
 draw of u, one product and one activation.
 
-Monte Carlo samples are planned in blocks of `_BLOCK` = 4096 rows (the last
-one short), and the blocks run on a pool of worker threads, by default one
+Monte Carlo samples are planned in blocks of `_block_rows(v)` rows (the
+last one short): `_BLOCK` = 4096 split into the fewest near-equal parts of
+at most max(`_MIN_CHUNK_ROWS`, `_CHUNK // v`) rows: 4096 up to v = 256, 2048
+up to v = 512, 1365 below v = 768 and 1024 from there on.  A block's draw
+thus holds at most `_CHUNK` entries (8 MB) up to v = 1024 and 1024 rows past
+it, whatever m.  The blocks run on a pool of worker threads, by default one
 per usable cpu (the affinity count, capped by a cgroup cpu quota), never
 more than there are blocks nor more than the worker holdings that fit in
-`_DENSE_FEATURE_CAP` entries (`mc_worker_count`).  A block is drawn in
-near-equal row chunks of at most `_chunk_rows(v)` = max(`_MIN_CHUNK_ROWS`,
-`_CHUNK // v`) rows, so a draw holds at most `_CHUNK` entries (8 MB) up to
-v = 1024 and `_MIN_CHUNK_ROWS` rows past it, whatever m: each chunk's
-product is written straight into its rows of the block's destination (its
-rows of the feature matrix, or a fresh block x d array when the covariance
-is accumulated blockwise) and activated there in place.  A worker holds one
-chunk x v draw and no block x d copy; on the blockwise route it also holds
-its block x d features and d x d partial.
+`_DENSE_FEATURE_CAP` entries (`mc_worker_count`).  A block is one draw from
+its own stream, one product written straight into the block's destination
+(its rows of the feature matrix, or a fresh block x d array when the
+covariance is accumulated blockwise) and one activation there in place.  A
+worker holds one block x v draw and no block x d copy; on the blockwise
+route it also holds its block x d features and d x d partial.
 
 The dense routines hold a fixed number of large arrays: the exact kernel
 two beyond the caller's sketch (the scaled sketch and the Gram matrix, then
@@ -78,9 +79,9 @@ __all__ = [
 # stream purposes for derived generators; a changed key moves every draw made from it
 _SKETCH, _DATA, _STAGE, _LAYER, _WICK = 0, 1, 2, 3, 5
 
-_BLOCK = 4096  # Monte Carlo samples per block; m <= _BLOCK is one block
-# entries per chunk draw of a block; the row floor keeps every product long
-# enough that re-packing the sketch per chunk stays cheap at large v
+_BLOCK = 4096  # Monte Carlo samples per block at v <= _CHUNK // _BLOCK
+# entries per block draw at larger v; the row floor keeps every product long
+# enough that re-packing the sketch per block stays cheap at large v
 _CHUNK = 2**20
 _MIN_CHUNK_ROWS = 1024
 # entries: the feature matrix is materialised up to this m*d, and what the
@@ -360,50 +361,48 @@ def _usable_cpu_count() -> int:
     return count if limit is None else max(1, min(count, limit))
 
 
-def _chunk_rows(v: int) -> int:
-    """Most rows of one chunk draw of a sample block of dimension v."""
-    return max(_MIN_CHUNK_ROWS, _CHUNK // v)
+def _block_rows(v: int) -> int:
+    """Samples per block at dimension v (the last block may be short).
+
+    `_BLOCK` split into the fewest near-equal parts of at most
+    max(`_MIN_CHUNK_ROWS`, `_CHUNK // v`) rows, so a block's draw holds at
+    most `_CHUNK` entries, or `_MIN_CHUNK_ROWS` rows past v = 1024.
+    """
+    return _BLOCK // -(-_BLOCK // max(_MIN_CHUNK_ROWS, _CHUNK // v))
 
 
 def mc_worker_count(m: int, v: int, d: int, threads: int | None = None) -> int:
     """Worker threads a Monte Carlo run of m samples, dimension v and d features uses.
 
     `threads` (None: the usable cpu count), but never more than there are
-    sample blocks, nor more workers than fit in `_DENSE_FEATURE_CAP` entries
-    when each holds one chunk draw (at most `_chunk_rows(v)` x v), a
-    `_BLOCK` x d feature block and a d x d partial, as on the blockwise
-    route; at least one.
+    sample blocks of `_block_rows(v)` rows, nor more workers than fit in
+    `_DENSE_FEATURE_CAP` entries when each holds a block's draw and
+    features (`_block_rows(v)` x (v + d)) and a d x d partial, as on the
+    blockwise route; at least one.
     """
     if threads is None:
         threads = _usable_cpu_count()
     if threads < 1:
         raise InvalidInput(f"need threads >= 1, got {threads}")
-    held = min(_BLOCK, _chunk_rows(v)) * v + _BLOCK * d + d * d
-    return max(1, min(threads, -(-m // _BLOCK), _DENSE_FEATURE_CAP // held))
+    rows = _block_rows(v)
+    held = rows * (v + d) + d * d
+    return max(1, min(threads, -(-m // rows), _DENSE_FEATURE_CAP // held))
 
 
 def _feature_block(cfg: RFConfig, W: np.ndarray, block: int, lo: int, out: np.ndarray) -> None:
     """Features of samples lo .. lo + len(out), written into `out` in place.
 
-    The block is taken in near-equal row chunks of at most `_chunk_rows(v)`
-    rows, drawn one after another from the block's own stream, so the draws
-    are those of one block-sized draw: each chunk is multiplied into its
-    rows of `out` and activated there, and its draw goes before the next.
+    One draw from the block's own stream (or the external rows), one
+    product into `out` and one activation there.
     """
-    n = out.shape[0]
-    parts = -(-n // _chunk_rows(cfg.v))
-    rng = None if cfg.distribution.kind == "external" else _stream(cfg.seed, _DATA, block)
-    for k in range(parts):
-        a, b = k * n // parts, (k + 1) * n // parts
-        if rng is None:
-            rows = cfg.distribution.matrix[lo + a : lo + b]
-        else:
-            rows = cfg.distribution.draw_unit(b - a, cfg.v, rng)
-        chunk = out[a:b]
-        np.matmul(rows, W, out=chunk)
-        del rows  # the v-wide draw goes before the activation
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
-            cfg.activation.apply(chunk, out=chunk)
+    if cfg.distribution.kind == "external":
+        rows = cfg.distribution.matrix[lo : lo + out.shape[0]]
+    else:
+        rows = cfg.distribution.draw_unit(out.shape[0], cfg.v, _stream(cfg.seed, _DATA, block))
+    np.matmul(rows, W, out=out)
+    del rows  # the v-wide draw goes before the activation
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
+        cfg.activation.apply(out, out=out)
     if not np.all(np.isfinite(out)):
         bad = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
         raise InvalidInput(
@@ -435,13 +434,13 @@ def _ordered_map(fn, items, threads: int) -> Iterator:
 def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) -> Iterator:
     """reduce(F) for the features F of every sample block, in block order.
 
-    Validates the config, draws the sketch and plans blocks of `_BLOCK`
-    samples, each with its own derived data stream, so the results do not
-    depend on `threads`, which `mc_worker_count` resolves.  Block features
-    are written into their rows of `Phi` when it is given, else into a
-    fresh block x d array; `reduce` runs on the worker, and None yields
-    None per block.  Validation runs at call time,
-    before any block is sampled.
+    Validates the config, draws the sketch and plans blocks of
+    `_block_rows(v)` samples, each with its own derived data stream, so the
+    results do not depend on `threads`, which `mc_worker_count` resolves.
+    Block features are written into their rows of `Phi` when it is given,
+    else into a fresh block x d array; `reduce` runs on the worker, and None
+    yields None per block.  Validation runs at call time, before any block
+    is sampled.
     """
     workers = mc_worker_count(cfg.m, cfg.v, cfg.d, threads)
     W = sample_sketch(cfg.v, cfg.d, cfg.seed)  # a fresh array, so it may be scaled in place
@@ -453,28 +452,28 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
             )
     else:  # x = H^(1/2) u, so W'x = (H^(1/2) W)'u: the sketch carries H^(1/2)
         W *= np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)[:, None]
-    blocks = -(-cfg.m // _BLOCK)
+    rows = _block_rows(cfg.v)
 
     def work(b: int):
-        lo, hi = b * _BLOCK, min((b + 1) * _BLOCK, cfg.m)
+        lo, hi = b * rows, min((b + 1) * rows, cfg.m)
         F = np.empty((hi - lo, cfg.d)) if Phi is None else Phi[lo:hi]
         _feature_block(cfg, W, b, lo, F)
         return None if reduce is None else reduce(F)
 
-    return _ordered_map(work, range(blocks), workers)
+    return _ordered_map(work, range(-(-cfg.m // rows)), workers)
 
 
 def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate:
     """Spectrum of the Monte Carlo feature covariance scale * mean_i f(W'x_i)^(x2).
 
-    Samples in blocks of `_BLOCK` = 4096 rows with per-block derived streams,
-    run on `mc_worker_count(cfg.m, cfg.v, cfg.d, threads)` worker threads.
-    The sketch carries H^(1/2), so unit draws U have features
-    f(U H^(1/2) W).  A block is drawn in row chunks of at most
-    `_chunk_rows(v)` rows: each chunk's product is written straight into its
-    rows of the m x d feature matrix and activated there in place, so a
-    worker holds one chunk x v draw.  Chunk bounds depend only on v and the
-    block's length, never on `threads`.
+    Samples in blocks of `_block_rows(v)` rows (4096 up to v = 256, 1024
+    from v = 768 on) with per-block derived streams, run on
+    `mc_worker_count(cfg.m, cfg.v, cfg.d, threads)` worker threads.  The
+    sketch carries H^(1/2), so unit draws U have features f(U H^(1/2) W).
+    A block is one draw, whose product is written straight into its rows of
+    the m x d feature matrix and activated there in place, so a worker holds
+    one block x v draw.  Block bounds depend only on v and m, never on
+    `threads`.
     The centered variant subtracts the empirical feature mean.  When m*d is
     moderate the feature matrix is materialised and handed to the Gram trick,
     otherwise the spectrum is that of `mc_covariance_matrix`; both paths give

@@ -314,8 +314,8 @@ def test_mc_covariance_matrix_reduction_memory_is_bounded(monkeypatch, threads):
     assert peak < 1_000_000, peak
 
 
-def scaled_data_covariance(cfg):
-    """The covariance from features act((U * sqrt(h)) @ W), one whole draw U per block.
+def scaled_data_covariance(cfg, rows=simulate._BLOCK):
+    """The covariance from features act((U * sqrt(h)) @ W), one whole draw U per block of `rows`.
 
     H^(1/2) scales every data block; external rows are used as x directly.
     """
@@ -325,9 +325,9 @@ def scaled_data_covariance(cfg):
     else:
         sqrt_h = np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)
         blocks = []
-        for b, lo in enumerate(range(0, cfg.m, simulate._BLOCK)):
+        for b, lo in enumerate(range(0, cfg.m, rows)):
             U = cfg.distribution.draw_unit(
-                min(lo + simulate._BLOCK, cfg.m) - lo, cfg.v, simulate._stream(cfg.seed, simulate._DATA, b)
+                min(lo + rows, cfg.m) - lo, cfg.v, simulate._stream(cfg.seed, simulate._DATA, b)
             )
             blocks.append(cfg.activation.apply((U * sqrt_h) @ W))
         F = np.vstack(blocks)
@@ -352,13 +352,18 @@ def test_mc_covariance_matrix_equals_data_scaled_features(dist, centered):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("v, rows", [(40, 4096), (256, 4096), (257, 2048), (600, 1365), (800, 1024), (16000, 1024)])
+def test_block_rows_pinned(v, rows):
+    assert simulate._block_rows(v) == rows
+
+
 @pytest.mark.parametrize("centered", [False, True])
 @pytest.mark.parametrize("act", ["monomial:2", "monomial:3", "tanh"])
 @pytest.mark.parametrize("dist", ["gaussian", "rademacher", "student_t", "external"])
 def test_chunked_blocks_keep_the_recipe(monkeypatch, dist, act, centered):
-    # chunks of at most 700 rows: a 4096-row block is six chunks of 682 or 683
-    # rows and the last, 1500-row block three of 500, drawn in turn from the
-    # block's stream, so the features are those of one block-sized draw
+    # the chunk constants size the block plan: draws of at most 700 rows split
+    # 4096 into six parts, so blocks are 682 rows and m = 9692 is fourteen of
+    # them and a short 144-row last one, each one draw from its own stream
     monkeypatch.setattr(simulate, "_CHUNK", 40 * 700)
     monkeypatch.setattr(simulate, "_MIN_CHUNK_ROWS", 1)
     m = 2 * simulate._BLOCK + 1500
@@ -370,7 +375,8 @@ def test_chunked_blocks_keep_the_recipe(monkeypatch, dist, act, centered):
         v=40, d=16, m=m, alpha=1.31, activation=Activation.parse(act), distribution=law, seed=6,
         centered=centered,
     )
-    want = scaled_data_covariance(cfg)
+    assert simulate._block_rows(cfg.v) == 682
+    want = scaled_data_covariance(cfg, rows=682)
     want_eig = spectral.sym_eigenvalues(want)
     sizes = []
     draw = DataDistribution.draw_unit
@@ -378,7 +384,7 @@ def test_chunked_blocks_keep_the_recipe(monkeypatch, dist, act, centered):
         DataDistribution, "draw_unit", lambda self, n, v, rng: sizes.append(n) or draw(self, n, v, rng)
     )
     mat = simulate.mc_covariance_matrix(cfg, threads=1)
-    assert sizes == ([] if dist == "external" else [682, 683, 683, 682, 683, 683] * 2 + [500] * 3)
+    assert sizes == ([] if dist == "external" else [682] * 14 + [144])
     assert np.linalg.norm(mat - want) <= 1e-12 * np.linalg.norm(want)
     eig = simulate.mc_covariance(cfg, threads=1).eigenvalues
     assert np.max(np.abs(eig - want_eig)) <= 1e-12 * want_eig[0]
@@ -397,20 +403,20 @@ def _traced_peak(fn) -> int:
 
 
 def _worker_entries(v: int, d: int) -> int:
-    """What one Monte Carlo worker holds: a chunk draw, a block x d feature block, a d x d partial."""
-    return min(simulate._BLOCK, simulate._chunk_rows(v)) * v + simulate._BLOCK * d + d * d
+    """What one Monte Carlo worker holds: a block's draw and features, and a d x d partial."""
+    return simulate._block_rows(v) * (v + d) + d * d
 
 
 def test_mc_covariance_matrix_block_holds_one_v_wide_array():
-    # a block is drawn in chunks of at most 2621 x 400 (8.4 MB), not as one
-    # 4096 x 400 draw (13 MB); scaling a chunk would hold a second one
+    # a block is one 2048 x 400 draw (6.6 MB), not a 4096 x 400 one (13 MB);
+    # scaling the draw would hold a second one
     cfg = RFConfig(v=400, d=100, m=20000, alpha=1.31, activation=Activation("monomial", 2), seed=1)
     peak = _traced_peak(lambda: simulate.mc_covariance_matrix(cfg, threads=1))
     assert peak < 8 * (_worker_entries(cfg.v, cfg.d) + cfg.v * cfg.d) + 1_000_000, peak
 
 
 def test_mc_covariance_matrix_workers_hold_one_v_wide_array_each():
-    # five blocks on two workers: at most two chunk draws are alive at once
+    # ten blocks on two workers: at most two block draws are alive at once
     cfg = RFConfig(v=400, d=100, m=20000, alpha=1.31, activation=Activation("monomial", 2), seed=1)
     peak = _traced_peak(lambda: simulate.mc_covariance_matrix(cfg, threads=2))
     assert peak < 8 * (2 * _worker_entries(cfg.v, cfg.d) + cfg.v * cfg.d) + 1_000_000, peak
@@ -420,14 +426,13 @@ def test_mc_covariance_matrix_workers_hold_one_v_wide_array_each():
 @pytest.mark.parametrize("p", [2, 3])
 def test_mc_covariance_dense_route_keeps_no_block_by_d_copy(threads, p):
     # features go straight into their rows of the m x d matrix: the peak is that
-    # matrix, one chunk draw per worker (at most 2621 x 400, not a whole
-    # 4096 x 400 block) and the sketch, plus 1 MB slack; a kept block x d copy
-    # would add 6.5 MB
+    # matrix, one block draw per worker (2048 x 400, not 4096 x 400) and the
+    # sketch, plus 1 MB slack; a kept block x d copy would add 3.3 MB
     cfg = RFConfig(v=400, d=200, m=10000, alpha=1.31, activation=Activation("monomial", p), seed=2)
     assert cfg.m * cfg.d <= simulate._DENSE_FEATURE_CAP
     peak = _traced_peak(lambda: simulate.mc_covariance(cfg, threads=threads))
-    chunk = min(simulate._BLOCK, simulate._chunk_rows(cfg.v))
-    bound = 8 * (cfg.m * cfg.d + threads * chunk * cfg.v + cfg.v * cfg.d) + 1_000_000
+    rows = simulate._block_rows(cfg.v)
+    bound = 8 * (cfg.m * cfg.d + threads * rows * cfg.v + cfg.v * cfg.d) + 1_000_000
     assert peak < bound, (peak, bound)
 
 
@@ -449,6 +454,23 @@ def test_mc_results_do_not_depend_on_the_thread_count(dist, act, centered):
         assert np.array_equal(simulate.mc_covariance_matrix(cfg, threads=threads), mat)
 
 
+@pytest.mark.parametrize("v, d, m", [(300, 150, 5000), (800, 100, 3000)])
+@pytest.mark.parametrize("dist", ["gaussian", "student_t", "rademacher", "external"])
+def test_mc_results_do_not_depend_on_the_thread_count_in_short_blocks(dist, v, d, m):
+    # three blocks of 2048 or 1024 rows at their real size, the last one short
+    if dist == "external":
+        law = DataDistribution("external", matrix=np.random.default_rng(5).standard_normal((m, v)))
+    else:
+        law = DataDistribution(dist, df=5.0 if dist == "student_t" else None)
+    cfg = RFConfig(v=v, d=d, m=m, alpha=1.31, activation=Activation("monomial", 2), distribution=law, seed=8)
+    assert -(-m // simulate._block_rows(v)) == 3
+    eig = simulate.mc_covariance(cfg, threads=1).eigenvalues
+    mat = simulate.mc_covariance_matrix(cfg, threads=1)
+    for threads in (2, 3):
+        assert np.array_equal(simulate.mc_covariance(cfg, threads=threads).eigenvalues, eig)
+        assert np.array_equal(simulate.mc_covariance_matrix(cfg, threads=threads), mat)
+
+
 def test_default_thread_count_is_the_usable_cpu_count(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
         limit = simulate._cgroup_cpu_limit()
@@ -465,16 +487,17 @@ def test_default_thread_count_is_the_usable_cpu_count(monkeypatch):
 
 
 def test_worker_count_holds_block_draws_to_the_dense_cap():
-    # every worker holds one chunk draw (2**20 entries, at least 1024 rows), a
-    # 4096 x d feature block and a d x d partial: their entries stay within the cap
+    # every worker holds a block's draw and features (1024 x (v + d) at these
+    # v) and a d x d partial: their entries stay within the cap
     m, cap = 100 * simulate._BLOCK, simulate._DENSE_FEATURE_CAP
     shapes = ((800, 400), (2000, 1000), (16000, 800), (20000, 2000), (10**6, 10))
     counts = [simulate.mc_worker_count(m, v, d, threads=64) for v, d in shapes]
-    assert counts == [17, 6, 2, 1, 1]
+    assert counts == [36, 12, 2, 1, 1]
     for (v, d), workers in zip(shapes, counts):
         held = _worker_entries(v, d)
         assert workers == 1 or workers * held <= cap < (workers + 1) * held
     assert simulate.mc_worker_count(m, 800, 400, threads=2) == 2  # the benchmark's jobs
+    assert simulate.mc_worker_count(10**4, 800, 400, threads=64) == 10  # ten 1024-row blocks
     with pytest.raises(InvalidInput, match="threads"):
         simulate.mc_worker_count(m, 800, 400, threads=0)
 
