@@ -28,11 +28,12 @@ K and its symmetrization, since it overwrites the Gram matrix with K row
 block by row block), the d x d Monte Carlo covariance two after sampling,
 and layer propagation three n-row arrays, the caller's data among them.
 
-Randomness is counter-based (Philox): every consumer derives its own stream
-from (seed, purpose, block), so block sampling is reproducible regardless of
-execution order and covariance accumulation is reduced in fixed block order.
-Identical (config, seed) therefore give bit-identical spectra for every
-thread count.
+Every consumer derives its own stream from (seed, purpose, block) through
+`SeedSequence`: Monte Carlo data blocks draw from SFC64, every other purpose
+(sketches, stages, layers, Wick moments) from Philox.  Block sampling is thus
+reproducible regardless of execution order, and covariance accumulation is
+reduced in fixed block order.  Identical (config, seed) therefore give
+bit-identical spectra for every thread count.
 """
 
 from __future__ import annotations
@@ -128,11 +129,15 @@ def _int_power(y: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarr
     return np.multiply(acc, acc if steps[-1] else y, out=out)
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
+def _stream(seed: int, purpose: int, *key: int) -> np.random.Generator:
+    """The generator of (seed, purpose, *key), seeded through SeedSequence."""
     if seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(purpose), *map(int, key)))
+    # data draws are the hot stage of Monte Carlo and need no counter-based jumps,
+    # so they take the faster SFC64; the other purposes keep Philox and their bits
+    bit_generator = np.random.SFC64 if purpose == _DATA else np.random.Philox
+    return np.random.Generator(bit_generator(ss))
 
 
 @dataclass(frozen=True)
@@ -239,7 +244,11 @@ class DataDistribution:
         if self.kind == "gaussian":
             return rng.standard_normal((n, v))
         if self.kind == "rademacher":
-            return rng.integers(0, 2, size=(n, v)).astype(float) * 2.0 - 1.0
+            # int8 draws: the float array is the only full-size one held
+            signs = rng.integers(0, 2, size=(n, v), dtype=np.int8).astype(float)
+            signs *= 2.0
+            signs -= 1.0
+            return signs
         if self.kind == "student_t":
             return rng.standard_t(self.df, size=(n, v)) * math.sqrt((self.df - 2.0) / self.df)
         raise InvalidInput("external distributions provide samples, not unit draws")

@@ -186,6 +186,73 @@ def test_distribution_unit_variance():
     assert set(np.unique(rad)) <= {-1.0, 1.0}
 
 
+# law, excess kurtosis, and the tolerances on variance and excess kurtosis:
+# five times their standard deviation over 30 seeds of a 1000 x 500 block
+# (rademacher's both deviate by O(mean**2), so they are held to 25 / N)
+_LAWS = [
+    (DataDistribution("gaussian"), 0.0, 0.01, 0.04),
+    (DataDistribution("rademacher"), -2.0, 1e-4, 1e-4),
+    (DataDistribution("student_t", df=10.0), 6.0 / (10.0 - 4.0), 0.015, 0.15),
+]
+
+
+@pytest.mark.parametrize("law, kurtosis, var_tol, kurt_tol", _LAWS, ids=lambda x: getattr(x, "label", None))
+@pytest.mark.parametrize("seed", [0, 20260])
+def test_data_stream_draws_the_law(law, kurtosis, var_tol, kurt_tol, seed):
+    # what Monte Carlo blocks 0 and 1 draw: unit variance, the law's kurtosis,
+    # and no correlation between the blocks (means within 5 / sqrt(N))
+    n, v = 1000, 500
+    bound = 5.0 / math.sqrt(n * v)
+    a, b = (law.draw_unit(n, v, simulate._stream(seed, simulate._DATA, k)).ravel() for k in (0, 1))
+    c = a - a.mean()
+    m2 = np.mean(c * c)
+    assert abs(a.mean()) < bound
+    assert abs(m2 - 1.0) < var_tol
+    assert abs(np.mean(c**4) / m2**2 - 3.0 - kurtosis) < kurt_tol
+    assert abs(np.corrcoef(a, b)[0, 1]) < bound
+
+
+def test_rademacher_draw_holds_one_float_array():
+    n, v = 1024, 800
+    law = DataDistribution("rademacher")
+    rng = simulate._stream(3, simulate._DATA, 0)
+    peak = _traced_peak(lambda: law.draw_unit(n, v, rng))
+    assert peak <= 1.2 * n * v * 8, peak
+    signs = law.draw_unit(n, v, rng)
+    assert signs.dtype == np.float64
+    assert set(np.unique(signs)) == {-1.0, 1.0}
+
+
+def test_stream_recipe_per_purpose():
+    # data blocks draw from SFC64, every other purpose from Philox, all seeded
+    # by SeedSequence(seed, spawn_key=(purpose, *key))
+    def recipe(bit_generator, seed, key):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
+        return np.random.Generator(bit_generator(ss)).standard_normal(6)
+
+    for seed in (0, 20260):
+        for b in (0, 1, 9):
+            got = simulate._stream(seed, simulate._DATA, b).standard_normal(6)
+            assert np.array_equal(got, recipe(np.random.SFC64, seed, (1, b)))
+        for purpose in (simulate._SKETCH, simulate._STAGE, simulate._LAYER, simulate._WICK, 97):
+            for key in ((), (0,), (4,)):
+                got = simulate._stream(seed, purpose, *key).standard_normal(6)
+                assert np.array_equal(got, recipe(np.random.Philox, seed, (purpose, *key)))
+
+
+def test_data_stream_golden():
+    # frozen Gaussian draw of data block 0; catches any silent change in the
+    # seed-to-sample pipeline of Monte Carlo data
+    U = DataDistribution("gaussian").draw_unit(2, 2, simulate._stream(0, simulate._DATA, 0))
+    want = np.array(
+        [
+            [-1.2540797385549642, -0.057374060490056056],
+            [0.1831656089569397, -0.25374987556925],
+        ]
+    )
+    assert np.array_equal(U, want)
+
+
 # ---------------------------------------------------------------------------
 # sketches
 
@@ -235,9 +302,7 @@ def test_mc_covariance_linear_commutes_with_sample_covariance():
     est = simulate.mc_covariance(cfg)
     W = simulate.sample_sketch(cfg.v, cfg.d, cfg.seed)
     sqrt_h = np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, 0)))
-    )
+    rng = simulate._stream(cfg.seed, simulate._DATA, 0)
     X = rng.standard_normal((cfg.m, cfg.v)) * sqrt_h
     S = X.T @ X / cfg.m
     want = spectral.sym_eigenvalues(W.T @ S @ W / cfg.d)[: cfg.d]
@@ -583,24 +648,25 @@ def test_mc_covariance_matrix_tail_holds_two_d_by_d_arrays(monkeypatch, centered
 
 
 # sha256 of the little-endian float64 output (eigenvalues of mc_covariance,
-# then the mc_covariance_matrix entries) at threads=1, recorded with the
-# 8192-sample block plan.  m <= 4096 is one block under either plan, so these
-# bits must not move.  numpy picks its SIMD loops and OpenBLAS its GEMM and
+# then the mc_covariance_matrix entries) at threads=1, recorded with data
+# blocks drawn from SFC64.  m <= 4096 is one block under every block plan so
+# far, so these bits move only with the data stream's recipe.  numpy picks
+# its SIMD loops and OpenBLAS its GEMM and
 # eigensolver kernels by CPU, so the digests are compared only on the build
 # they were recorded on (`_GOLDEN_BUILD`); elsewhere
 # `test_one_block_output_is_the_single_draw_recipe` checks the same recipe.
 _ONE_BLOCK_GOLDEN = {
     ("gaussian", "monomial:3", 4096, False): (
-        "fc8d3f918d0ec148ed275d85e51fdfcf4bd14a50f25d5d74b71966d27f971506",
-        "85e5cd9201a56c693257c16cc8b119036b1a6f73cf8ebc20c601abed066a97c4",
+        "0c5549c3eeba535b03dd0b9ef1cec43badfc83ee5cc0356585126d20483adade",
+        "36097f6f14e573ae1c633b6d7f95a540fde815d91bda77b8dbb642d48c61e59a",
     ),
     ("student_t", "monomial:2", 4000, True): (
-        "990d608191fbf8c5982c00d3b98d3695c3c05d723bee9456aae9ba90fbfbea5e",
-        "b87365d040d64c356b38ebbb5e6041d1b9c0c95713a3f9474c07cc905a0dfd5d",
+        "c1c623543fa99c43f1f88eb76ee3f2aaff57909544c85ce9228bddfcc07eea58",
+        "138eab219d90ea58ca2201c3a631a882b9b4249507f68f30ab175f56cd188538",
     ),
     ("rademacher", "tanh", 4096, True): (
-        "48d1a15bdc44b03791d5aa8151c575ddc7baf7a62e0a9ec7e6f66c943a5a5e35",
-        "8c16d4946eb7f85488e931b0d85fae10fa0f9dcb0b9aa3354f693516f4917b63",
+        "8f0e11c57c2bfc18209288f8d904b0dc061d0290e256ff35bc279de93c8b7473",
+        "72ce2533cd0bf528e9020ca0c0e5ec9a086f05cf7661949f8d0d0d0e5aaed77d",
     ),
 }
 
@@ -671,9 +737,7 @@ def test_mc_covariance_centered_subtracts_mean():
     # recompute from raw blocks: centered second moment
     W = simulate.sample_sketch(cfg.v, cfg.d, cfg.seed)
     sqrt_h = np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, 0)))
-    )
+    rng = simulate._stream(cfg.seed, simulate._DATA, 0)
     F = Activation("relu").apply((rng.standard_normal((cfg.m, cfg.v)) * sqrt_h) @ W)
     Fc = F - F.mean(axis=0)
     want = (Fc.T @ Fc / cfg.m) / cfg.d
