@@ -271,6 +271,9 @@ def cmd_spectrum(args) -> int:
             problems.append(f"m must be >= {simulate.MIN_MC_SAMPLES}, got {args.m}")
         if args.threads is not None and args.threads < 1:
             problems.append(f"threads must be >= 1, got {args.threads}")
+        size = min(args.m, d)
+        if size > spectral.MAX_EIG_DIM:
+            problems.append(f"min(m, d) = {size} exceeds the eigensolver's cap of {spectral.MAX_EIG_DIM}")
         if args.data is not None and args.dist.partition(":")[0].strip() != "cifar10":
             problems.append(f"--data is read only with --dist cifar10, got --dist {args.dist}")
     act_text = args.act
@@ -374,7 +377,7 @@ def cmd_layers(args) -> int:
         v = args.v
         params.update(v=v, alpha=alpha)
         H = population.PowerLawSpectrum(alpha, v)
-        X = simulate._stream(seed, 97).standard_normal((n, v)) * np.sqrt(H.eigenvalues)
+        X = simulate._stream(seed, simulate._SYNTHETIC).standard_normal((n, v)) * np.sqrt(H.eigenvalues)
         tag = f"synthetic (alpha={alpha:g}, v={v})"
     else:
         X = read_cifar10(find_cifar_batches(source), limit=n)
@@ -465,7 +468,8 @@ _SPECTRUM_FLAGS = {
     "fit": {"type": str, "default": "5..100", "help": "slope fit range"},
     "centered": {"action": "store_true", "help": "subtract the feature mean"},
     "threads": {"type": int,
-                "help": "threads for sample blocks (default: the usable cpu count); same output"},
+                "help": "cpus for sampling: one worker thread each, every worker on one BLAS thread "
+                        "(default: the usable cpu count); same output"},
     "pi": {"type": str, "default": "1,1", "help": "composition, e.g. 1,1"},
     "k": {"type": int, "default": 1000, "help": "top-k size"},
     "j": {"type": str, "default": "1..1000", "help": "index range LO..HI"},

@@ -15,12 +15,21 @@ thus holds at most `_CHUNK` entries (8 MB) up to v = 1024 and 1024 rows past
 it, whatever m.  The blocks run on a pool of worker threads, by default one
 per usable cpu (the affinity count, capped by a cgroup cpu quota), never
 more than there are blocks nor more than the worker holdings that fit in
-`_DENSE_FEATURE_CAP` entries (`mc_worker_count`).  A block is one draw from
+`_WORKER_ENTRY_CAP` entries (`mc_worker_count`).  A block is one draw from
 its own stream, one product written straight into the block's destination
-(its rows of the feature matrix, or a fresh block x d array when the
-covariance is accumulated blockwise) and one activation there in place.  A
-worker holds one block x v draw and no block x d copy; on the blockwise
-route it also holds its block x d features and d x d partial.
+and one activation there in place.  The m x d feature matrix is built only
+for a run of one block or of m < d samples, whose spectrum is the Gram
+trick's; every other run sums the blocks' d x d partials F'F, each taken on
+its worker, in block order.  A worker holds one block x v draw and no
+block x d copy; on the blockwise route it also holds its block x d features
+and d x d partial.
+
+The pool owns the sampling stage's cpu budget: while blocks are mapped, at
+any worker count, numpy's OpenBLAS is held at one thread (`_BlasBudget`),
+so `threads` workers use `threads` cpus and block products round the same
+whatever the caller's BLAS thread setting.  The caller's setting is
+restored once the last concurrent run leaves, and the final eigensolve
+runs under it.  Nothing is pinned when numpy's BLAS is not OpenBLAS.
 
 The dense routines hold a fixed number of large arrays: the exact kernel
 two beyond the caller's sketch (the scaled sketch and the Gram matrix, then
@@ -41,6 +50,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,7 +68,7 @@ from .combinatorics import (
 from .errors import InvalidInput
 from .population import PowerLawSpectrum
 from .records import SpectrumEstimate
-from .spectral import SlopeFit, clamped_slope_fit, gram_spectrum, sym_eigenvalues
+from .spectral import MAX_EIG_DIM, SlopeFit, clamped_slope_fit, gram_spectrum, sym_eigenvalues
 
 __all__ = [
     "Activation",
@@ -79,15 +89,16 @@ __all__ = [
 
 # stream purposes for derived generators; a changed key moves every draw made from it
 _SKETCH, _DATA, _STAGE, _LAYER, _WICK = 0, 1, 2, 3, 5
+_SYNTHETIC = 97  # the synthetic input data of `plrf layers`
 
 _BLOCK = 4096  # Monte Carlo samples per block at v <= _CHUNK // _BLOCK
 # entries per block draw at larger v; the row floor keeps every product long
 # enough that re-packing the sketch per block stays cheap at large v
 _CHUNK = 2**20
 _MIN_CHUNK_ROWS = 1024
-# entries: the feature matrix is materialised up to this m*d, and what the
-# concurrent workers hold (`mc_worker_count`) is held to it (at least one worker)
-_DENSE_FEATURE_CAP = 5 * 10**7
+# entries: what the concurrent workers hold (`mc_worker_count`) is held to
+# this, at least one worker
+_WORKER_ENTRY_CAP = 5 * 10**7
 MAX_SKETCH_ENTRIES = 10**9
 MAX_LAYER_WIDTH = 4096
 MIN_MC_SAMPLES = 100  # RFConfig.m
@@ -385,7 +396,7 @@ def mc_worker_count(m: int, v: int, d: int, threads: int | None = None) -> int:
 
     `threads` (None: the usable cpu count), but never more than there are
     sample blocks of `_block_rows(v)` rows, nor more workers than fit in
-    `_DENSE_FEATURE_CAP` entries when each holds a block's draw and
+    `_WORKER_ENTRY_CAP` entries when each holds a block's draw and
     features (`_block_rows(v)` x (v + d)) and a d x d partial, as on the
     blockwise route; at least one.
     """
@@ -395,7 +406,7 @@ def mc_worker_count(m: int, v: int, d: int, threads: int | None = None) -> int:
         raise InvalidInput(f"need threads >= 1, got {threads}")
     rows = _block_rows(v)
     held = rows * (v + d) + d * d
-    return max(1, min(threads, -(-m // rows), _DENSE_FEATURE_CAP // held))
+    return max(1, min(threads, -(-m // rows), _WORKER_ENTRY_CAP // held))
 
 
 def _feature_block(cfg: RFConfig, W: np.ndarray, block: int, lo: int, out: np.ndarray) -> None:
@@ -418,6 +429,72 @@ def _feature_block(cfg: RFConfig, W: np.ndarray, block: int, lo: int, out: np.nd
             f"non-finite feature at sample index {lo + bad} "
             f"(activation {cfg.activation.label}, distribution {cfg.distribution.label})"
         )
+
+
+def _openblas_thread_calls():
+    """(get, set) of the thread count of numpy's own OpenBLAS; None when not found.
+
+    The symbols are looked up through numpy's extension module, since
+    `dlsym` searches its dependencies too: the scipy-openblas names of
+    numpy's wheels first, then the plain OpenBLAS ones.  `ctypes` is
+    imported here, on the first Monte Carlo run, not when plrf is imported.
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+class _BlasBudget:
+    """Holds numpy's BLAS at one thread while any Monte Carlo block pool runs.
+
+    A context manager shared by every run in the process: the first run to
+    enter saves the caller's thread setting and sets one thread, the last
+    one to leave restores it, on an exception too.  The thread calls are
+    looked up (`lookup`) on the first entry; when none is found the budget
+    does nothing.
+    """
+
+    def __init__(self, lookup=_openblas_thread_calls) -> None:
+        self._lookup = lookup
+        self._calls = None
+        self._looked_up = False
+        self._lock = threading.Lock()
+        self._runs = 0
+        self._saved = 0
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._looked_up:
+                self._calls, self._looked_up = self._lookup(), True
+            if self._runs == 0 and self._calls is not None:
+                get, put = self._calls
+                self._saved = get()
+                put(1)
+            self._runs += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._runs -= 1
+            if self._runs == 0 and self._calls is not None:
+                self._calls[1](self._saved)
+
+
+_BLAS_BUDGET = _BlasBudget()
 
 
 def _ordered_map(fn, items, threads: int) -> Iterator:
@@ -449,7 +526,8 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
     Block features are written into their rows of `Phi` when it is given,
     else into a fresh block x d array; `reduce` runs on the worker, and None
     yields None per block.  Validation runs at call time, before any block
-    is sampled.
+    is sampled.  From the first block until the last result is taken (or
+    the iterator is closed) BLAS runs on one thread (`_BLAS_BUDGET`).
     """
     workers = mc_worker_count(cfg.m, cfg.v, cfg.d, threads)
     W = sample_sketch(cfg.v, cfg.d, cfg.seed)  # a fresh array, so it may be scaled in place
@@ -469,7 +547,11 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
         _feature_block(cfg, W, b, lo, F)
         return None if reduce is None else reduce(F)
 
-    return _ordered_map(work, range(-(-cfg.m // rows)), workers)
+    def run() -> Iterator:
+        with _BLAS_BUDGET:
+            yield from _ordered_map(work, range(-(-cfg.m // rows)), workers)
+
+    return run()
 
 
 def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate:
@@ -479,16 +561,22 @@ def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate
     from v = 768 on) with per-block derived streams, run on
     `mc_worker_count(cfg.m, cfg.v, cfg.d, threads)` worker threads.  The
     sketch carries H^(1/2), so unit draws U have features f(U H^(1/2) W).
-    A block is one draw, whose product is written straight into its rows of
-    the m x d feature matrix and activated there in place, so a worker holds
-    one block x v draw.  Block bounds depend only on v and m, never on
-    `threads`.
-    The centered variant subtracts the empirical feature mean.  When m*d is
-    moderate the feature matrix is materialised and handed to the Gram trick,
-    otherwise the spectrum is that of `mc_covariance_matrix`; both paths give
-    bit-identical results for a fixed config regardless of thread count.
+    A block is one draw, whose product is written straight into its
+    destination and activated there in place, so a worker holds one block x
+    v draw.  Block bounds depend only on v and m, never on `threads`.  The
+    centered variant subtracts the empirical feature mean.
+
+    A run of one block, or of m < d samples, writes its blocks into the
+    m x d feature matrix and takes the Gram trick's min(m, d) eigenvalues;
+    every other run takes all d eigenvalues of `mc_covariance_matrix`,
+    whose block partials F'F are computed on the workers.  Either way the
+    result is bit-identical for a fixed config regardless of thread count.
+    min(m, d) past the eigensolver's cap is refused before sampling.
     """
-    if cfg.m * cfg.d <= _DENSE_FEATURE_CAP:
+    size = min(cfg.m, cfg.d)
+    if size > MAX_EIG_DIM:
+        raise InvalidInput(f"min(m, d) = {size} exceeds the eigensolver's cap of {MAX_EIG_DIM}")
+    if cfg.m <= _block_rows(cfg.v) or cfg.m < cfg.d:
         Phi = np.empty((cfg.m, cfg.d))
         for _ in _sample_blocks(cfg, threads, Phi=Phi):
             pass
@@ -496,7 +584,7 @@ def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate
             Phi -= Phi.mean(axis=0)
         eig = gram_spectrum(Phi, cfg.feature_scale / cfg.m)
     else:
-        eig = sym_eigenvalues(mc_covariance_matrix(cfg, threads))[: min(cfg.m, cfg.d)]
+        eig = sym_eigenvalues(mc_covariance_matrix(cfg, threads))
 
     return SpectrumEstimate(
         eigenvalues=eig,
@@ -517,20 +605,42 @@ def mc_covariance_matrix(cfg: RFConfig, threads: int | None = None) -> np.ndarra
     """The d x d Monte Carlo feature covariance itself (same sampling as mc_covariance).
 
     Each block's features go into a fresh block x d array; its second
-    moment and column sums are taken on the worker, and the partials are
-    summed in fixed block order as they arrive.  The sum is finished in
-    place, so after sampling at most two d x d arrays are alive.
+    moment is taken on the worker, and the partials are summed in fixed
+    block order as they arrive.  Centered, a block's second moment is taken
+    about the block's own mean, and the scatter of each block's mean about
+    the mean of the blocks before it is added too (the pairwise update of
+    Chan, Golub and LeVeque), as one product per batch of up to
+    `_block_rows(v)` blocks; so no large uncentered moments cancel.  The sum
+    is finished in place, so after sampling at most two d x d arrays are
+    alive.
     """
+
+    def moments(F: np.ndarray):
+        if not cfg.centered:
+            return F.T @ F, None
+        mu = F.mean(axis=0)
+        F -= mu
+        return F.T @ F, mu
+
+    rows = _block_rows(cfg.v)
     G = np.zeros((cfg.d, cfg.d))
-    colsum = np.zeros(cfg.d)
-    for Gb, sb in _sample_blocks(cfg, threads, lambda F: (F.T @ F, F.sum(axis=0))):
+    mean = np.zeros(cfg.d)  # of the blocks summed so far, when centered
+    deltas = []  # scaled block mean differences, added to G in batches of at most `rows`
+    for b, (Gb, mu) in enumerate(_sample_blocks(cfg, threads, moments)):
         G += Gb
-        colsum += sb
         del Gb  # before the next block is awaited
+        if mu is None:
+            continue
+        seen, n = b * rows, min(rows, cfg.m - b * rows)
+        delta = mu - mean
+        mean += delta * (n / (seen + n))
+        deltas.append(delta * math.sqrt(seen * n / (seen + n)))
+        if len(deltas) == rows or seen + n == cfg.m:
+            D = np.array(deltas)
+            deltas.clear()
+            G += D.T @ D  # sampling has not finished, so BLAS is still on one thread
+            del D
     G /= cfg.m
-    if cfg.centered:
-        mu = colsum / cfg.m
-        G -= np.outer(mu, mu)
     C = G + G.T
     C *= cfg.feature_scale
     C /= 2.0

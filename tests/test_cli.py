@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import plrf
-from plrf import cli, lattice, population, selfcheck, simulate
+from plrf import cli, lattice, population, selfcheck, simulate, spectral
 from plrf.data import (
     SchemaError,
     read_cifar10,
@@ -366,6 +366,19 @@ def test_spectrum_exact_past_the_dimension_cap_fails_before_sampling(capsys, mon
     assert (code, stdout) == (2, "")
     assert err == ("error: invalid configuration:\n"
                    f"  exact route supports d <= {simulate.MAX_EXACT_DIM}, got {d}\n")
+
+
+def test_spectrum_mc_past_the_eigensolver_cap_fails_before_sampling(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("drew the sketch despite min(m, d) past the eigensolver's cap")
+
+    monkeypatch.setattr(simulate, "sample_sketch", fail)
+    size = spectral.MAX_EIG_DIM + 500
+    code, stdout, err = run_cli(capsys, "spectrum", "mc", "--p", "2", "--v", str(size + 100), "--d", str(size),
+                                "--m", str(size + 1000))
+    assert (code, stdout) == (2, "")
+    assert err == ("error: invalid configuration:\n"
+                   f"  min(m, d) = {size} exceeds the eigensolver's cap of {spectral.MAX_EIG_DIM}\n")
 
 
 def test_spectrum_mc_data_without_cifar10_fails(capsys):

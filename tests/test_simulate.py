@@ -1,6 +1,10 @@
+import dataclasses
 import hashlib
 import math
 import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -234,10 +238,15 @@ def test_stream_recipe_per_purpose():
         for b in (0, 1, 9):
             got = simulate._stream(seed, simulate._DATA, b).standard_normal(6)
             assert np.array_equal(got, recipe(np.random.SFC64, seed, (1, b)))
-        for purpose in (simulate._SKETCH, simulate._STAGE, simulate._LAYER, simulate._WICK, 97):
+        for purpose in (simulate._SKETCH, simulate._STAGE, simulate._LAYER, simulate._WICK, simulate._SYNTHETIC):
             for key in ((), (0,), (4,)):
                 got = simulate._stream(seed, purpose, *key).standard_normal(6)
                 assert np.array_equal(got, recipe(np.random.Philox, seed, (purpose, *key)))
+
+
+def test_synthetic_data_purpose_is_97():
+    # `plrf layers` and the benchmark's layers job draw their inputs from purpose 97
+    assert simulate._SYNTHETIC == 97
 
 
 def test_data_stream_golden():
@@ -334,15 +343,24 @@ def test_mc_covariance_matrix_matches_spectrum_route():
     assert np.allclose(spectral.sym_eigenvalues(mat), est.eigenvalues, rtol=1e-9, atol=1e-12)
 
 
+def _stacked_features(cfg) -> np.ndarray:
+    """The m x d features of every block, stacked (centered when cfg is)."""
+    Phi = np.empty((cfg.m, cfg.d))
+    for _ in simulate._sample_blocks(cfg, 1, Phi=Phi):
+        pass
+    if cfg.centered:
+        Phi -= Phi.mean(axis=0)
+    return Phi
+
+
 @pytest.mark.parametrize("centered", [False, True])
 def test_mc_covariance_blockwise_route_is_matrix_spectrum(monkeypatch, centered):
-    monkeypatch.setattr(simulate, "_BLOCK", 300)  # seven blocks, the last one short
+    monkeypatch.setattr(simulate, "_BLOCK", 300)  # seven blocks, the last one short, m >= d
     cfg = RFConfig(
         v=50, d=25, m=2000, alpha=1.31, activation=Activation("monomial", 2), seed=4,
         centered=centered,
     )
-    dense = simulate.mc_covariance(cfg).eigenvalues
-    monkeypatch.setattr(simulate, "_DENSE_FEATURE_CAP", 0)
+    dense = spectral.gram_spectrum(_stacked_features(cfg), cfg.feature_scale / cfg.m)
     eig = {}
     for threads in (1, 3):
         eig[threads] = simulate.mc_covariance(cfg, threads=threads).eigenvalues
@@ -352,6 +370,68 @@ def test_mc_covariance_blockwise_route_is_matrix_spectrum(monkeypatch, centered)
     assert np.allclose(eig[1], dense, rtol=1e-9, atol=1e-12 * dense[0])
     with pytest.raises(ValueError, match="threads"):
         simulate.mc_covariance(cfg, threads=0)
+
+
+@pytest.mark.parametrize(
+    "block, v, d, m, gram",
+    [
+        (4096, 40, 16, 4000, True),  # one block
+        (4096, 300, 150, 2000, True),  # one 2048-row block
+        (50, 200, 150, 120, True),  # m < d over three blocks
+        (4096, 40, 16, 4097, False),  # two blocks
+        (50, 200, 120, 120, False),  # m = d over three blocks
+    ],
+)
+def test_mc_covariance_route_rule(monkeypatch, block, v, d, m, gram):
+    # the feature matrix and the Gram trick serve one-block runs and m < d;
+    # every other run takes the eigenvalues of the blockwise matrix
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    calls = []
+    gram_spectrum, sym_eigenvalues = simulate.gram_spectrum, simulate.sym_eigenvalues
+    monkeypatch.setattr(simulate, "gram_spectrum", lambda *a: calls.append("gram") or gram_spectrum(*a))
+    monkeypatch.setattr(simulate, "sym_eigenvalues", lambda *a: calls.append("sym") or sym_eigenvalues(*a))
+    cfg = RFConfig(v=v, d=d, m=m, alpha=1.31, activation=Activation("monomial", 2), seed=3)
+    eig = simulate.mc_covariance(cfg, threads=2).eigenvalues
+    assert calls == (["gram"] if gram else ["sym"])
+    assert eig.size == min(m, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    law=st.sampled_from(["gaussian", "rademacher", "student_t", "external"]),
+    act=st.sampled_from(["monomial:1", "monomial:2", "monomial:3", "tanh", "relu", "hermite:0", "hermite:3"]),
+    centered=st.booleans(),
+    d=st.integers(1, 40),
+    extra=st.integers(1, 2 * simulate._BLOCK),
+    seed=st.integers(0, 2**31),
+)
+def test_blockwise_spectrum_is_the_gram_spectrum_of_the_stacked_blocks(law, act, centered, d, extra, seed):
+    v, m = 40, simulate._BLOCK + extra  # two or three blocks, m > d
+    if law == "external":
+        dist = DataDistribution("external", matrix=np.random.default_rng(seed).standard_normal((m, v)))
+    else:
+        dist = DataDistribution(law, df=5.0 if law == "student_t" else None)
+    cfg = RFConfig(
+        v=v, d=d, m=m, alpha=1.31, activation=Activation.parse(act), distribution=dist, seed=seed,
+        centered=centered,
+    )
+    want = spectral.gram_spectrum(_stacked_features(cfg), cfg.feature_scale / cfg.m)
+    eig = simulate.mc_covariance(cfg).eigenvalues
+    assert eig.shape == want.shape == (d,)
+    assert np.max(np.abs(eig - want)) <= 1e-12 * abs(want[0])
+
+
+@pytest.mark.parametrize("v, d, m", [(300, 60, 5000), (300, 60, 2000), (300, 200, 120)])
+def test_mc_covariance_past_the_eigensolver_cap_fails_before_sampling(monkeypatch, v, d, m):
+    # the blockwise route, one block and m < d: each would solve min(m, d) = 60 or 120
+    def fail(*args, **kwargs):
+        raise AssertionError("drew the sketch despite min(m, d) past the eigensolver's cap")
+
+    monkeypatch.setattr(simulate, "MAX_EIG_DIM", 50)
+    monkeypatch.setattr(simulate, "sample_sketch", fail)
+    cfg = RFConfig(v=v, d=d, m=m, alpha=1.31, activation=Activation("monomial", 2))
+    with pytest.raises(InvalidInput, match=rf"min\(m, d\) = {min(m, d)} exceeds the eigensolver's cap of 50"):
+        simulate.mc_covariance(cfg)
 
 
 def test_mc_covariance_gram_trick_when_m_below_d():
@@ -490,14 +570,25 @@ def test_mc_covariance_matrix_workers_hold_one_v_wide_array_each():
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("p", [2, 3])
 def test_mc_covariance_dense_route_keeps_no_block_by_d_copy(threads, p):
-    # features go straight into their rows of the m x d matrix: the peak is that
-    # matrix, one block draw per worker (2048 x 400, not 4096 x 400) and the
-    # sketch, plus 1 MB slack; a kept block x d copy would add 3.3 MB
-    cfg = RFConfig(v=400, d=200, m=10000, alpha=1.31, activation=Activation("monomial", p), seed=2)
-    assert cfg.m * cfg.d <= simulate._DENSE_FEATURE_CAP
+    # m < d over two blocks takes the feature matrix: features go straight into
+    # their rows of it, so the peak is that matrix, one 1024 x 2000 block draw
+    # per worker and the sketch, plus 1 MB slack; a kept block x d copy would
+    # add 12 MB
+    cfg = RFConfig(v=2000, d=1500, m=1200, alpha=1.31, activation=Activation("monomial", p), seed=2)
+    assert cfg.m < cfg.d and cfg.m > simulate._block_rows(cfg.v)
     peak = _traced_peak(lambda: simulate.mc_covariance(cfg, threads=threads))
     rows = simulate._block_rows(cfg.v)
     bound = 8 * (cfg.m * cfg.d + threads * rows * cfg.v + cfg.v * cfg.d) + 1_000_000
+    assert peak < bound, (peak, bound)
+
+
+def test_mc_covariance_past_one_block_holds_no_feature_matrix():
+    # the benchmark's size, ten 1024-row blocks on two workers: the peak is the
+    # workers' holdings, two d x d arrays (the sum and an arriving partial) and
+    # the sketch, plus 1 MB slack; the m x d feature matrix alone is 32 MB
+    cfg = RFConfig(v=800, d=400, m=10**4, alpha=1.31, activation=Activation("monomial", 2), seed=2)
+    peak = _traced_peak(lambda: simulate.mc_covariance(cfg, threads=2))
+    bound = 8 * (2 * _worker_entries(cfg.v, cfg.d) + 2 * cfg.d * cfg.d + cfg.v * cfg.d) + 1_000_000
     assert peak < bound, (peak, bound)
 
 
@@ -554,7 +645,7 @@ def test_default_thread_count_is_the_usable_cpu_count(monkeypatch):
 def test_worker_count_holds_block_draws_to_the_dense_cap():
     # every worker holds a block's draw and features (1024 x (v + d) at these
     # v) and a d x d partial: their entries stay within the cap
-    m, cap = 100 * simulate._BLOCK, simulate._DENSE_FEATURE_CAP
+    m, cap = 100 * simulate._BLOCK, simulate._WORKER_ENTRY_CAP
     shapes = ((800, 400), (2000, 1000), (16000, 800), (20000, 2000), (10**6, 10))
     counts = [simulate.mc_worker_count(m, v, d, threads=64) for v, d in shapes]
     assert counts == [36, 12, 2, 1, 1]
@@ -571,7 +662,7 @@ def test_workers_past_the_dense_cap_hold_one_draw(monkeypatch):
     # a cap of one worker's holdings leaves one worker whatever threads asks for
     cfg = RFConfig(v=400, d=100, m=20000, alpha=1.31, activation=Activation("monomial", 2), seed=1)
     want = simulate.mc_covariance_matrix(cfg, threads=1)
-    monkeypatch.setattr(simulate, "_DENSE_FEATURE_CAP", _worker_entries(cfg.v, cfg.d))
+    monkeypatch.setattr(simulate, "_WORKER_ENTRY_CAP", _worker_entries(cfg.v, cfg.d))
     assert simulate.mc_worker_count(cfg.m, cfg.v, cfg.d, threads=4) == 1
     peak = _traced_peak(lambda: simulate.mc_covariance_matrix(cfg, threads=4))
     assert peak < 8 * (_worker_entries(cfg.v, cfg.d) + cfg.v * cfg.d) + 1_000_000, peak
@@ -631,17 +722,179 @@ def test_usable_cpu_count_is_capped_by_the_cgroup_quota(monkeypatch, limit):
     assert simulate._usable_cpu_count() == (cpus if limit is None else min(cpus, limit))
 
 
+# ---------------------------------------------------------------------------
+# the BLAS thread budget of Monte Carlo sampling
+
+_BLAS_CALLS = simulate._openblas_thread_calls()
+needs_openblas = pytest.mark.skipif(_BLAS_CALLS is None, reason="numpy's BLAS is not OpenBLAS")
+
+
+def _blas_threads() -> int:
+    return _BLAS_CALLS[0]()
+
+
+@pytest.fixture
+def caller_blas_threads():
+    """The caller's OpenBLAS thread count set to 2 for the test, then put back."""
+    get, put = _BLAS_CALLS
+    before = get()
+    put(2)
+    try:
+        yield 2
+    finally:
+        put(before)
+
+
+def _three_block_cfg(seed: int = 8, dist: DataDistribution = DataDistribution("gaussian")) -> RFConfig:
+    return RFConfig(v=300, d=150, m=5000, alpha=1.31, activation=Activation("monomial", 2), distribution=dist, seed=seed)
+
+
+def test_openblas_thread_calls_found_when_numpy_uses_openblas():
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        pytest.skip("numpy reports no BLAS build configuration")
+    if "openblas" not in name.lower():
+        pytest.skip(f"numpy's BLAS is {name}")
+    assert _BLAS_CALLS is not None
+
+
+@needs_openblas
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_block_work_runs_on_one_blas_thread(caller_blas_threads, threads):
+    seen = list(simulate._sample_blocks(_three_block_cfg(), threads, lambda F: _blas_threads()))
+    assert seen == [1, 1, 1]
+    assert _blas_threads() == caller_blas_threads
+
+
+@needs_openblas
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_blas_threads_restored_after_a_run(caller_blas_threads, threads):
+    simulate.mc_covariance(_three_block_cfg(), threads=threads)
+    assert _blas_threads() == caller_blas_threads
+    simulate.mc_covariance_matrix(_three_block_cfg(), threads=threads)
+    assert _blas_threads() == caller_blas_threads
+
+
+@needs_openblas
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_blas_threads_restored_after_a_non_finite_block(caller_blas_threads, threads):
+    X = np.ones((5000, 300))
+    X[4990, 3] = np.inf  # in the last of three blocks
+    cfg = _three_block_cfg(dist=DataDistribution("external", matrix=X))
+    with pytest.raises(InvalidInput, match="sample index 4990"):
+        simulate.mc_covariance(cfg, threads=threads)
+    assert _blas_threads() == caller_blas_threads
+
+
+@needs_openblas
+def test_mc_blas_threads_restored_after_concurrent_runs(caller_blas_threads, within):
+    # more sampling threads than cores: 4 Python threads of 2 workers each
+    cfgs = [_three_block_cfg(seed) for seed in range(4)]
+    want = [simulate.mc_covariance(cfg, threads=1).eigenvalues for cfg in cfgs]
+    got = [None] * len(cfgs)
+
+    def run(i):
+        got[i] = simulate.mc_covariance(cfgs[i], threads=2).eigenvalues
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with within(120):
+            runners = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+            for t in runners:
+                t.start()
+            for t in runners:
+                t.join(timeout=100)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in runners)
+    for a, b in zip(got, want):  # an eigensolve may overlap another run's sampling
+        assert np.max(np.abs(a - b)) <= 1e-12 * b[0]
+    assert _blas_threads() == caller_blas_threads
+
+
+def test_blas_budget_holds_one_thread_while_any_run_is_inside(within):
+    state = {"threads": 4, "lookups": 0}
+
+    def lookup():
+        state["lookups"] += 1
+        return (lambda: state["threads"]), (lambda n: state.update(threads=n))
+
+    budget = simulate._BlasBudget(lookup)
+    seen = []
+
+    def run():
+        for _ in range(300):
+            with budget:
+                seen.append(state["threads"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with within(60):
+            runners = [threading.Thread(target=run) for _ in range(8)]
+            for t in runners:
+                t.start()
+            for t in runners:
+                t.join(timeout=50)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in runners)
+    assert len(seen) == 8 * 300 and set(seen) == {1}
+    assert state == {"threads": 4, "lookups": 1}
+    with pytest.raises(RuntimeError):
+        with budget:
+            raise RuntimeError
+    assert state["threads"] == 4
+
+
+def test_mc_runs_when_no_blas_thread_call_is_found(monkeypatch):
+    cfg = _three_block_cfg()
+    want = simulate.mc_covariance(cfg, threads=2).eigenvalues
+    before = None if _BLAS_CALLS is None else _blas_threads()
+    monkeypatch.setattr(simulate, "_BLAS_BUDGET", simulate._BlasBudget(lambda: None))
+    got = simulate.mc_covariance(cfg, threads=2).eigenvalues
+    assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
+    if _BLAS_CALLS is not None:  # nothing was pinned
+        assert list(simulate._sample_blocks(cfg, 2, lambda F: _blas_threads())) == [before] * 3
+        assert _blas_threads() == before
+
+
+@needs_openblas
+def test_mc_covariance_matrix_bytes_do_not_depend_on_the_callers_blas_threads():
+    code = (
+        "import hashlib; from plrf.simulate import Activation, RFConfig, mc_covariance_matrix; "
+        "cfg = RFConfig(v=300, d=150, m=5000, alpha=1.31, activation=Activation('monomial', 2), seed=20260); "
+        "print(hashlib.sha256(mc_covariance_matrix(cfg).tobytes()).hexdigest())"
+    )
+    src = os.path.dirname(os.path.dirname(simulate.__file__))
+    digests = set()
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        digests.add(done.stdout)
+    assert len(digests) == 1, digests
+
+
 @pytest.mark.parametrize("centered", [False, True])
 def test_mc_covariance_matrix_tail_holds_two_d_by_d_arrays(monkeypatch, centered):
     # the partial sums arrive untraced: the tail holds the sum G and one more
-    # d x d array (the mean's outer product, then the symmetrized result)
+    # d x d array (the mean's scatter, then the symmetrized result)
     cfg = RFConfig(v=500, d=500, m=100, alpha=1.31, activation=Activation("monomial", 2), seed=1, centered=centered)
     want = simulate.mc_covariance_matrix(cfg, threads=1)
-    F = np.empty((cfg.m, cfg.d))
-    for _ in simulate._sample_blocks(cfg, 1, Phi=F):
-        pass
-    parts = [(F.T @ F, F.sum(axis=0))]
-    monkeypatch.setattr(simulate, "_sample_blocks", lambda cfg, threads, reduce: iter(parts))
+    sample_blocks, parts = simulate._sample_blocks, []
+
+    def replay(cfg, threads, reduce):  # the partials, taken once as the run takes them
+        if not parts:
+            parts.extend(sample_blocks(cfg, threads, reduce))
+        return iter(parts)
+
+    monkeypatch.setattr(simulate, "_sample_blocks", replay)
+    simulate.mc_covariance_matrix(cfg, threads=1)
     peak = _traced_peak(lambda: simulate.mc_covariance_matrix(cfg, threads=1))
     assert peak < 2.2 * cfg.d * cfg.d * 8, peak
     assert np.array_equal(simulate.mc_covariance_matrix(cfg, threads=1), want)
@@ -649,8 +902,10 @@ def test_mc_covariance_matrix_tail_holds_two_d_by_d_arrays(monkeypatch, centered
 
 # sha256 of the little-endian float64 output (eigenvalues of mc_covariance,
 # then the mc_covariance_matrix entries) at threads=1, recorded with data
-# blocks drawn from SFC64.  m <= 4096 is one block under every block plan so
-# far, so these bits move only with the data stream's recipe.  numpy picks
+# blocks drawn from SFC64 and centered matrices summed from moments about
+# each block's mean.  m <= 4096 is one block under every block plan so far,
+# so these bits move only with the data stream's recipe or the centered
+# reduction.  numpy picks
 # its SIMD loops and OpenBLAS its GEMM and
 # eigensolver kernels by CPU, so the digests are compared only on the build
 # they were recorded on (`_GOLDEN_BUILD`); elsewhere
@@ -662,11 +917,11 @@ _ONE_BLOCK_GOLDEN = {
     ),
     ("student_t", "monomial:2", 4000, True): (
         "c1c623543fa99c43f1f88eb76ee3f2aaff57909544c85ce9228bddfcc07eea58",
-        "138eab219d90ea58ca2201c3a631a882b9b4249507f68f30ab175f56cd188538",
+        "8192247ffb145abf074b419515f29524989c097cc141a1ba3c1e475ffdf824e9",
     ),
     ("rademacher", "tanh", 4096, True): (
         "8f0e11c57c2bfc18209288f8d904b0dc061d0290e256ff35bc279de93c8b7473",
-        "72ce2533cd0bf528e9020ca0c0e5ec9a086f05cf7661949f8d0d0d0e5aaed77d",
+        "c66548623fab4ca98cbb3899cdb97a356e13aca1f6d53e9e87ad2d9f037e7cc8",
     ),
 }
 
@@ -742,6 +997,27 @@ def test_mc_covariance_centered_subtracts_mean():
     Fc = F - F.mean(axis=0)
     want = (Fc.T @ Fc / cfg.m) / cfg.d
     assert np.allclose(mat, (want + want.T) / 2, rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.parametrize("block", [simulate._BLOCK, 4])
+@pytest.mark.parametrize("law", ["gaussian", "rademacher", "student_t"])
+def test_centered_mc_covariance_matrix_is_accurate_to_round_off(monkeypatch, law, block):
+    # monomial:2 features have a mean larger than their spread, so a centered
+    # covariance taken as E[ff'] - mu mu' loses digits (an error of 1.8e-15 to
+    # 1.1e-14 of the top eigenvalue here); moments about each block's mean
+    # keep it at round-off, as the centered feature matrix has it.  Blocks of
+    # 4 rows add their mean differences in batches of 4, the last of 2
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    dist = DataDistribution(law, df=10.0 if law == "student_t" else None)
+    raw = RFConfig(v=200, d=60, m=5000, alpha=1.31, activation=Activation("monomial", 2), distribution=dist, seed=3)
+    cfg = dataclasses.replace(raw, centered=True)
+    P = _stacked_features(raw).astype(np.longdouble)
+    P -= P.mean(axis=0)
+    want = P.T @ P / cfg.m / cfg.d
+    top = np.linalg.eigvalsh(want.astype(float))[-1]
+    for threads in (1, 2):
+        got = simulate.mc_covariance_matrix(cfg, threads=threads)
+        assert np.linalg.norm((got - want).astype(float), 2) <= 8e-16 * top
 
 
 def test_mc_covariance_external_distribution():
