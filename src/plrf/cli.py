@@ -469,7 +469,7 @@ _SPECTRUM_FLAGS = {
     "centered": {"action": "store_true", "help": "subtract the feature mean"},
     "threads": {"type": int,
                 "help": "cpus for sampling: one worker thread each, every worker on one BLAS thread "
-                        "(default: the usable cpu count); same output"},
+                        "when a run can have two (default: the usable cpu count); same output"},
     "pi": {"type": str, "default": "1,1", "help": "composition, e.g. 1,1"},
     "k": {"type": int, "default": 1000, "help": "top-k size"},
     "j": {"type": str, "default": "1..1000", "help": "index range LO..HI"},

@@ -24,12 +24,17 @@ its worker, in block order.  A worker holds one block x v draw and no
 block x d copy; on the blockwise route it also holds its block x d features
 and d x d partial.
 
-The pool owns the sampling stage's cpu budget: while blocks are mapped, at
-any worker count, numpy's OpenBLAS is held at one thread (`_BlasBudget`),
-so `threads` workers use `threads` cpus and block products round the same
-whatever the caller's BLAS thread setting.  The caller's setting is
-restored once the last concurrent run leaves, and the final eigensolve
-runs under it.  Nothing is pinned when numpy's BLAS is not OpenBLAS.
+The pool owns the sampling stage's cpu budget: while the blocks of a run
+that could have two workers are mapped, at any `threads`, numpy's OpenBLAS
+is held at one thread (`_BlasBudget`), so `threads` workers use `threads`
+cpus and block products round the same whatever the caller's BLAS thread
+setting.  A run that never has more than one worker (one block, or the
+worker cap) keeps the caller's setting.  The caller's setting is restored
+once the last concurrent run leaves, and the final eigensolve runs under
+it.  The setting is process-wide: while a run samples, every BLAS call in
+the process runs on one thread, so a concurrent run's eigensolve may round
+differently and agrees with a lone run's only to round-off.  Nothing is
+pinned when numpy's BLAS is not OpenBLAS.
 
 The dense routines hold a fixed number of large arrays: the exact kernel
 two beyond the caller's sketch (the scaled sketch and the Gram matrix, then
@@ -47,6 +52,7 @@ bit-identical spectra for every thread count.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import os
@@ -464,9 +470,12 @@ class _BlasBudget:
 
     A context manager shared by every run in the process: the first run to
     enter saves the caller's thread setting and sets one thread, the last
-    one to leave restores it, on an exception too.  The thread calls are
-    looked up (`lookup`) on the first entry; when none is found the budget
-    does nothing.
+    one to leave restores it, on an exception too.  The setting is
+    process-wide (OpenBLAS's pthreads build has no per-thread one; its
+    `openblas_set_num_threads_local` sets the global count), so it holds
+    every other BLAS call in the process at one thread too.  The thread
+    calls are looked up (`lookup`) on the first entry; when none is found
+    the budget does nothing.
     """
 
     def __init__(self, lookup=_openblas_thread_calls) -> None:
@@ -526,8 +535,13 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
     Block features are written into their rows of `Phi` when it is given,
     else into a fresh block x d array; `reduce` runs on the worker, and None
     yields None per block.  Validation runs at call time, before any block
-    is sampled.  From the first block until the last result is taken (or
-    the iterator is closed) BLAS runs on one thread (`_BLAS_BUDGET`).
+    is sampled.  When the run could have two workers at some `threads`
+    (several blocks, and two workers' holdings fit the cap), BLAS runs on
+    one thread (`_BLAS_BUDGET`) from the first block until the last result
+    is taken or the iterator is closed, so the bytes do not depend on
+    `threads`; a run that always has one worker keeps the caller's BLAS
+    threads.  The pin is process-wide: other threads' BLAS calls run on one
+    thread meanwhile.
     """
     workers = mc_worker_count(cfg.m, cfg.v, cfg.d, threads)
     W = sample_sketch(cfg.v, cfg.d, cfg.seed)  # a fresh array, so it may be scaled in place
@@ -547,8 +561,10 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
         _feature_block(cfg, W, b, lo, F)
         return None if reduce is None else reduce(F)
 
+    pooled = mc_worker_count(cfg.m, cfg.v, cfg.d, 2) > 1  # the same for every `threads`
+
     def run() -> Iterator:
-        with _BLAS_BUDGET:
+        with _BLAS_BUDGET if pooled else contextlib.nullcontext():
             yield from _ordered_map(work, range(-(-cfg.m // rows)), workers)
 
     return run()
@@ -570,7 +586,9 @@ def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate
     m x d feature matrix and takes the Gram trick's min(m, d) eigenvalues;
     every other run takes all d eigenvalues of `mc_covariance_matrix`,
     whose block partials F'F are computed on the workers.  Either way the
-    result is bit-identical for a fixed config regardless of thread count.
+    result is bit-identical for a fixed config regardless of `threads`; with
+    runs concurrent in one process, an eigensolve may overlap another run's
+    one-thread BLAS pin, and then agrees with a lone run's to round-off.
     min(m, d) past the eigensolver's cap is refused before sampling.
     """
     size = min(cfg.m, cfg.d)
@@ -638,7 +656,7 @@ def mc_covariance_matrix(cfg: RFConfig, threads: int | None = None) -> np.ndarra
         if len(deltas) == rows or seen + n == cfg.m:
             D = np.array(deltas)
             deltas.clear()
-            G += D.T @ D  # sampling has not finished, so BLAS is still on one thread
+            G += D.T @ D  # sampling has not finished: the blocks' BLAS setting
             del D
     G /= cfg.m
     C = G + G.T

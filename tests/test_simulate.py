@@ -238,15 +238,11 @@ def test_stream_recipe_per_purpose():
         for b in (0, 1, 9):
             got = simulate._stream(seed, simulate._DATA, b).standard_normal(6)
             assert np.array_equal(got, recipe(np.random.SFC64, seed, (1, b)))
-        for purpose in (simulate._SKETCH, simulate._STAGE, simulate._LAYER, simulate._WICK, simulate._SYNTHETIC):
+        for purpose in (simulate._SKETCH, simulate._STAGE, simulate._LAYER, simulate._WICK, 97):
             for key in ((), (0,), (4,)):
                 got = simulate._stream(seed, purpose, *key).standard_normal(6)
                 assert np.array_equal(got, recipe(np.random.Philox, seed, (purpose, *key)))
-
-
-def test_synthetic_data_purpose_is_97():
-    # `plrf layers` and the benchmark's layers job draw their inputs from purpose 97
-    assert simulate._SYNTHETIC == 97
+    assert simulate._SYNTHETIC == 97  # `plrf layers` and the benchmark's layers job draw from it
 
 
 def test_data_stream_golden():
@@ -659,10 +655,12 @@ def test_worker_count_holds_block_draws_to_the_dense_cap():
 
 
 def test_workers_past_the_dense_cap_hold_one_draw(monkeypatch):
-    # a cap of one worker's holdings leaves one worker whatever threads asks for
+    # a cap of one worker's holdings leaves one worker whatever threads asks
+    # for; such a run keeps the caller's BLAS threads, so `want` is taken
+    # under the same cap
     cfg = RFConfig(v=400, d=100, m=20000, alpha=1.31, activation=Activation("monomial", 2), seed=1)
-    want = simulate.mc_covariance_matrix(cfg, threads=1)
     monkeypatch.setattr(simulate, "_WORKER_ENTRY_CAP", _worker_entries(cfg.v, cfg.d))
+    want = simulate.mc_covariance_matrix(cfg, threads=1)
     assert simulate.mc_worker_count(cfg.m, cfg.v, cfg.d, threads=4) == 1
     peak = _traced_peak(lambda: simulate.mc_covariance_matrix(cfg, threads=4))
     assert peak < 8 * (_worker_entries(cfg.v, cfg.d) + cfg.v * cfg.d) + 1_000_000, peak
@@ -764,6 +762,21 @@ def test_openblas_thread_calls_found_when_numpy_uses_openblas():
 def test_mc_block_work_runs_on_one_blas_thread(caller_blas_threads, threads):
     seen = list(simulate._sample_blocks(_three_block_cfg(), threads, lambda F: _blas_threads()))
     assert seen == [1, 1, 1]
+    assert _blas_threads() == caller_blas_threads
+
+
+@needs_openblas
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_runs_of_one_worker_keep_the_callers_blas_threads(monkeypatch, caller_blas_threads, threads):
+    # one block, or a worker cap of one worker's holdings: no `threads` gives
+    # a second worker, so nothing is pinned
+    one_block = RFConfig(v=300, d=150, m=2000, alpha=1.31, activation=Activation("monomial", 2), seed=8)
+    seen = list(simulate._sample_blocks(one_block, threads, lambda F: _blas_threads()))
+    assert seen == [caller_blas_threads]
+    cfg = _three_block_cfg()
+    monkeypatch.setattr(simulate, "_WORKER_ENTRY_CAP", 2 * _worker_entries(cfg.v, cfg.d) - 1)
+    seen = list(simulate._sample_blocks(cfg, threads, lambda F: _blas_threads()))
+    assert seen == [caller_blas_threads] * 3
     assert _blas_threads() == caller_blas_threads
 
 
