@@ -366,7 +366,8 @@ def check_spectral_contracts(quick: bool = False) -> CheckResult:
         if eig.min() < -1e-8 * eig.max():
             problems.append(f"PSD floor violated at n={n}")
             break
-    for m, d in ((20, 7), (100, 40)) if quick else ((20, 7), (100, 40), (500, 100)):
+    shapes = ((20, 7), (100, 40), (7, 20), (40, 100))  # m < d takes the FF' side
+    for m, d in shapes if quick else shapes + ((500, 100), (100, 500)):
         F = rng.standard_normal((m, d))
         a = spectral.gram_spectrum(F, 0.5)
         b = spectral.sym_eigenvalues(0.5 * F.T @ F)

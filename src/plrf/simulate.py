@@ -37,10 +37,10 @@ differently and agrees with a lone run's only to round-off.  Nothing is
 pinned when numpy's BLAS is not OpenBLAS.
 
 The dense routines hold a fixed number of large arrays: the exact kernel
-two beyond the caller's sketch (the scaled sketch and the Gram matrix, then
-K and its symmetrization, since it overwrites the Gram matrix with K row
-block by row block), the d x d Monte Carlo covariance two after sampling,
-and layer propagation three n-row arrays, the caller's data among them.
+two beyond the caller's sketch (the scaled sketch and the Gram matrix, which
+it overwrites with K), the d x d Monte Carlo covariance one after sampling
+(two when centered), and layer propagation three n-row arrays, the caller's
+data among them.  Each matrix is built symmetric once, scaled in place.
 
 Every consumer derives its own stream from (seed, purpose, block) through
 `SeedSequence`: Monte Carlo data blocks draw from SFC64, every other purpose
@@ -427,8 +427,7 @@ def _feature_block(cfg: RFConfig, W: np.ndarray, block: int, lo: int, out: np.nd
         rows = cfg.distribution.draw_unit(out.shape[0], cfg.v, _stream(cfg.seed, _DATA, block))
     np.matmul(rows, W, out=out)
     del rows  # the v-wide draw goes before the activation
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
-        cfg.activation.apply(out, out=out)
+    cfg.activation.apply(out, out=out)
     if not np.all(np.isfinite(out)):
         bad = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
         raise InvalidInput(
@@ -442,8 +441,8 @@ def _openblas_thread_calls():
 
     The symbols are looked up through numpy's extension module, since
     `dlsym` searches its dependencies too: the scipy-openblas names of
-    numpy's wheels first, then the plain OpenBLAS ones.  `ctypes` is
-    imported here, on the first Monte Carlo run, not when plrf is imported.
+    numpy's wheels first, then the plain OpenBLAS ones.  numpy imports
+    `ctypes`; the first Monte Carlo run loads the library and looks them up.
     """
     import ctypes
 
@@ -558,8 +557,9 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
     def work(b: int):
         lo, hi = b * rows, min((b + 1) * rows, cfg.m)
         F = np.empty((hi - lo, cfg.d)) if Phi is None else Phi[lo:hi]
-        _feature_block(cfg, W, b, lo, F)
-        return None if reduce is None else reduce(F)
+        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness checks raise instead
+            _feature_block(cfg, W, b, lo, F)
+            return None if reduce is None else reduce(F)
 
     pooled = mc_worker_count(cfg.m, cfg.v, cfg.d, 2) > 1  # the same for every `threads`
 
@@ -628,9 +628,9 @@ def mc_covariance_matrix(cfg: RFConfig, threads: int | None = None) -> np.ndarra
     about the block's own mean, and the scatter of each block's mean about
     the mean of the blocks before it is added too (the pairwise update of
     Chan, Golub and LeVeque), as one product per batch of up to
-    `_block_rows(v)` blocks; so no large uncentered moments cancel.  The sum
-    is finished in place, so after sampling at most two d x d arrays are
-    alive.
+    `_block_rows(v)` blocks; so no large uncentered moments cancel.  The
+    exactly symmetric sum is scaled in place, so after sampling one d x d
+    array is alive, two when centered (the last batch's scatter).
     """
 
     def moments(F: np.ndarray):
@@ -644,25 +644,24 @@ def mc_covariance_matrix(cfg: RFConfig, threads: int | None = None) -> np.ndarra
     G = np.zeros((cfg.d, cfg.d))
     mean = np.zeros(cfg.d)  # of the blocks summed so far, when centered
     deltas = []  # scaled block mean differences, added to G in batches of at most `rows`
-    for b, (Gb, mu) in enumerate(_sample_blocks(cfg, threads, moments)):
-        G += Gb
-        del Gb  # before the next block is awaited
-        if mu is None:
-            continue
-        seen, n = b * rows, min(rows, cfg.m - b * rows)
-        delta = mu - mean
-        mean += delta * (n / (seen + n))
-        deltas.append(delta * math.sqrt(seen * n / (seen + n)))
-        if len(deltas) == rows or seen + n == cfg.m:
-            D = np.array(deltas)
-            deltas.clear()
-            G += D.T @ D  # sampling has not finished: the blocks' BLAS setting
-            del D
+    with np.errstate(over="ignore", invalid="ignore"):  # sym_eigenvalues rejects an overflow
+        for b, (Gb, mu) in enumerate(_sample_blocks(cfg, threads, moments)):
+            G += Gb
+            del Gb  # before the next block is awaited
+            if mu is None:
+                continue
+            seen, n = b * rows, min(rows, cfg.m - b * rows)
+            delta = mu - mean
+            mean += delta * (n / (seen + n))
+            deltas.append(delta * math.sqrt(seen * n / (seen + n)))
+            if len(deltas) == rows or seen + n == cfg.m:
+                D = np.array(deltas)
+                deltas.clear()
+                G += D.T @ D  # sampling has not finished: the blocks' BLAS setting
+                del D
     G /= cfg.m
-    C = G + G.T
-    C *= cfg.feature_scale
-    C /= 2.0
-    return C
+    G *= cfg.feature_scale
+    return G
 
 
 def exact_population_covariance(W, H: PowerLawSpectrum, p: int) -> np.ndarray:
@@ -677,7 +676,7 @@ def exact_population_covariance(W, H: PowerLawSpectrum, p: int) -> np.ndarray:
     Gram matrix in blocks of about `_KERNEL_BLOCK` entries (whole rows), and
     every term is built in block-sized scratch.  Beyond the caller's W the
     peak is two large arrays: the scaled sketch and the Gram matrix during
-    the product, then K and its symmetrization.
+    the product, which becomes K, exactly symmetric as G is.
     """
     Wm = np.asarray(W, dtype=float)
     if Wm.ndim != 2:
@@ -707,9 +706,7 @@ def exact_population_covariance(W, H: PowerLawSpectrum, p: int) -> np.ndarray:
                 term *= G if q == 1 else _int_power(G, q)
             acc += term
         np.divide(acc, d, out=G)  # K's rows replace the Gram rows they were built from
-    S = K + K.T
-    S /= 2.0
-    return S
+    return K
 
 
 def iterated_sketch(
@@ -855,15 +852,17 @@ def head_concentration(v: int, d: int, k_star: int, seed: int) -> float:
     the leading block of the sketch concentrates (values below 1/2 mean the
     head spectrum transfers two-sidedly).
     """
-    if not 1 <= k_star <= v:
-        raise InvalidInput(f"k_star must lie in [1, {v}], got {k_star}")
+    if not 1 <= k_star <= min(v, MAX_EIG_DIM):  # refused before a k_star x k_star matrix is formed
+        raise InvalidInput(f"k_star must lie in [1, {min(v, MAX_EIG_DIM)}], got {k_star}")
     if d < 1:
         raise InvalidInput(f"sketch dimension must be positive, got {d}")
     if k_star * d > MAX_SKETCH_ENTRIES:
         raise InvalidInput(f"{k_star} x {d} exceeds the {MAX_SKETCH_ENTRIES:.0e}-entry cap")
     W0 = _stream(seed, _SKETCH).standard_normal((k_star, d))  # the sketch's leading rows
-    A = W0 @ W0.T / d - np.eye(k_star)
-    return float(np.max(np.abs(np.linalg.eigvalsh(A))))
+    A = W0 @ W0.T
+    A /= d
+    A[np.diag_indices(k_star)] -= 1.0
+    return float(np.max(np.abs(sym_eigenvalues(A))))
 
 
 class WickMoments(NamedTuple):

@@ -51,11 +51,9 @@ def sym_eigenvalues(M) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise InvalidInput("matrix has non-finite entries")
     fro = float(np.linalg.norm(A))
-    skew = 0.0
-    if n > 0:
-        diff = np.subtract(A, A.T)
-        skew = float(np.abs(diff, out=diff).max())
-        del diff  # before eigvalsh copies A
+    diff = np.subtract(A, A.T)
+    skew = float(np.abs(diff, out=diff).max(initial=0.0))
+    del diff  # before eigvalsh copies A
     if skew > _SYM_RTOL * max(fro, np.finfo(float).tiny):
         raise InvalidInput(f"asymmetry {skew:.3e} exceeds tolerance {_SYM_RTOL * fro:.3e}")
     return np.linalg.eigvalsh(A)[::-1]
@@ -66,17 +64,17 @@ def gram_spectrum(F, scale: float) -> np.ndarray:
 
     The nonzero eigenvalues of F'F and FF' coincide, so the min(m, d)-sized
     side is diagonalised; output length is min(m, d) (rank deficits appear
-    as zeros rather than being dropped).
+    as zeros rather than being dropped).  `sym_eigenvalues` checks the
+    scaled Gram matrix: its cap, and finite entries (an overflow raises).
     """
     A = np.asarray(F, dtype=float)
     if A.ndim != 2:
         raise InvalidInput(f"expected a 2-D matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInput("matrix has non-finite entries")
     m, d = A.shape
-    G = A.T @ A if d <= m else A @ A.T
-    G = (G + G.T) * (0.5 * scale)
-    return np.linalg.eigvalsh(G)[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # sym_eigenvalues rejects what overflowed
+        G = A.T @ A if d <= m else A @ A.T
+        G *= scale
+    return sym_eigenvalues(G)
 
 
 def slope_fit(eigs, j_min: int = 1, j_max: int = 100) -> SlopeFit:

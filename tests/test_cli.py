@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -381,6 +384,31 @@ def test_spectrum_mc_past_the_eigensolver_cap_fails_before_sampling(capsys, monk
                    f"  min(m, d) = {size} exceeds the eigensolver's cap of {spectral.MAX_EIG_DIM}\n")
 
 
+@pytest.mark.parametrize("flags, problem", [
+    (["--act", "tanh"], "the exact population route supports monomial activations"),
+    (["--p", "7"], f"exact route supports p <= {simulate.MAX_EXACT_DEGREE}, got 7"),
+])
+def test_spectrum_exact_unsupported_activation_fails_before_sampling(capsys, monkeypatch, flags, problem):
+    def fail(*args, **kwargs):
+        raise AssertionError("drew the sketch for an activation the exact kernel lacks")
+
+    monkeypatch.setattr(simulate, "sample_sketch", fail)
+    code, stdout, err = run_cli(capsys, "spectrum", "exact", "--v", "20", *flags)
+    assert (code, stdout, err) == (2, "", f"error: invalid configuration:\n  {problem}\n")
+
+
+# one Gram-route block, three blockwise blocks, and three centered on two workers
+@pytest.mark.parametrize("extra", [["--m", "1000"], ["--m", "10000"], ["--m", "10000", "--centered", "--threads", "2"]])
+def test_spectrum_mc_overflowing_covariance_exits_2_without_warnings(extra):
+    # monomial:200 features are finite, but their second moments overflow
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    argv = ["spectrum", "mc", "--act", "monomial:200", "--v", "100", "--d", "50", "--fit", "1..20", *extra]
+    done = subprocess.run([sys.executable, "-m", "plrf", *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: matrix has non-finite entries\n")
+
+
 def test_spectrum_mc_data_without_cifar10_fails(capsys):
     code, stdout, err = run_cli(capsys, "spectrum", "mc", "--p", "1", "--v", "50", "--m", "200",
                                 "--fit", "1..20", "--data", "/no/such/dir")
@@ -606,6 +634,13 @@ def test_help_shows_each_default(capsys, argv, shown):
     for text in shown:
         assert text in out
     assert "(default: None)" not in out and "(default: False)" not in out
+
+
+def test_config_line_without_equals_sign(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# top-k size\nk 3\n")
+    code, stdout, err = run_cli(capsys, "spectrum", "hpi", "--config", str(cfg))
+    assert (code, stdout, err) == (2, "", "error: config line without '=': 'k 3'\n")
 
 
 def test_config_file_missing(tmp_path, capsys):

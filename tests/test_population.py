@@ -179,6 +179,26 @@ def test_hpi_top_k_validation():
         population.hpi_top_k(H, (1, 1, 1, 1, 1), 3)
 
 
+@pytest.mark.parametrize("eig, k, counts", [
+    # 66 > 4k enters the bisection; 35 >= k raises lo, 12 <= 4k stops it
+    (np.linspace(1.0, 0.89, 12), 3, [1, 66, 35, 12]),
+    # 21 > 4k enters it; 1 < k lowers hi, then 5 lies in [k, 4k]
+    (np.array([1.0, 0.99, *np.linspace(0.6, 0.55, 10)]), 2, [1, 21, 1, 5]),
+])
+def test_hpi_top_k_window_bisection_arms(monkeypatch, eig, k, counts):
+    H = PowerLawSpectrum(1.5, eig.size, eigenvalues=eig)
+    count_above, seen = population.hpi_count_above, []
+
+    def counted(*args):
+        seen.append(count_above(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(population, "hpi_count_above", counted)
+    top = population.hpi_top_k(H, (1, 1), k)
+    assert seen == counts
+    assert list(top) == brute_top_k(H, (1, 1), k)
+
+
 def test_hpi_top_k_heap_oracle_large():
     # independent oracle: a bounded max-heap sweep over all tuples
     import heapq
@@ -250,6 +270,12 @@ def test_count_threshold_duality():
         assert population.hpi_count_above(H, parts, lam_k) >= k
         ties = sum(1 for e in top if e.value == lam_k)
         assert population.hpi_count_above(H, parts, lam_k * (1 + 1e-9)) <= k - 1 + ties
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+def test_hpi_count_above_rejects_nonpositive_eps(eps):
+    with pytest.raises(InvalidInput, match="eps must be positive"):
+        population.hpi_count_above(PowerLawSpectrum(1.31, 5), (1, 1), eps)
 
 
 def test_hpi_count_above_bruteforce():

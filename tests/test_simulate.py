@@ -895,8 +895,8 @@ def test_mc_covariance_matrix_bytes_do_not_depend_on_the_callers_blas_threads():
 
 @pytest.mark.parametrize("centered", [False, True])
 def test_mc_covariance_matrix_tail_holds_two_d_by_d_arrays(monkeypatch, centered):
-    # the partial sums arrive untraced: the tail holds the sum G and one more
-    # d x d array (the mean's scatter, then the symmetrized result)
+    # the partial sums arrive untraced: the tail holds the sum G, scaled in
+    # place, and when centered one more d x d array (the mean's scatter)
     cfg = RFConfig(v=500, d=500, m=100, alpha=1.31, activation=Activation("monomial", 2), seed=1, centered=centered)
     want = simulate.mc_covariance_matrix(cfg, threads=1)
     sample_blocks, parts = simulate._sample_blocks, []
@@ -909,8 +909,47 @@ def test_mc_covariance_matrix_tail_holds_two_d_by_d_arrays(monkeypatch, centered
     monkeypatch.setattr(simulate, "_sample_blocks", replay)
     simulate.mc_covariance_matrix(cfg, threads=1)
     peak = _traced_peak(lambda: simulate.mc_covariance_matrix(cfg, threads=1))
-    assert peak < 2.2 * cfg.d * cfg.d * 8, peak
+    assert peak < (2.2 if centered else 1.2) * cfg.d * cfg.d * 8, peak
     assert np.array_equal(simulate.mc_covariance_matrix(cfg, threads=1), want)
+
+
+# one block (v = 160) and three (v = 300, m = 9000), each at one and two workers
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("v, d, m", [(160, 80, 4000), (300, 150, 9000)])
+@pytest.mark.parametrize("centered", [False, True])
+def test_mc_covariance_matrix_is_exactly_symmetric(centered, v, d, m, threads):
+    # every block partial F'F is one symmetric rank-k update, so the sum
+    # needs no symmetrization
+    cfg = RFConfig(v=v, d=d, m=m, alpha=1.31, activation=Activation("tanh"), seed=3, centered=centered)
+    C = simulate.mc_covariance_matrix(cfg, threads)
+    assert np.array_equal(C, C.T)
+
+
+# the one-block route, the m < d route and the blockwise route
+@pytest.mark.parametrize("v, d, m", [(160, 80, 4000), (300, 200, 150), (300, 150, 9000)])
+@pytest.mark.parametrize("centered", [False, True])
+def test_mc_covariance_hands_the_eigensolver_an_exactly_symmetric_block_sum(monkeypatch, centered, v, d, m):
+    solve, handed = spectral.sym_eigenvalues, []
+
+    def record(M):
+        handed.append(M.copy())
+        return solve(M)
+
+    monkeypatch.setattr(spectral, "sym_eigenvalues", record)
+    monkeypatch.setattr(simulate, "sym_eigenvalues", record)
+    cfg = RFConfig(v=v, d=d, m=m, alpha=1.31, activation=Activation("monomial", 2), seed=4, centered=centered)
+    simulate.mc_covariance(cfg, threads=2)
+    (M,) = handed
+    assert M.shape == (min(m, d),) * 2
+    assert np.array_equal(M, M.T)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(1, 1), (7, 20), (20, 7), (129, 65), (65, 129), (4096, 80), (300, 301)])
+def test_gram_of_contiguous_mc_block_features_is_exactly_symmetric(shape, order):
+    F = np.asarray(np.random.default_rng(7).standard_normal(shape), order=order)
+    for G in (F.T @ F, F @ F.T):
+        assert np.array_equal(G, G.T)
 
 
 # sha256 of the little-endian float64 output (eigenvalues of mc_covariance,
@@ -1190,11 +1229,23 @@ def test_exact_population_covariance_bytes_are_the_whole_term_formula(monkeypatc
             assert got.tobytes() == kernel_by_whole_terms(sketch, H, p).tobytes()
 
 
+@pytest.mark.parametrize("block", [None, 7, 120])  # None: the module's block size
+@pytest.mark.parametrize("p", [1, 2, 3, 6])
+def test_exact_kernel_is_exactly_symmetric_row_block_by_row_block(monkeypatch, p, block):
+    # K_ij is built from G_ij = G_ji and the product of two diagonal entries
+    if block is not None:
+        monkeypatch.setattr(simulate, "_KERNEL_BLOCK", block)
+    v, d = 70, 45
+    W = simulate.sample_sketch(v, d, 5)
+    K = simulate.exact_population_covariance(W, PowerLawSpectrum(1.31, v), p)
+    assert np.array_equal(K, K.T)
+
+
 @pytest.mark.parametrize("p", [2, 3, 4, 6])
 def test_exact_population_covariance_holds_two_d_by_d_arrays(p):
-    # beyond the caller's W: the scaled sketch and G during the product, then
-    # K and its symmetrization, plus a few row blocks of scratch (the
-    # whole-term build held six or seven d x d arrays)
+    # beyond the caller's W: the scaled sketch and G during the product, which
+    # becomes K, plus a few row blocks of scratch (the whole-term build held
+    # six or seven d x d arrays)
     v = d = 800
     H = PowerLawSpectrum(1.31, v)
     W = simulate.sample_sketch(v, d, 4)
@@ -1420,9 +1471,12 @@ def test_head_concentration_full_head_recorded():
     assert val > 0.0  # typically > 0.5; documented as a diagnostic only
 
 
-def test_head_concentration_validation():
+def test_head_concentration_validation(monkeypatch):
     with pytest.raises(ValueError):
         simulate.head_concentration(10, 10, 11, 0)
+    monkeypatch.setattr(simulate, "MAX_EIG_DIM", 5)
+    with pytest.raises(InvalidInput, match=r"k_star must lie in \[1, 5\], got 6"):
+        simulate.head_concentration(10, 10, 6, 0)
 
 
 def test_wick_empirical_moments_targets():

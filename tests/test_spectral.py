@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plrf import spectral
+from plrf import InvalidInput, spectral
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +115,26 @@ def test_gram_spectrum_matches_direct_large():
 def test_gram_spectrum_rejects_nonfinite():
     with pytest.raises(ValueError):
         spectral.gram_spectrum(np.array([[1.0, np.inf]]), 1.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+def test_gram_spectrum_rejects_an_overflowing_gram(shape):
+    # finite entries whose products overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="matrix has non-finite entries"):
+            spectral.gram_spectrum(np.full(shape, 1e200), 1.0)
+
+
+def test_eigensolves_past_the_cap_are_refused(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_EIG_DIM", 3)
+    assert spectral.sym_eigenvalues(np.eye(3)).size == 3
+    assert spectral.gram_spectrum(np.ones((3, 10)), 1.0).size == 3
+    with pytest.raises(InvalidInput, match="dimension 4 exceeds the cap of 3"):
+        spectral.sym_eigenvalues(np.eye(4))
+    for shape in ((4, 10), (10, 4)):
+        with pytest.raises(InvalidInput, match="dimension 4 exceeds the cap of 3"):
+            spectral.gram_spectrum(np.ones(shape), 1.0)
 
 
 # ---------------------------------------------------------------------------
