@@ -328,7 +328,10 @@ def cmd_spectrum(args) -> int:
         )
         threads = simulate.mc_worker_count(cfg.m, cfg.v, cfg.d, args.threads)
         eig = simulate.mc_covariance(cfg, threads=threads).eigenvalues
-        params.update(m=args.m, dist=args.dist, centered=args.centered, threads=threads)
+        params.update(
+            m=args.m, dist=args.dist, centered=args.centered, threads=threads,
+            block_rows=simulate._block_rows(cfg.v, cfg.d),
+        )
 
     fit = spectral.clamped_slope_fit(eig, fit_lo, fit_hi)
     _write_spectra(args, eig)

@@ -7,14 +7,15 @@ concentration/orthogonality diagnostics.  Monte Carlo features act(W'x) use
 W'x = (H^(1/2) W)'u: the sketch carries H^(1/2), so a sample block is one
 draw of u, one product and one activation.
 
-Monte Carlo samples are planned in blocks of `_block_rows(v)` rows (the
-last one short): `_BLOCK` = 4096 split into the fewest near-equal parts of
-at most max(`_MIN_CHUNK_ROWS`, `_CHUNK // v`) rows: 4096 up to v = 256, 2048
-up to v = 512, 1365 below v = 768 and 1024 from there on.  A block's draw
-thus holds at most `_CHUNK` entries (8 MB) up to v = 1024 and 1024 rows past
-it, whatever m.  The blocks run on a pool of worker threads, by default one
-per usable cpu (the affinity count, capped by a cgroup cpu quota), never
-more than there are blocks nor more than the worker holdings that fit in
+Monte Carlo samples are planned in blocks of `_block_rows(v, d)` rows (the
+last one short): `_BLOCK` = 4096 split into the fewest near-equal parts
+whose worker holding, a block's draw and features and a d x d partial
+(rows * (v + d) + d^2 entries), stays within `_CHUNK` entries (8 MB), but
+of at least `_MIN_CHUNK_ROWS` = 512 rows: 4096 at (v, d) = (160, 80), 2048 at
+(200, 100), 682 at (800, 400) and the floor of 512 at (2000, 2000), whatever m.
+The blocks run on a pool of worker threads, by default one per usable cpu
+(the affinity count, capped by a cgroup cpu quota), never more than there
+are blocks nor more than the worker holdings that fit in
 `_WORKER_ENTRY_CAP` entries (`mc_worker_count`).  A block is one draw from
 its own stream, one product written straight into the block's destination
 and one activation there in place.  The m x d feature matrix is built only
@@ -97,11 +98,12 @@ __all__ = [
 _SKETCH, _DATA, _STAGE, _LAYER, _WICK = 0, 1, 2, 3, 5
 _SYNTHETIC = 97  # the synthetic input data of `plrf layers`
 
-_BLOCK = 4096  # Monte Carlo samples per block at v <= _CHUNK // _BLOCK
-# entries per block draw at larger v; the row floor keeps every product long
-# enough that re-packing the sketch per block stays cheap at large v
+_BLOCK = 4096  # Monte Carlo samples per block while a worker's holding fits _CHUNK
+# entries a worker may hold for one block: its draw, features and d x d
+# partial; the row floor keeps every product long enough that re-packing the
+# sketch per block stays cheap at large v
 _CHUNK = 2**20
-_MIN_CHUNK_ROWS = 1024
+_MIN_CHUNK_ROWS = 512
 # entries: what the concurrent workers hold (`mc_worker_count`) is held to
 # this, at least one worker
 _WORKER_ENTRY_CAP = 5 * 10**7
@@ -387,30 +389,31 @@ def _usable_cpu_count() -> int:
     return count if limit is None else max(1, min(count, limit))
 
 
-def _block_rows(v: int) -> int:
-    """Samples per block at dimension v (the last block may be short).
+def _block_rows(v: int, d: int) -> int:
+    """Samples per block at dimension v and d features (the last block may be short).
 
     `_BLOCK` split into the fewest near-equal parts of at most
-    max(`_MIN_CHUNK_ROWS`, `_CHUNK // v`) rows, so a block's draw holds at
-    most `_CHUNK` entries, or `_MIN_CHUNK_ROWS` rows past v = 1024.
+    max(`_MIN_CHUNK_ROWS`, (`_CHUNK` - d^2) // (v + d)) rows, so what a
+    worker holds for a block, its rows x v draw, rows x d features and d x d
+    partial, stays within `_CHUNK` entries, unless the row floor binds.
     """
-    return _BLOCK // -(-_BLOCK // max(_MIN_CHUNK_ROWS, _CHUNK // v))
+    return _BLOCK // -(-_BLOCK // max(_MIN_CHUNK_ROWS, (_CHUNK - d * d) // (v + d)))
 
 
 def mc_worker_count(m: int, v: int, d: int, threads: int | None = None) -> int:
     """Worker threads a Monte Carlo run of m samples, dimension v and d features uses.
 
     `threads` (None: the usable cpu count), but never more than there are
-    sample blocks of `_block_rows(v)` rows, nor more workers than fit in
+    sample blocks of `_block_rows(v, d)` rows, nor more workers than fit in
     `_WORKER_ENTRY_CAP` entries when each holds a block's draw and
-    features (`_block_rows(v)` x (v + d)) and a d x d partial, as on the
-    blockwise route; at least one.
+    features (`_block_rows(v, d)` x (v + d)) and a d x d partial, as on the
+    blockwise route; at least one.  The same holding sizes the blocks.
     """
     if threads is None:
         threads = _usable_cpu_count()
     if threads < 1:
         raise InvalidInput(f"need threads >= 1, got {threads}")
-    rows = _block_rows(v)
+    rows = _block_rows(v, d)
     held = rows * (v + d) + d * d
     return max(1, min(threads, -(-m // rows), _WORKER_ENTRY_CAP // held))
 
@@ -529,7 +532,7 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
     """reduce(F) for the features F of every sample block, in block order.
 
     Validates the config, draws the sketch and plans blocks of
-    `_block_rows(v)` samples, each with its own derived data stream, so the
+    `_block_rows(v, d)` samples, each with its own derived data stream, so the
     results do not depend on `threads`, which `mc_worker_count` resolves.
     Block features are written into their rows of `Phi` when it is given,
     else into a fresh block x d array; `reduce` runs on the worker, and None
@@ -552,7 +555,7 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
             )
     else:  # x = H^(1/2) u, so W'x = (H^(1/2) W)'u: the sketch carries H^(1/2)
         W *= np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)[:, None]
-    rows = _block_rows(cfg.v)
+    rows = _block_rows(cfg.v, cfg.d)
 
     def work(b: int):
         lo, hi = b * rows, min((b + 1) * rows, cfg.m)
@@ -573,14 +576,14 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
 def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate:
     """Spectrum of the Monte Carlo feature covariance scale * mean_i f(W'x_i)^(x2).
 
-    Samples in blocks of `_block_rows(v)` rows (4096 up to v = 256, 1024
-    from v = 768 on) with per-block derived streams, run on
-    `mc_worker_count(cfg.m, cfg.v, cfg.d, threads)` worker threads.  The
-    sketch carries H^(1/2), so unit draws U have features f(U H^(1/2) W).
-    A block is one draw, whose product is written straight into its
-    destination and activated there in place, so a worker holds one block x
-    v draw.  Block bounds depend only on v and m, never on `threads`.  The
-    centered variant subtracts the empirical feature mean.
+    Samples in blocks of `_block_rows(v, d)` rows (4096 at v = 160, d = 80;
+    682 at v = 800, d = 400; 512 at v = d = 2000) with per-block derived
+    streams, run on `mc_worker_count(cfg.m, cfg.v, cfg.d, threads)` worker
+    threads.  The sketch carries H^(1/2), so unit draws U have features
+    f(U H^(1/2) W).  A block is one draw, whose product is written straight
+    into its destination and activated there in place, so a worker holds
+    one block x v draw.  Block bounds depend only on v, d and m, never on
+    `threads`.  The centered variant subtracts the empirical feature mean.
 
     A run of one block, or of m < d samples, writes its blocks into the
     m x d feature matrix and takes the Gram trick's min(m, d) eigenvalues;
@@ -594,7 +597,7 @@ def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate
     size = min(cfg.m, cfg.d)
     if size > MAX_EIG_DIM:
         raise InvalidInput(f"min(m, d) = {size} exceeds the eigensolver's cap of {MAX_EIG_DIM}")
-    if cfg.m <= _block_rows(cfg.v) or cfg.m < cfg.d:
+    if cfg.m <= _block_rows(cfg.v, cfg.d) or cfg.m < cfg.d:
         Phi = np.empty((cfg.m, cfg.d))
         for _ in _sample_blocks(cfg, threads, Phi=Phi):
             pass
@@ -628,7 +631,7 @@ def mc_covariance_matrix(cfg: RFConfig, threads: int | None = None) -> np.ndarra
     about the block's own mean, and the scatter of each block's mean about
     the mean of the blocks before it is added too (the pairwise update of
     Chan, Golub and LeVeque), as one product per batch of up to
-    `_block_rows(v)` blocks; so no large uncentered moments cancel.  The
+    `_block_rows(v, d)` blocks; so no large uncentered moments cancel.  The
     exactly symmetric sum is scaled in place, so after sampling one d x d
     array is alive, two when centered (the last batch's scatter).
     """
@@ -640,7 +643,7 @@ def mc_covariance_matrix(cfg: RFConfig, threads: int | None = None) -> np.ndarra
         F -= mu
         return F.T @ F, mu
 
-    rows = _block_rows(cfg.v)
+    rows = _block_rows(cfg.v, cfg.d)
     G = np.zeros((cfg.d, cfg.d))
     mean = np.zeros(cfg.d)  # of the blocks summed so far, when centered
     deltas = []  # scaled block mean differences, added to G in batches of at most `rows`

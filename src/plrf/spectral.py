@@ -37,8 +37,9 @@ class SlopeFit:
 def sym_eigenvalues(M) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, descending.
 
-    Rejects non-finite entries and asymmetry beyond 1e-12 of the Frobenius
-    norm; the asymmetry check holds one n x n temporary.  Zero and negative
+    Rejects non-finite entries and asymmetry beyond 1e-12 of the largest
+    absolute entry, which cannot overflow as a norm of large entries would;
+    the asymmetry check holds one n x n temporary.  Zero and negative
     eigenvalues are reported as computed (not clipped) so PSD violations stay
     visible.
     """
@@ -50,12 +51,12 @@ def sym_eigenvalues(M) -> np.ndarray:
         raise InvalidInput(f"dimension {n} exceeds the cap of {MAX_EIG_DIM}")
     if not np.all(np.isfinite(A)):
         raise InvalidInput("matrix has non-finite entries")
-    fro = float(np.linalg.norm(A))
+    top = max(float(A.max(initial=0.0)), -float(A.min(initial=0.0)))  # no n x n |A|
     diff = np.subtract(A, A.T)
     skew = float(np.abs(diff, out=diff).max(initial=0.0))
     del diff  # before eigvalsh copies A
-    if skew > _SYM_RTOL * max(fro, np.finfo(float).tiny):
-        raise InvalidInput(f"asymmetry {skew:.3e} exceeds tolerance {_SYM_RTOL * fro:.3e}")
+    if skew > _SYM_RTOL * max(top, np.finfo(float).tiny):
+        raise InvalidInput(f"asymmetry {skew:.3e} exceeds tolerance {_SYM_RTOL * top:.3e}")
     return np.linalg.eigvalsh(A)[::-1]
 
 

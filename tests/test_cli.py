@@ -244,10 +244,25 @@ def test_spectrum_mc_summary_and_json_hold_one_record(tmp_path, capsys):
     assert summary.params == {
         "v": 60, "d": 50, "m": 400, "alpha": 1.31, "act": "monomial:2",
         "dist": "gaussian", "centered": False, "threads": 1,  # one block runs on one worker
+        "block_rows": 4096,
     }
     (fit,) = summary.fits
     assert (fit.j_min, fit.j_max, fit.points_used) == (2, 30, 29)
     assert summary.results == {"eigenvalue_count": 50}
+
+
+@pytest.mark.parametrize("v, d, m, rows", [(800, 400, 10000, 682), (160, 80, 4000, 4096)])
+def test_spectrum_mc_record_names_its_block_rows(tmp_path, capsys, v, d, m, rows):
+    # the plan depends on (v, d): the record says which one ran, stdout does not
+    out, js = tmp_path / "mc.csv", tmp_path / "mc.json"
+    code, stdout, err = run_cli(
+        capsys, "spectrum", "mc", "--p", "2", "--v", str(v), "--d", str(d), "--m", str(m),
+        "--fit", "2..30", "--out", str(out), "--json-summary", str(js),
+    )
+    assert (code, err) == (0, "")
+    assert stdout.splitlines()[0] == f"wrote {d} eigenvalues to {out}" and "block" not in stdout
+    assert_same_record(tmp_path / "mc.csv.summary", js)
+    assert read_run_summary(tmp_path / "mc.csv.summary").params["block_rows"] == rows
 
 
 @pytest.mark.parametrize("argv", [

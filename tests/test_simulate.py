@@ -493,19 +493,48 @@ def test_mc_covariance_matrix_equals_data_scaled_features(dist, centered):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("v, rows", [(40, 4096), (256, 4096), (257, 2048), (600, 1365), (800, 1024), (16000, 1024)])
-def test_block_rows_pinned(v, rows):
-    assert simulate._block_rows(v) == rows
+@pytest.mark.parametrize(
+    "v, d, rows",
+    [
+        (40, 16, 4096), (160, 80, 4096), (174, 80, 4096), (175, 80, 2048), (200, 100, 2048),
+        (300, 150, 2048), (400, 100, 2048), (800, 100, 1024), (600, 300, 1024), (800, 400, 682),
+        (1000, 500, 512), (2000, 1500, 512), (2000, 2000, 512), (16000, 800, 512),
+    ],
+)
+def test_block_rows_pinned(v, d, rows):
+    assert simulate._block_rows(v, d) == rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 3000), extra=st.integers(0, 10**6))
+@example(d=80, extra=80)
+@example(d=400, extra=400)
+@example(d=1024, extra=0)
+def test_block_rows_hold_a_worker_within_the_chunk(d, extra):
+    # a block's draw, features and d x d partial fit _CHUNK entries unless the
+    # row floor binds, and the block is one of the fewest near-equal parts of
+    # _BLOCK that fit
+    v = d + extra
+    rows = simulate._block_rows(v, d)
+
+    def fits(r: int) -> bool:
+        return r <= simulate._MIN_CHUNK_ROWS or r * (v + d) + d * d <= simulate._CHUNK
+
+    assert simulate._MIN_CHUNK_ROWS <= rows <= simulate._BLOCK and fits(rows)
+    parts = simulate._BLOCK // rows
+    assert rows == simulate._BLOCK // parts  # near-equal parts of _BLOCK
+    assert parts == 1 or not fits(-(-simulate._BLOCK // (parts - 1)))  # the fewest that fit
 
 
 @pytest.mark.parametrize("centered", [False, True])
 @pytest.mark.parametrize("act", ["monomial:2", "monomial:3", "tanh"])
 @pytest.mark.parametrize("dist", ["gaussian", "rademacher", "student_t", "external"])
 def test_chunked_blocks_keep_the_recipe(monkeypatch, dist, act, centered):
-    # the chunk constants size the block plan: draws of at most 700 rows split
-    # 4096 into six parts, so blocks are 682 rows and m = 9692 is fourteen of
-    # them and a short 144-row last one, each one draw from its own stream
-    monkeypatch.setattr(simulate, "_CHUNK", 40 * 700)
+    # the chunk constants size the block plan: worker holdings of at most 700
+    # rows split 4096 into six parts, so blocks are 682 rows and m = 9692 is
+    # fourteen of them and a short 144-row last one, each one draw from its
+    # own stream
+    monkeypatch.setattr(simulate, "_CHUNK", 700 * (40 + 16) + 16 * 16)
     monkeypatch.setattr(simulate, "_MIN_CHUNK_ROWS", 1)
     m = 2 * simulate._BLOCK + 1500
     if dist == "external":
@@ -516,7 +545,7 @@ def test_chunked_blocks_keep_the_recipe(monkeypatch, dist, act, centered):
         v=40, d=16, m=m, alpha=1.31, activation=Activation.parse(act), distribution=law, seed=6,
         centered=centered,
     )
-    assert simulate._block_rows(cfg.v) == 682
+    assert simulate._block_rows(cfg.v, cfg.d) == 682
     want = scaled_data_covariance(cfg, rows=682)
     want_eig = spectral.sym_eigenvalues(want)
     sizes = []
@@ -545,7 +574,7 @@ def _traced_peak(fn) -> int:
 
 def _worker_entries(v: int, d: int) -> int:
     """What one Monte Carlo worker holds: a block's draw and features, and a d x d partial."""
-    return simulate._block_rows(v) * (v + d) + d * d
+    return simulate._block_rows(v, d) * (v + d) + d * d
 
 
 def test_mc_covariance_matrix_block_holds_one_v_wide_array():
@@ -566,22 +595,23 @@ def test_mc_covariance_matrix_workers_hold_one_v_wide_array_each():
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("p", [2, 3])
 def test_mc_covariance_dense_route_keeps_no_block_by_d_copy(threads, p):
-    # m < d over two blocks takes the feature matrix: features go straight into
-    # their rows of it, so the peak is that matrix, one 1024 x 2000 block draw
-    # per worker and the sketch, plus 1 MB slack; a kept block x d copy would
-    # add 12 MB
+    # m < d over three blocks takes the feature matrix: features go straight
+    # into their rows of it, so the peak is that matrix, one 512 x 2000 block
+    # draw per worker and the sketch, plus 1 MB slack; a kept block x d copy
+    # would add 6 MB
     cfg = RFConfig(v=2000, d=1500, m=1200, alpha=1.31, activation=Activation("monomial", p), seed=2)
-    assert cfg.m < cfg.d and cfg.m > simulate._block_rows(cfg.v)
+    assert cfg.m < cfg.d and cfg.m > simulate._block_rows(cfg.v, cfg.d)
     peak = _traced_peak(lambda: simulate.mc_covariance(cfg, threads=threads))
-    rows = simulate._block_rows(cfg.v)
+    rows = simulate._block_rows(cfg.v, cfg.d)
     bound = 8 * (cfg.m * cfg.d + threads * rows * cfg.v + cfg.v * cfg.d) + 1_000_000
     assert peak < bound, (peak, bound)
 
 
 def test_mc_covariance_past_one_block_holds_no_feature_matrix():
-    # the benchmark's size, ten 1024-row blocks on two workers: the peak is the
-    # workers' holdings, two d x d arrays (the sum and an arriving partial) and
-    # the sketch, plus 1 MB slack; the m x d feature matrix alone is 32 MB
+    # the benchmark's size, fifteen 682-row blocks on two workers: the peak is
+    # the workers' holdings, two d x d arrays (the sum and an arriving partial)
+    # and the sketch, plus 1 MB slack (21.8 MB); the m x d feature matrix alone
+    # is 32 MB
     cfg = RFConfig(v=800, d=400, m=10**4, alpha=1.31, activation=Activation("monomial", 2), seed=2)
     peak = _traced_peak(lambda: simulate.mc_covariance(cfg, threads=2))
     bound = 8 * (2 * _worker_entries(cfg.v, cfg.d) + 2 * cfg.d * cfg.d + cfg.v * cfg.d) + 1_000_000
@@ -615,7 +645,7 @@ def test_mc_results_do_not_depend_on_the_thread_count_in_short_blocks(dist, v, d
     else:
         law = DataDistribution(dist, df=5.0 if dist == "student_t" else None)
     cfg = RFConfig(v=v, d=d, m=m, alpha=1.31, activation=Activation("monomial", 2), distribution=law, seed=8)
-    assert -(-m // simulate._block_rows(v)) == 3
+    assert -(-m // simulate._block_rows(v, d)) == 3
     eig = simulate.mc_covariance(cfg, threads=1).eigenvalues
     mat = simulate.mc_covariance_matrix(cfg, threads=1)
     for threads in (2, 3):
@@ -639,17 +669,18 @@ def test_default_thread_count_is_the_usable_cpu_count(monkeypatch):
 
 
 def test_worker_count_holds_block_draws_to_the_dense_cap():
-    # every worker holds a block's draw and features (1024 x (v + d) at these
-    # v) and a d x d partial: their entries stay within the cap
+    # every worker holds a block's draw and features (682 x (v + d) at
+    # (800, 400), 512 x (v + d) at the others) and a d x d partial: their
+    # entries stay within the cap
     m, cap = 100 * simulate._BLOCK, simulate._WORKER_ENTRY_CAP
     shapes = ((800, 400), (2000, 1000), (16000, 800), (20000, 2000), (10**6, 10))
     counts = [simulate.mc_worker_count(m, v, d, threads=64) for v, d in shapes]
-    assert counts == [36, 12, 2, 1, 1]
+    assert counts == [51, 19, 5, 3, 1]
     for (v, d), workers in zip(shapes, counts):
         held = _worker_entries(v, d)
         assert workers == 1 or workers * held <= cap < (workers + 1) * held
     assert simulate.mc_worker_count(m, 800, 400, threads=2) == 2  # the benchmark's jobs
-    assert simulate.mc_worker_count(10**4, 800, 400, threads=64) == 10  # ten 1024-row blocks
+    assert simulate.mc_worker_count(10**4, 800, 400, threads=64) == 15  # fifteen 682-row blocks
     with pytest.raises(InvalidInput, match="threads"):
         simulate.mc_worker_count(m, 800, 400, threads=0)
 

@@ -55,6 +55,23 @@ def test_eigenvalues_rejects_asymmetry_and_nonfinite():
         spectral.sym_eigenvalues(np.ones((2, 3)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eigenvalues_asymmetry_of_huge_entries_is_rejected():
+    # a Frobenius norm of these entries overflows to inf and lets any skew through
+    A = np.array([[1e200, 1e200], [1e200 * (1 + 1e-9), 1e200]])
+    with pytest.raises(InvalidInput, match="asymmetry"):
+        spectral.sym_eigenvalues(A)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gram_spectrum_of_a_finite_huge_gram_is_quiet():
+    # the scaled Gram matrix is 3e200 everywhere: finite, though its norm's square is not
+    eig = spectral.gram_spectrum(np.full((3, 2), 1e150), 1e-100)
+    assert eig.shape == (2,)
+    assert abs(eig[0] - 6e200) <= 1e-12 * 6e200
+    assert abs(eig[1]) <= 1e-12 * 6e200
+
+
 def test_eigenvalues_negative_kept_visible():
     eig = spectral.sym_eigenvalues(np.diag([1.0, -0.5]))
     assert np.allclose(eig, [1.0, -0.5])
