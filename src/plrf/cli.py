@@ -326,11 +326,11 @@ def cmd_spectrum(args) -> int:
             seed=seed,
             centered=args.centered,
         )
-        threads = simulate.mc_worker_count(cfg.m, cfg.v, cfg.d, args.threads)
-        eig = simulate.mc_covariance(cfg, threads=threads).eigenvalues
+        est = simulate.mc_covariance(cfg, threads=args.threads)
+        eig = est.eigenvalues
         params.update(
-            m=args.m, dist=args.dist, centered=args.centered, threads=threads,
-            block_rows=simulate._block_rows(cfg.v, cfg.d),
+            m=args.m, dist=args.dist, centered=args.centered,
+            threads=int(est.meta["workers"]), block_rows=int(est.meta["block_rows"]),
         )
 
     fit = spectral.clamped_slope_fit(eig, fit_lo, fit_hi)

@@ -32,11 +32,10 @@ __all__ = [
     "Pairing",
     "PairingClassTable",
     "HermiteExpansion",
-    "FeynmanAssignment",
     "OddMomentWarning",
     "double_factorial",
     "compositions",
-    "enumerate_pairings",
+    "iter_pairings",
     "pairing_class_counts",
     "kernel_pair_value",
     "isserlis_moment",
@@ -94,18 +93,15 @@ def _as_composition(composition) -> Composition:
     return Composition(tuple(composition))
 
 
-def compositions(q: int, length_filter: int | None = None) -> list[Composition]:
+def compositions(q: int) -> list[Composition]:
     """All 2^(q-1) compositions of q, in descending-first-part order.
 
-    q=3 yields (3), (2,1), (1,2), (1,1,1).  With `length_filter`, only
-    compositions of that exact length are returned (same relative order).
+    q=3 yields (3), (2,1), (1,2), (1,1,1).
     """
     if q < 1:
         raise InvalidInput(f"q must be a positive integer, got {q}")
     if q > 24:
         raise InvalidInput(f"q={q} would enumerate 2^{q - 1} compositions")
-    if length_filter is not None and not 1 <= length_filter <= q:
-        raise InvalidInput(f"length_filter must lie in [1, {q}], got {length_filter}")
 
     out: list[Composition] = []
     prefix: list[int] = []
@@ -120,8 +116,6 @@ def compositions(q: int, length_filter: int | None = None) -> list[Composition]:
             prefix.pop()
 
     rec(q)
-    if length_filter is not None:
-        out = [c for c in out if c.length == length_filter]
     return out
 
 
@@ -164,7 +158,10 @@ def _iter_matchings(vertices: tuple[int, ...]) -> Iterator[tuple[tuple[int, int]
 
 
 def iter_pairings(p: int) -> Iterator[Pairing]:
-    """Stream the (2p-1)!! perfect matchings of {1..2p} in deterministic order."""
+    """Stream the (2p-1)!! perfect matchings of {1..2p} in deterministic order.
+
+    `p` is checked at the call, before the first matching is made.
+    """
     if p < 1:
         raise InvalidInput(f"p must be >= 1, got {p}")
     if p > ENUMERATION_CAP:
@@ -172,13 +169,7 @@ def iter_pairings(p: int) -> Iterator[Pairing]:
             f"p={p} exceeds the enumeration cap {ENUMERATION_CAP} "
             f"((2p-1)!! growth; enumeration exists for oracle checks only)"
         )
-    for pairs in _iter_matchings(tuple(range(1, 2 * p + 1))):
-        yield Pairing(pairs, p)
-
-
-def enumerate_pairings(p: int) -> list[Pairing]:
-    """All perfect matchings of {1..2p}; exactly (2p-1)!! of them."""
-    return list(iter_pairings(p))
+    return (Pairing(pairs, p) for pairs in _iter_matchings(tuple(range(1, 2 * p + 1))))
 
 
 @dataclass(frozen=True)
@@ -232,18 +223,16 @@ class OddMomentWarning(UserWarning):
     """An odd-size index multiset was passed; the moment is zero by symmetry."""
 
 
-def isserlis_moment(indices: Sequence, covariance, *, odd: str = "zero") -> float:
+def isserlis_moment(indices: Sequence, covariance) -> float:
     """Mixed Gaussian moment E[g_{i_1} ... g_{i_2n}] as a sum over matchings.
 
     `covariance` is either a callable (a, b) -> Cov(g_a, g_b) or a 2-D array
     indexed by the labels.  Odd-size multisets return 0 with an
-    OddMomentWarning by default; pass odd="error" to raise instead.
+    OddMomentWarning.
     """
     labels = tuple(indices)
     n = len(labels)
     if n % 2:
-        if odd == "error":
-            raise InvalidInput(f"odd moment of {n} centered Gaussians requested")
         warnings.warn(
             "odd-size index multiset: moment is zero by symmetry", OddMomentWarning, stacklevel=2
         )
@@ -322,43 +311,21 @@ def hermite_value(k: int, y):
     return float(cur) if arr.ndim == 0 else cur
 
 
-@dataclass(frozen=True)
-class FeynmanAssignment:
-    """A diagram class: eta_j same-label pairs among the pi_j copies at slot j."""
-
-    composition: Composition
-    eta: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        comp = _as_composition(self.composition)
-        object.__setattr__(self, "composition", comp)
-        object.__setattr__(self, "eta", _checked_eta(comp, self.eta))
-
-    @property
-    def count(self) -> int:
-        return feynman_count(self.composition, self.eta)
-
-
-def _checked_eta(comp: Composition, eta: Sequence[int]) -> tuple[int, ...]:
-    """eta as ints, one per slot, each with 0 <= 2 eta_j <= pi_j."""
-    etas = tuple(int(e) for e in eta)
-    if len(etas) != comp.length:
-        raise InvalidInput(f"eta length {len(etas)} != composition length {comp.length}")
-    for pi_j, eta_j in zip(comp.parts, etas):
-        if eta_j < 0 or 2 * eta_j > pi_j:
-            raise InvalidInput(f"eta out of range: need 0 <= 2*{eta_j} <= {pi_j}")
-    return etas
-
-
 def feynman_count(composition, eta: Sequence[int]) -> int:
     """Number of diagrams pairing 2*eta_j of the pi_j same-label copies at slot j.
 
     Equals prod_j C(pi_j, 2 eta_j) (2 eta_j - 1)!!; pairs across slots carry
-    independent labels and contribute nothing.
+    independent labels and contribute nothing.  `eta` needs one entry per
+    slot, each with 0 <= 2 eta_j <= pi_j.
     """
     comp = _as_composition(composition)
+    etas = tuple(int(e) for e in eta)
+    if len(etas) != comp.length:
+        raise InvalidInput(f"eta length {len(etas)} != composition length {comp.length}")
     out = 1
-    for pi_j, eta_j in zip(comp.parts, _checked_eta(comp, eta)):
+    for pi_j, eta_j in zip(comp.parts, etas):
+        if eta_j < 0 or 2 * eta_j > pi_j:
+            raise InvalidInput(f"eta out of range: need 0 <= 2*{eta_j} <= {pi_j}")
         out *= math.comb(pi_j, 2 * eta_j) * double_factorial(2 * eta_j - 1)
     return out
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields as dataclass_fields
 from pathlib import Path
 from typing import Sequence
 
@@ -142,7 +142,7 @@ def read_spectrum_csv(path) -> SpectrumEstimate:
     )
 
 
-_SUMMARY_FIELDS = ("command", "params", "seed", "fits", "results", "warnings", "elapsed_ms", "version")
+_SUMMARY_FIELDS = tuple(f.name for f in dataclass_fields(RunSummary))
 
 
 def _run_summary_fields(summary: RunSummary) -> dict:

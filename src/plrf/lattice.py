@@ -54,6 +54,8 @@ ITERATION_BUDGET = 10**9
 COORDINATE_LIMIT = 2**53  # floats hold every integer below this, but not past it
 _INCLUSION_GUARD = 1.0 + 1e-12  # boundary ties resolve toward inclusion
 _EQ_RTOL = 1e-9  # exponents closer than this are treated as equal
+_BISECT_STEPS = 200  # halvings before a bisection gives up
+_INVERT_RTOL = 1e-9  # invert_count_equal stops at |N(X) - N| <= this * N
 
 
 class BudgetExceededError(InvalidInput):
@@ -468,13 +470,14 @@ def asymptotic_ordered_equal(X: float, pi_common: float, k: int) -> float:
     return _leading_term(const, X, a, k - 1)
 
 
-def _invert_increasing(f, targets, lo: float, hi: float, rel_tol: float, max_iter: int):
+def _invert_increasing(f, targets, lo: float, hi: float, rel_tol: float):
     """Solve f(x) = t for every t in `targets` by one masked bisection.
 
     `f` is increasing and maps arrays to arrays.  Upper brackets double from
     `hi` while f(hi) < t; then all brackets halve at 0.5 * (lo + hi) until
     |f(x) - t| <= rel_tol * t freezes each element, as a scalar bisection
-    would.  Raises RuntimeError when a bracket or the convergence fails.
+    would.  Raises RuntimeError when a bracket fails or `_BISECT_STEPS`
+    halvings do not converge.
     """
     t = np.asarray(targets, dtype=float)
     lo_, hi_ = np.full(t.shape, float(lo)), np.full(t.shape, float(hi))
@@ -486,7 +489,7 @@ def _invert_increasing(f, targets, lo: float, hi: float, rel_tol: float, max_ite
         raise RuntimeError(f"bisection bracket failure from [{lo}, {hi}]")
     x = np.empty_like(t)
     todo = np.arange(t.size)  # elements not yet converged
-    for _ in range(max_iter):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo_[todo] + hi_[todo])
         x[todo] = mid
         val, tt = f(mid), t[todo]
@@ -496,15 +499,13 @@ def _invert_increasing(f, targets, lo: float, hi: float, rel_tol: float, max_ite
         todo = todo[np.abs(val - tt) > rel_tol * tt]
         if not todo.size:
             return x
-    raise RuntimeError(f"bisection did not converge after {max_iter} steps at t={float(t[todo[0]])!r}")
+    raise RuntimeError(f"bisection did not converge after {_BISECT_STEPS} steps at t={float(t[todo[0]])!r}")
 
 
-def invert_count_equal(
-    N: float, pi_common: float, k: int, *, rel_tol: float = 1e-9, max_iter: int = 200
-) -> float:
+def invert_count_equal(N: float, pi_common: float, k: int) -> float:
     """Solve asymptotic_ordered_equal(X) = N for X by monotone bisection.
 
-    Seeded at (N / log(N)^(k-1))^a; converges to |N(X) - N| <= rel_tol * N in
+    Seeded at (N / log(N)^(k-1))^a; converges to |N(X) - N| <= 1e-9 * N in
     `_invert_increasing`, the bisection that also inverts the theory curves.
     """
     if N < 3:
@@ -518,4 +519,4 @@ def invert_count_equal(
             raise InvalidInput(f"no solution with X > e: N={N} below the asymptotic at X=e")
         lo = max(math.e, lo / 4.0)
     hi = max(2.0 * lo, seed * 4.0)
-    return float(_invert_increasing(f, [N], lo, hi, rel_tol, max_iter)[0])
+    return float(_invert_increasing(f, [N], lo, hi, _INVERT_RTOL)[0])

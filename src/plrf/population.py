@@ -339,7 +339,7 @@ def predicted_spectrum(curve: CountingCurve, C: float, j_range) -> np.ndarray:
         us = js
     else:
         lo = 1.0 if curve.p == 2 else 1e-9
-        us = lattice._invert_increasing(curve.evaluate, js, lo, 4.0, 1e-8, 200)
+        us = lattice._invert_increasing(curve.evaluate, js, lo, 4.0, 1e-8)
     with np.errstate(over="ignore"):
         out = C * us ** -curve.alpha
     bad = np.flatnonzero((out < _TINY) | (out == np.inf))

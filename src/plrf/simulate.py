@@ -531,9 +531,10 @@ def _ordered_map(fn, items, threads: int) -> Iterator:
 def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) -> Iterator:
     """reduce(F) for the features F of every sample block, in block order.
 
-    Validates the config, draws the sketch and plans blocks of
-    `_block_rows(v, d)` samples, each with its own derived data stream, so the
-    results do not depend on `threads`, which `mc_worker_count` resolves.
+    Validates the config (external data before the sketch is drawn), draws
+    the sketch and plans blocks of `_block_rows(v, d)` samples, each with
+    its own derived data stream, so the results do not depend on `threads`,
+    which `mc_worker_count` resolves.
     Block features are written into their rows of `Phi` when it is given,
     else into a fresh block x d array; `reduce` runs on the worker, and None
     yields None per block.  Validation runs at call time, before any block
@@ -546,14 +547,13 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
     thread meanwhile.
     """
     workers = mc_worker_count(cfg.m, cfg.v, cfg.d, threads)
+    dist = cfg.distribution
+    if dist.kind == "external" and (dist.matrix.shape[0] < cfg.m or dist.matrix.shape[1] != cfg.v):
+        raise InvalidInput(
+            f"external data {dist.matrix.shape} cannot supply m={cfg.m} samples of dim v={cfg.v}"
+        )
     W = sample_sketch(cfg.v, cfg.d, cfg.seed)  # a fresh array, so it may be scaled in place
-    if cfg.distribution.kind == "external":
-        mat = cfg.distribution.matrix
-        if mat.shape[0] < cfg.m or mat.shape[1] != cfg.v:
-            raise InvalidInput(
-                f"external data {mat.shape} cannot supply m={cfg.m} samples of dim v={cfg.v}"
-            )
-    else:  # x = H^(1/2) u, so W'x = (H^(1/2) W)'u: the sketch carries H^(1/2)
+    if dist.kind != "external":  # x = H^(1/2) u, so W'x = (H^(1/2) W)'u: the sketch carries H^(1/2)
         W *= np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)[:, None]
     rows = _block_rows(cfg.v, cfg.d)
 
@@ -592,12 +592,14 @@ def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate
     result is bit-identical for a fixed config regardless of `threads`; with
     runs concurrent in one process, an eigensolve may overlap another run's
     one-thread BLAS pin, and then agrees with a lone run's to round-off.
-    min(m, d) past the eigensolver's cap is refused before sampling.
+    min(m, d) past the eigensolver's cap is refused before sampling.  The
+    plan that ran is in `meta`: its `workers` and `block_rows`.
     """
     size = min(cfg.m, cfg.d)
     if size > MAX_EIG_DIM:
         raise InvalidInput(f"min(m, d) = {size} exceeds the eigensolver's cap of {MAX_EIG_DIM}")
-    if cfg.m <= _block_rows(cfg.v, cfg.d) or cfg.m < cfg.d:
+    rows = _block_rows(cfg.v, cfg.d)
+    if cfg.m <= rows or cfg.m < cfg.d:
         Phi = np.empty((cfg.m, cfg.d))
         for _ in _sample_blocks(cfg, threads, Phi=Phi):
             pass
@@ -618,6 +620,8 @@ def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate
             "alpha": repr(cfg.alpha),
             "centered": str(cfg.centered).lower(),
             "scale": repr(cfg.feature_scale),
+            "workers": str(mc_worker_count(cfg.m, cfg.v, cfg.d, threads)),
+            "block_rows": str(rows),
         },
     )
 
@@ -712,9 +716,7 @@ def exact_population_covariance(W, H: PowerLawSpectrum, p: int) -> np.ndarray:
     return K
 
 
-def iterated_sketch(
-    H: PowerLawSpectrum, dims: Sequence[int], seed: int, identity_sketch: bool = False
-) -> list[SpectrumEstimate]:
+def iterated_sketch(H: PowerLawSpectrum, dims: Sequence[int], seed: int) -> list[SpectrumEstimate]:
     """Population spectra along a chain of Gaussian sketches.
 
     Stage 0 is H itself; stage t+1 is the spectrum of M_{t+1} = (1/d_t) W_t' M_t W_t
@@ -728,8 +730,6 @@ def iterated_sketch(
     W_t' M_t W_t = (Q'W_t)' diag(lam) (Q'W_t), and Q'W_t is again an iid N(0,1)
     matrix independent of Q, so the joint law of all stage spectra is that of
     the matrix-level chain (the draws themselves are a different realization).
-    `identity_sketch` replaces W_t by sqrt(d_t) * I (square stages only), a
-    test hook making every stage reproduce its input exactly.
     """
     dims = [int(d) for d in dims]
     if not dims:
@@ -750,12 +750,7 @@ def iterated_sketch(
     lam = H.eigenvalues
     prev = H.v
     for t, dt in enumerate(dims):
-        if identity_sketch:
-            if dt != prev:
-                raise InvalidInput("identity sketch needs square stages")
-            Wt = math.sqrt(dt) * np.eye(prev)
-        else:
-            Wt = _stream(seed, _STAGE, t).standard_normal((prev, dt))
+        Wt = _stream(seed, _STAGE, t).standard_normal((prev, dt))
         Wt *= np.sqrt(np.maximum(lam, 0.0))[:, None]  # round-off negatives carry no mass
         G = Wt.T @ Wt  # one symmetric product (syrk)
         del Wt  # free the sketch before the eigensolve
@@ -850,18 +845,15 @@ def propagate_layers(
 def head_concentration(v: int, d: int, k_star: int, seed: int) -> float:
     """Operator norm of (1/d) W_0 W_0' - I for the first k_star rows W_0 of the sketch.
 
-    Draws only those rows of `sample_sketch(v, d, seed)` and returns the
+    Draws only those rows, as `sample_sketch(k_star, d, seed)`, which equals
+    the first k_star rows of `sample_sketch(v, d, seed)`, and returns the
     largest absolute eigenvalue of the deviation; a diagnostic for how well
     the leading block of the sketch concentrates (values below 1/2 mean the
     head spectrum transfers two-sidedly).
     """
     if not 1 <= k_star <= min(v, MAX_EIG_DIM):  # refused before a k_star x k_star matrix is formed
         raise InvalidInput(f"k_star must lie in [1, {min(v, MAX_EIG_DIM)}], got {k_star}")
-    if d < 1:
-        raise InvalidInput(f"sketch dimension must be positive, got {d}")
-    if k_star * d > MAX_SKETCH_ENTRIES:
-        raise InvalidInput(f"{k_star} x {d} exceeds the {MAX_SKETCH_ENTRIES:.0e}-entry cap")
-    W0 = _stream(seed, _SKETCH).standard_normal((k_star, d))  # the sketch's leading rows
+    W0 = sample_sketch(k_star, d, seed)  # the sketch's leading rows: one stream, drawn row-major
     A = W0 @ W0.T
     A /= d
     A[np.diag_indices(k_star)] -= 1.0

@@ -685,6 +685,13 @@ def test_worker_count_holds_block_draws_to_the_dense_cap():
         simulate.mc_worker_count(m, 800, 400, threads=0)
 
 
+@pytest.mark.parametrize("v, d, m, rows, workers", [(160, 80, 4000, "4096", "1"), (800, 400, 10**4, "682", "2")])
+def test_mc_covariance_meta_names_the_plan_that_ran(v, d, m, rows, workers):
+    cfg = RFConfig(v=v, d=d, m=m, alpha=1.31, activation=Activation("monomial", 2), seed=2)
+    meta = simulate.mc_covariance(cfg, threads=2).meta
+    assert (meta["block_rows"], meta["workers"]) == (rows, workers)
+
+
 def test_workers_past_the_dense_cap_hold_one_draw(monkeypatch):
     # a cap of one worker's holdings leaves one worker whatever threads asks
     # for; such a run keeps the caller's BLAS threads, so `want` is taken
@@ -1132,6 +1139,26 @@ def test_mc_covariance_external_distribution():
         simulate.mc_covariance(bad)
 
 
+def test_mc_covariance_refuses_short_external_data_before_drawing_the_sketch(monkeypatch):
+    data = np.random.default_rng(6).standard_normal((300, 20))
+    cfg = RFConfig(
+        v=20,
+        d=10,
+        m=500,
+        alpha=1.31,
+        activation=Activation("monomial", 1),
+        distribution=DataDistribution("external", matrix=data),
+        seed=7,
+    )
+
+    def no_sketch(*args):
+        raise AssertionError(f"sketch drawn before the data check: {args}")
+
+    monkeypatch.setattr(simulate, "sample_sketch", no_sketch)
+    with pytest.raises(InvalidInput, match="external"):
+        simulate.mc_covariance(cfg)
+
+
 def test_mc_covariance_nonfinite_names_sample():
     data = np.ones((200, 4))
     data[137] = 1e200  # overflows under squaring
@@ -1298,9 +1325,20 @@ def test_exact_population_covariance_validation():
 # iterated sketches
 
 
-def test_iterated_sketch_identity_mode():
+class _IdentityDraws:
+    """A stand-in stage stream whose n x n "Gaussian" draw is sqrt(n) * I."""
+
+    def standard_normal(self, shape):
+        n, k = shape
+        assert n == k
+        return math.sqrt(n) * np.eye(n)
+
+
+def test_iterated_sketch_identity_mode(monkeypatch):
+    # with W_t = sqrt(d_t) I every square stage reproduces its input exactly
+    monkeypatch.setattr(simulate, "_stream", lambda seed, purpose, *key: _IdentityDraws())
     H = PowerLawSpectrum(1.31, 30)
-    stages = simulate.iterated_sketch(H, [30, 30, 30], seed=0, identity_sketch=True)
+    stages = simulate.iterated_sketch(H, [30, 30, 30], seed=0)
     assert len(stages) == 4
     for est in stages[1:]:
         assert np.max(np.abs(est.eigenvalues - H.eigenvalues)) <= 1e-12 * H.eigenvalues[0]
