@@ -21,9 +21,16 @@ its own stream, one product written straight into the block's destination
 and one activation there in place.  The m x d feature matrix is built only
 for a run of one block or of m < d samples, whose spectrum is the Gram
 trick's; every other run sums the blocks' d x d partials F'F, each taken on
-its worker, in block order.  A worker holds one block x v draw and no
-block x d copy; on the blockwise route it also holds its block x d features
-and d x d partial.
+its worker, in block order.
+
+Each worker owns one scratch slot per run, allocated once on the calling
+thread and sized to the run: a min(m, rows) x v draw buffer, reused as the
+monomial activation's temporary once the product is taken, and on the
+blockwise route min(m, rows) x d features and a d x d partial.  Blocks
+pass the slots on through a queue; a slot goes back only after the caller
+has summed its partial.  So a block allocates nothing block-sized on its
+worker, where freed memory would stay in the thread's malloc arena (external
+rows need no draw buffer, and their activation takes a fresh temporary).
 
 The pool owns the sampling stage's cpu budget: while the blocks of a run
 that could have two workers are mapped, at any `threads`, numpy's OpenBLAS
@@ -57,6 +64,7 @@ import contextlib
 import math
 import operator
 import os
+import queue
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -113,9 +121,12 @@ MIN_MC_SAMPLES = 100  # RFConfig.m
 MAX_EXACT_DEGREE = 6  # exact_population_covariance's p
 MAX_EXACT_DIM = 2000  # exact_population_covariance's d
 _KERNEL_BLOCK = 2**16  # entries per row block of the exact kernel's scratch
+_T_PIECE = 2**14  # entries per Student-t draw before it is copied into the draw buffer
 
 
-def _int_power(y: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+def _int_power(
+    y: np.ndarray, p: int, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """y**p for an integer p >= 1 by left-to-right square-and-multiply.
 
     numpy's `**` with an integer exponent of 3 or more calls libm `pow` per
@@ -125,7 +136,9 @@ def _int_power(y: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarr
     numpy's `**2` computes) and p = 3 is (y * y) * y.  Every step rounds
     once, and the relative error stays within (p - 1) units of 2**-53 to
     first order.  The last step writes into `out` (a fresh array when None;
-    it may be y itself), so p >= 3 needs a single temporary.
+    it may be y itself), so p >= 3 needs a single temporary: `scratch`
+    when given (an array of y's shape that is neither y nor `out`; Monte
+    Carlo passes the block's spent draw buffer), else a fresh one.
     """
     if p < 1:
         raise InvalidInput(f"need an exponent p >= 1, got {p}")
@@ -142,7 +155,7 @@ def _int_power(y: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarr
             steps.append(False)
     if not steps:
         return np.multiply(y, y, out=out)
-    acc = y * y
+    acc = np.multiply(y, y, out=scratch)
     for square in steps[:-1]:
         np.multiply(acc, acc if square else y, out=acc)
     return np.multiply(acc, acc if steps[-1] else y, out=out)
@@ -202,10 +215,16 @@ class Activation:
     def label(self) -> str:
         return self.kind if self.param is None else f"{self.kind}:{self.param}"
 
-    def apply(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The activation of y, written into `out` when given (`out` may be y itself)."""
+    def apply(
+        self, y: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The activation of y, written into `out` when given (`out` may be y itself).
+
+        `scratch`, an array of y's shape, is the monomial's temporary
+        (`_int_power`); the other kinds ignore it.
+        """
         if self.kind == "monomial":
-            return _int_power(y, self.param, out)
+            return _int_power(y, self.param, out, scratch)
         if self.kind == "relu":
             return np.maximum(y, 0.0, out=out)
         if self.kind == "tanh":
@@ -258,18 +277,29 @@ class DataDistribution:
             return f"student_t:{self.df:g}"
         return self.kind
 
-    def draw_unit(self, n: int, v: int, rng: np.random.Generator) -> np.ndarray:
-        """n x v draws with iid unit-variance entries (synthetic kinds only)."""
+    def draw_unit(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fills the C-contiguous n x v float array `out` with iid unit-variance draws; returns it.
+
+        Synthetic kinds only.  Monte Carlo passes a block's rows of its
+        worker's draw buffer.  Rademacher signs are drawn as one int8 array;
+        `standard_t` has no `out`, so Student-t is drawn in row pieces of at
+        most `_T_PIECE` entries (the same stream as one whole draw) and
+        scaled to unit variance in place.
+        """
         if self.kind == "gaussian":
-            return rng.standard_normal((n, v))
+            return rng.standard_normal(out=out)
         if self.kind == "rademacher":
-            # int8 draws: the float array is the only full-size one held
-            signs = rng.integers(0, 2, size=(n, v), dtype=np.int8).astype(float)
-            signs *= 2.0
-            signs -= 1.0
-            return signs
+            out[...] = rng.integers(0, 2, size=out.shape, dtype=np.int8)
+            out *= 2.0
+            out -= 1.0
+            return out
         if self.kind == "student_t":
-            return rng.standard_t(self.df, size=(n, v)) * math.sqrt((self.df - 2.0) / self.df)
+            step = max(1, _T_PIECE // out.shape[1])
+            for lo in range(0, out.shape[0], step):
+                piece = out[lo : lo + step]
+                piece[...] = rng.standard_t(self.df, size=piece.shape)
+            out *= math.sqrt((self.df - 2.0) / self.df)
+            return out
         raise InvalidInput("external distributions provide samples, not unit draws")
 
 
@@ -418,19 +448,23 @@ def mc_worker_count(m: int, v: int, d: int, threads: int | None = None) -> int:
     return max(1, min(threads, -(-m // rows), _WORKER_ENTRY_CAP // held))
 
 
-def _feature_block(cfg: RFConfig, W: np.ndarray, block: int, lo: int, out: np.ndarray) -> None:
+def _feature_block(
+    cfg: RFConfig, W: np.ndarray, block: int, lo: int, out: np.ndarray, draw: np.ndarray | None
+) -> None:
     """Features of samples lo .. lo + len(out), written into `out` in place.
 
-    One draw from the block's own stream (or the external rows), one
-    product into `out` and one activation there.
+    One draw from the block's own stream into the rows of `draw` (None for
+    external rows, which are used as they are), one product into `out` and
+    one activation there, whose temporary is the spent draw buffer.
     """
-    if cfg.distribution.kind == "external":
-        rows = cfg.distribution.matrix[lo : lo + out.shape[0]]
+    n = out.shape[0]
+    if draw is None:
+        rows, scratch = cfg.distribution.matrix[lo : lo + n], None
     else:
-        rows = cfg.distribution.draw_unit(out.shape[0], cfg.v, _stream(cfg.seed, _DATA, block))
+        rows = cfg.distribution.draw_unit(_stream(cfg.seed, _DATA, block), draw[:n])
+        scratch = draw.reshape(-1)[: n * cfg.d].reshape(n, cfg.d)  # v >= d
     np.matmul(rows, W, out=out)
-    del rows  # the v-wide draw goes before the activation
-    cfg.activation.apply(out, out=out)
+    cfg.activation.apply(out, out=out, scratch=scratch)
     if not np.all(np.isfinite(out)):
         bad = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
         raise InvalidInput(
@@ -528,23 +562,43 @@ def _ordered_map(fn, items, threads: int) -> Iterator:
             yield pending.popleft().result()
 
 
+class _Slot(NamedTuple):
+    """What one Monte Carlo worker holds for a block, reused from block to block."""
+
+    draw: np.ndarray | None  # min(m, rows) x v unit draws, then the activation's scratch
+    features: np.ndarray | None  # min(m, rows) x d, when the run has no feature matrix
+    partial: np.ndarray | None  # d x d, what `reduce` writes, when it is given
+
+
 def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) -> Iterator:
-    """reduce(F) for the features F of every sample block, in block order.
+    """reduce(F, partial) for the features F of every sample block, in block order.
 
     Validates the config (external data before the sketch is drawn), draws
     the sketch and plans blocks of `_block_rows(v, d)` samples, each with
     its own derived data stream, so the results do not depend on `threads`,
-    which `mc_worker_count` resolves.
-    Block features are written into their rows of `Phi` when it is given,
-    else into a fresh block x d array; `reduce` runs on the worker, and None
-    yields None per block.  Validation runs at call time, before any block
-    is sampled.  When the run could have two workers at some `threads`
-    (several blocks, and two workers' holdings fit the cap), BLAS runs on
-    one thread (`_BLAS_BUDGET`) from the first block until the last result
-    is taken or the iterator is closed, so the bytes do not depend on
-    `threads`; a run that always has one worker keeps the caller's BLAS
-    threads.  The pin is process-wide: other threads' BLAS calls run on one
-    thread meanwhile.
+    which `mc_worker_count` resolves.  Validation runs at call time, before
+    any block is sampled.
+
+    The run allocates one `_Slot` per worker, once, on the calling thread
+    (memory a worker thread allocated and freed stays in its malloc arena),
+    sized to the run: a min(m, rows) x v draw buffer (none for external
+    rows), min(m, rows) x d features when `Phi` is None, and a d x d
+    partial when `reduce` is given.  A block takes a free slot from a
+    queue, draws into it, writes its features into the slot (or into its
+    rows of `Phi`) and activates them there, with the spent draw buffer as
+    the activation's temporary; `reduce` runs on the worker and writes into
+    the slot's partial what it returns.  A slot goes back to the queue when
+    the consumer asks for the next result, so the consumer must be done
+    with a result (its sum taken) before then; a block that raises hands
+    its slot back at once.  There are as many slots as blocks in flight, so
+    a block never waits for one.  None yields None per block.
+
+    When the run could have two workers at some `threads` (several blocks,
+    and two workers' holdings fit the cap), BLAS runs on one thread
+    (`_BLAS_BUDGET`) from the first block until the last result is taken or
+    the iterator is closed, so the bytes do not depend on `threads`; a run
+    that always has one worker keeps the caller's BLAS threads.  The pin is
+    process-wide: other threads' BLAS calls run on one thread meanwhile.
     """
     workers = mc_worker_count(cfg.m, cfg.v, cfg.d, threads)
     dist = cfg.distribution
@@ -556,19 +610,37 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
     if dist.kind != "external":  # x = H^(1/2) u, so W'x = (H^(1/2) W)'u: the sketch carries H^(1/2)
         W *= np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)[:, None]
     rows = _block_rows(cfg.v, cfg.d)
+    held = min(cfg.m, rows)
+    slots: queue.SimpleQueue = queue.SimpleQueue()
 
     def work(b: int):
-        lo, hi = b * rows, min((b + 1) * rows, cfg.m)
-        F = np.empty((hi - lo, cfg.d)) if Phi is None else Phi[lo:hi]
-        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness checks raise instead
-            _feature_block(cfg, W, b, lo, F)
-            return None if reduce is None else reduce(F)
+        slot = slots.get_nowait()
+        try:
+            lo, hi = b * rows, min((b + 1) * rows, cfg.m)
+            F = slot.features[: hi - lo] if Phi is None else Phi[lo:hi]
+            with np.errstate(over="ignore", invalid="ignore"):  # the finiteness checks raise instead
+                _feature_block(cfg, W, b, lo, F, slot.draw)
+                return (None if reduce is None else reduce(F, slot.partial)), slot
+        except BaseException:
+            slots.put(slot)
+            raise
 
     pooled = mc_worker_count(cfg.m, cfg.v, cfg.d, 2) > 1  # the same for every `threads`
 
     def run() -> Iterator:
+        for _ in range(workers):
+            slots.put(
+                _Slot(
+                    None if dist.kind == "external" else np.empty((held, cfg.v)),
+                    np.empty((held, cfg.d)) if Phi is None else None,
+                    None if reduce is None else np.empty((cfg.d, cfg.d)),
+                )
+            )
         with _BLAS_BUDGET if pooled else contextlib.nullcontext():
-            yield from _ordered_map(work, range(-(-cfg.m // rows)), workers)
+            with contextlib.closing(_ordered_map(work, range(-(-cfg.m // rows)), workers)) as results:
+                for result, slot in results:
+                    yield result
+                    slots.put(slot)
 
     return run()
 
@@ -580,10 +652,12 @@ def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate
     682 at v = 800, d = 400; 512 at v = d = 2000) with per-block derived
     streams, run on `mc_worker_count(cfg.m, cfg.v, cfg.d, threads)` worker
     threads.  The sketch carries H^(1/2), so unit draws U have features
-    f(U H^(1/2) W).  A block is one draw, whose product is written straight
-    into its destination and activated there in place, so a worker holds
-    one block x v draw.  Block bounds depend only on v, d and m, never on
-    `threads`.  The centered variant subtracts the empirical feature mean.
+    f(U H^(1/2) W).  A block is one draw into its worker's slot, a
+    min(m, rows) x v buffer the run allocates once per worker, whose
+    product is written straight into its destination and activated there
+    in place, with the spent draw buffer as the activation's temporary.
+    Block bounds depend only on v, d and m, never on `threads`.  The
+    centered variant subtracts the empirical feature mean.
 
     A run of one block, or of m < d samples, writes its blocks into the
     m x d feature matrix and takes the Gram trick's min(m, d) eigenvalues;
@@ -629,9 +703,12 @@ def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate
 def mc_covariance_matrix(cfg: RFConfig, threads: int | None = None) -> np.ndarray:
     """The d x d Monte Carlo feature covariance itself (same sampling as mc_covariance).
 
-    Each block's features go into a fresh block x d array; its second
-    moment is taken on the worker, and the partials are summed in fixed
-    block order as they arrive.  Centered, a block's second moment is taken
+    Each block's features go into its worker's slot, whose block x d
+    features and d x d partial the run allocates once per worker; the
+    second moment F'F is written into the slot's partial on the worker,
+    and the partials are summed in fixed block order as they arrive, each
+    before the next block is asked for, which hands its slot back.
+    Centered, a block's second moment is taken
     about the block's own mean, and the scatter of each block's mean about
     the mean of the blocks before it is added too (the pairwise update of
     Chan, Golub and LeVeque), as one product per batch of up to
@@ -640,12 +717,12 @@ def mc_covariance_matrix(cfg: RFConfig, threads: int | None = None) -> np.ndarra
     array is alive, two when centered (the last batch's scatter).
     """
 
-    def moments(F: np.ndarray):
-        if not cfg.centered:
-            return F.T @ F, None
-        mu = F.mean(axis=0)
-        F -= mu
-        return F.T @ F, mu
+    def moments(F: np.ndarray, partial: np.ndarray):
+        mu = None
+        if cfg.centered:
+            mu = F.mean(axis=0)
+            F -= mu
+        return np.matmul(F.T, F, out=partial), mu
 
     rows = _block_rows(cfg.v, cfg.d)
     G = np.zeros((cfg.d, cfg.d))
@@ -653,8 +730,7 @@ def mc_covariance_matrix(cfg: RFConfig, threads: int | None = None) -> np.ndarra
     deltas = []  # scaled block mean differences, added to G in batches of at most `rows`
     with np.errstate(over="ignore", invalid="ignore"):  # sym_eigenvalues rejects an overflow
         for b, (Gb, mu) in enumerate(_sample_blocks(cfg, threads, moments)):
-            G += Gb
-            del Gb  # before the next block is awaited
+            G += Gb  # summed before the next block is asked for, which hands Gb's slot back
             if mu is None:
                 continue
             seen, n = b * rows, min(rows, cfg.m - b * rows)

@@ -183,10 +183,10 @@ def test_distribution_unit_variance():
         DataDistribution("rademacher"),
         DataDistribution("student_t", df=6.0),
     ):
-        draws = dist.draw_unit(200, 500, rng)
+        draws = dist.draw_unit(rng, np.empty((200, 500)))
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.05
-    rad = DataDistribution("rademacher").draw_unit(10, 10, rng)
+    rad = DataDistribution("rademacher").draw_unit(rng, np.empty((10, 10)))
     assert set(np.unique(rad)) <= {-1.0, 1.0}
 
 
@@ -207,7 +207,7 @@ def test_data_stream_draws_the_law(law, kurtosis, var_tol, kurt_tol, seed):
     # and no correlation between the blocks (means within 5 / sqrt(N))
     n, v = 1000, 500
     bound = 5.0 / math.sqrt(n * v)
-    a, b = (law.draw_unit(n, v, simulate._stream(seed, simulate._DATA, k)).ravel() for k in (0, 1))
+    a, b = (law.draw_unit(simulate._stream(seed, simulate._DATA, k), np.empty((n, v))).ravel() for k in (0, 1))
     c = a - a.mean()
     m2 = np.mean(c * c)
     assert abs(a.mean()) < bound
@@ -220,9 +220,9 @@ def test_rademacher_draw_holds_one_float_array():
     n, v = 1024, 800
     law = DataDistribution("rademacher")
     rng = simulate._stream(3, simulate._DATA, 0)
-    peak = _traced_peak(lambda: law.draw_unit(n, v, rng))
+    peak = _traced_peak(lambda: law.draw_unit(rng, np.empty((n, v))))
     assert peak <= 1.2 * n * v * 8, peak
-    signs = law.draw_unit(n, v, rng)
+    signs = law.draw_unit(rng, np.empty((n, v)))
     assert signs.dtype == np.float64
     assert set(np.unique(signs)) == {-1.0, 1.0}
 
@@ -248,7 +248,7 @@ def test_stream_recipe_per_purpose():
 def test_data_stream_golden():
     # frozen Gaussian draw of data block 0; catches any silent change in the
     # seed-to-sample pipeline of Monte Carlo data
-    U = DataDistribution("gaussian").draw_unit(2, 2, simulate._stream(0, simulate._DATA, 0))
+    U = DataDistribution("gaussian").draw_unit(simulate._stream(0, simulate._DATA, 0), np.empty((2, 2)))
     want = np.array(
         [
             [-1.2540797385549642, -0.057374060490056056],
@@ -468,7 +468,7 @@ def scaled_data_covariance(cfg, rows=simulate._BLOCK):
         blocks = []
         for b, lo in enumerate(range(0, cfg.m, rows)):
             U = cfg.distribution.draw_unit(
-                min(lo + rows, cfg.m) - lo, cfg.v, simulate._stream(cfg.seed, simulate._DATA, b)
+                simulate._stream(cfg.seed, simulate._DATA, b), np.empty((min(lo + rows, cfg.m) - lo, cfg.v))
             )
             blocks.append(cfg.activation.apply((U * sqrt_h) @ W))
         F = np.vstack(blocks)
@@ -551,7 +551,7 @@ def test_chunked_blocks_keep_the_recipe(monkeypatch, dist, act, centered):
     sizes = []
     draw = DataDistribution.draw_unit
     monkeypatch.setattr(
-        DataDistribution, "draw_unit", lambda self, n, v, rng: sizes.append(n) or draw(self, n, v, rng)
+        DataDistribution, "draw_unit", lambda self, rng, out: sizes.append(len(out)) or draw(self, rng, out)
     )
     mat = simulate.mc_covariance_matrix(cfg, threads=1)
     assert sizes == ([] if dist == "external" else [682] * 14 + [144])
@@ -618,6 +618,85 @@ def test_mc_covariance_past_one_block_holds_no_feature_matrix():
     assert peak < bound, (peak, bound)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_slots_are_sized_to_the_run(threads):
+    # m = 150 samples of a 4096-row block plan: a worker's slot holds 150 rows,
+    # so the peak is the draw, the features and the sketch (plus the sum and
+    # the partial on the blockwise route); a 4096-row draw buffer alone is 5.2 MB
+    cfg = RFConfig(v=160, d=80, m=150, alpha=1.31, activation=Activation("monomial", 3), seed=2)
+    assert cfg.m < simulate._block_rows(cfg.v, cfg.d)
+    simulate.mc_covariance(cfg, threads=threads)  # first-call set-up outside the trace
+    bound = 8 * (cfg.m * (cfg.v + cfg.d) + cfg.v * cfg.d) + 250_000
+    peak = _traced_peak(lambda: simulate.mc_covariance(cfg, threads=threads))
+    assert peak < bound, (peak, bound)
+    peak = _traced_peak(lambda: simulate.mc_covariance_matrix(cfg, threads=threads))
+    assert peak < bound + 8 * 2 * cfg.d * cfg.d, (peak, bound)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_mc_blocks_reuse_one_slot_per_worker(monkeypatch, threads):
+    # fifteen 682-row blocks: every draw lands in one of `workers` draw buffers
+    # and every partial in one of `workers` d x d arrays, all owned by the run;
+    # a slot goes back only once the consumer has summed its partial, so the
+    # sum equals one taken over copies of the partials
+    cfg = RFConfig(v=800, d=400, m=10**4, alpha=1.31, activation=Activation("monomial", 3), seed=5)
+    workers = simulate.mc_worker_count(cfg.m, cfg.v, cfg.d, threads)
+    draws, partials = [], []
+    draw = DataDistribution.draw_unit
+    monkeypatch.setattr(
+        DataDistribution, "draw_unit", lambda self, rng, out: draws.append(out.base) or draw(self, rng, out)
+    )
+    sample_blocks = simulate._sample_blocks
+
+    def spied(cfg, threads, reduce):
+        def spy(F, partial):
+            partials.append(partial)
+            return reduce(F, partial)
+
+        return sample_blocks(cfg, threads, spy)
+
+    monkeypatch.setattr(simulate, "_sample_blocks", spied)
+    eig = simulate.mc_covariance(cfg, threads=threads).eigenvalues
+    assert len(draws) == len(partials) == 15
+    for held in (draws, partials):  # the lists keep every array alive, so ids are unique
+        assert all(a is not None for a in held)
+        assert len({id(a) for a in held}) <= workers
+
+    def copied(cfg, threads, reduce):
+        for Gb, mu in sample_blocks(cfg, threads, reduce):
+            yield Gb.copy(), mu
+
+    monkeypatch.setattr(simulate, "_sample_blocks", copied)
+    assert np.array_equal(simulate.mc_covariance(cfg, threads=threads).eigenvalues, eig)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_mc_run_closed_early_or_failing_returns_and_restores_blas(within, threads):
+    # five blocks: closing the run after its first block, or a block that
+    # fails while others are in flight, waits for the blocks in flight, which
+    # find free slots, and puts back the caller's BLAS setting
+    cfg = RFConfig(v=300, d=150, m=9000, alpha=1.31, activation=Activation("monomial", 3), seed=8)
+    assert -(-cfg.m // simulate._block_rows(cfg.v, cfg.d)) == 5
+    before = None if _BLAS_CALLS is None else _blas_threads()
+    want = simulate.mc_covariance_matrix(cfg, threads=threads)
+    X = np.ones((cfg.m, cfg.v))
+    X[2500, 3] = np.inf  # in the second block
+    failing = dataclasses.replace(cfg, distribution=DataDistribution("external", matrix=X))
+    with within(60):
+        for reduce in (None, lambda F, partial: np.matmul(F.T, F, out=partial)):
+            run = simulate._sample_blocks(cfg, threads, reduce)
+            next(run)
+            run.close()
+            if before is not None:
+                assert _blas_threads() == before
+            with pytest.raises(InvalidInput, match="sample index 2500"):
+                for _ in simulate._sample_blocks(failing, threads, reduce):
+                    pass
+            if before is not None:
+                assert _blas_threads() == before
+        assert np.array_equal(simulate.mc_covariance_matrix(cfg, threads=threads), want)
+
+
 @pytest.mark.parametrize("centered", [False, True])
 @pytest.mark.parametrize("act", ["monomial:2", "monomial:3", "tanh"])
 @pytest.mark.parametrize(
@@ -659,7 +738,12 @@ def test_default_thread_count_is_the_usable_cpu_count(monkeypatch):
         cpus = len(os.sched_getaffinity(0))
         assert simulate._usable_cpu_count() == (cpus if limit is None else max(1, min(cpus, limit)))
     seen = []
-    monkeypatch.setattr(simulate, "_ordered_map", lambda fn, items, threads: seen.append(threads) or [])
+
+    def no_blocks(fn, items, threads):  # a generator, as the run closes it
+        seen.append(threads)
+        yield from ()
+
+    monkeypatch.setattr(simulate, "_ordered_map", no_blocks)
     monkeypatch.setattr(simulate, "_usable_cpu_count", lambda: 7)
     act = Activation("monomial", 1)
     for m in (10 * simulate._BLOCK, 3 * simulate._BLOCK):
@@ -798,7 +882,7 @@ def test_openblas_thread_calls_found_when_numpy_uses_openblas():
 @needs_openblas
 @pytest.mark.parametrize("threads", [1, 2])
 def test_mc_block_work_runs_on_one_blas_thread(caller_blas_threads, threads):
-    seen = list(simulate._sample_blocks(_three_block_cfg(), threads, lambda F: _blas_threads()))
+    seen = list(simulate._sample_blocks(_three_block_cfg(), threads, lambda F, partial: _blas_threads()))
     assert seen == [1, 1, 1]
     assert _blas_threads() == caller_blas_threads
 
@@ -809,11 +893,11 @@ def test_mc_runs_of_one_worker_keep_the_callers_blas_threads(monkeypatch, caller
     # one block, or a worker cap of one worker's holdings: no `threads` gives
     # a second worker, so nothing is pinned
     one_block = RFConfig(v=300, d=150, m=2000, alpha=1.31, activation=Activation("monomial", 2), seed=8)
-    seen = list(simulate._sample_blocks(one_block, threads, lambda F: _blas_threads()))
+    seen = list(simulate._sample_blocks(one_block, threads, lambda F, partial: _blas_threads()))
     assert seen == [caller_blas_threads]
     cfg = _three_block_cfg()
     monkeypatch.setattr(simulate, "_WORKER_ENTRY_CAP", 2 * _worker_entries(cfg.v, cfg.d) - 1)
-    seen = list(simulate._sample_blocks(cfg, threads, lambda F: _blas_threads()))
+    seen = list(simulate._sample_blocks(cfg, threads, lambda F, partial: _blas_threads()))
     assert seen == [caller_blas_threads] * 3
     assert _blas_threads() == caller_blas_threads
 
@@ -908,7 +992,7 @@ def test_mc_runs_when_no_blas_thread_call_is_found(monkeypatch):
     got = simulate.mc_covariance(cfg, threads=2).eigenvalues
     assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
     if _BLAS_CALLS is not None:  # nothing was pinned
-        assert list(simulate._sample_blocks(cfg, 2, lambda F: _blas_threads())) == [before] * 3
+        assert list(simulate._sample_blocks(cfg, 2, lambda F, partial: _blas_threads())) == [before] * 3
         assert _blas_threads() == before
 
 
@@ -1059,6 +1143,44 @@ def test_one_block_output_bits_pinned(key):
     assert got == _ONE_BLOCK_GOLDEN[key]
 
 
+# sha256 of the little-endian float64 eigenvalues of mc_covariance, then the
+# mc_covariance_matrix entries, at the benchmark's size: fifteen 682-row
+# blocks summed as d x d partials.  Recorded on `_GOLDEN_BUILD` before each
+# worker kept one scratch slot per run, with the eigensolve on two BLAS
+# threads (at one it rounds differently; the matrix bits do not depend on the
+# caller's BLAS setting).  These bits move with the block plan, the data
+# streams, the blockwise reduction or how a block is drawn, multiplied and
+# activated.
+_BLOCKWISE_GOLDEN = {
+    ("gaussian", "monomial:2", False): (
+        "e85db63cb5f194fb83d7e12e4d256fd3c50cb20f1da817b1bc4f00e39327ae92",
+        "aa71b601cd868e6710a14a76e83026d749d972f6dc812ee52b990d5e1674933d",
+    ),
+    ("student_t", "monomial:3", False): (
+        "0f064c664dc0797ba87146898a1be7851592317a052e682ada76d425ccb06ee5",
+        "c6c6be5112a526a0b4501b88ad2596872cbe9900d0caaa0a267ed63b32b1f64e",
+    ),
+    ("rademacher", "monomial:3", True): (
+        "e91cfe06b5b8e08135b52a952a73a2d879d3446fb2ae976c45af8bb0bff9d6b1",
+        "caea2a98d74cfb26e47e19e9dd87557d83804af43f72e4d7eb3ab791352d0023",
+    ),
+}
+
+
+@pytest.mark.skipif(_numpy_build() != _GOLDEN_BUILD, reason="digests recorded on another numpy, BLAS or CPU")
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("key", sorted(_BLOCKWISE_GOLDEN))
+def test_mc_blockwise_output_bits_pinned(caller_blas_threads, key, threads):
+    dist, act, centered = key
+    cfg = dataclasses.replace(_one_block_cfg(dist, act, 10**4, centered), v=800, d=400)
+    assert -(-cfg.m // simulate._block_rows(cfg.v, cfg.d)) == 15
+    got = (
+        _sha(simulate.mc_covariance(cfg, threads=threads).eigenvalues),
+        _sha(simulate.mc_covariance_matrix(cfg, threads=threads)),
+    )
+    assert got == _BLOCKWISE_GOLDEN[key]
+
+
 @pytest.mark.parametrize("key", sorted(_ONE_BLOCK_GOLDEN))
 def test_one_block_output_is_the_single_draw_recipe(key):
     # one draw from stream (seed, data, 0), one product with the H^(1/2)-scaled
@@ -1066,7 +1188,7 @@ def test_one_block_output_is_the_single_draw_recipe(key):
     cfg = _one_block_cfg(*key)
     W = simulate.sample_sketch(cfg.v, cfg.d, cfg.seed)
     W *= np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)[:, None]
-    U = cfg.distribution.draw_unit(cfg.m, cfg.v, simulate._stream(cfg.seed, simulate._DATA, 0))
+    U = cfg.distribution.draw_unit(simulate._stream(cfg.seed, simulate._DATA, 0), np.empty((cfg.m, cfg.v)))
     F = cfg.activation.apply(U @ W)
     if cfg.centered:
         F = F - F.mean(axis=0)
