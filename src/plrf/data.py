@@ -32,7 +32,7 @@ __all__ = [
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixel bytes (R, G, B planes)
 CIFAR_FEATURES = 3072
-_CSV_BLOCK = 8192  # rows formatted per write
+_CSV_BLOCK = 4096  # rows formatted per write
 
 
 class SchemaError(InvalidInput):
@@ -97,14 +97,28 @@ def write_spectrum_csv(spec: SpectrumEstimate, path) -> None:
     """Write `j,lambda` rows, one per eigenvalue, descending, exactly round-trippable.
 
     Rows go to the file a block at a time, so memory stays bounded by the
-    block, not by the spectrum.
+    block, not by the spectrum.  Within a block, each run of equal values
+    (equal bits, so -0.0 and 0.0 stay apart) is formatted once: a sorted
+    spectrum formats each distinct value once, and tuple-product spectra
+    repeat a value wherever index tuples share a product.
     """
     eig = spec.eigenvalues
     with open(path, "w") as fh:
         fh.write("j,lambda\n")
         for lo in range(0, eig.size, _CSV_BLOCK):
-            block = enumerate(eig[lo : lo + _CSV_BLOCK].tolist(), start=lo + 1)
-            fh.write("".join([f"{j},{_format_value(lam)}\n" for j, lam in block]))
+            block = eig[lo : lo + _CSV_BLOCK]
+            bits = block.view(np.uint64)
+            opens = np.concatenate(([True], bits[1:] != bits[:-1]))  # row starts a run
+            heads = block[opens]
+            # only an integral value's repr can end in ".0"
+            whole = heads == np.trunc(heads)
+            texts = [
+                _format_value(x) if w else repr(x)
+                for x, w in zip(heads.tolist(), whole.tolist())
+            ]
+            lengths = np.diff(np.flatnonzero(opens), append=block.size)
+            rows = np.repeat(np.array(texts, dtype=object), lengths).tolist()
+            fh.write("".join([f"{j},{t}\n" for j, t in enumerate(rows, start=lo + 1)]))
 
 
 def _csv_values(path, rows):

@@ -55,7 +55,9 @@ Every consumer derives its own stream from (seed, purpose, block) through
 (sketches, stages, layers, Wick moments) from Philox.  Block sampling is thus
 reproducible regardless of execution order, and covariance accumulation is
 reduced in fixed block order.  Identical (config, seed) therefore give
-bit-identical spectra for every thread count.
+bit-identical spectra for every thread count, under a fixed BLAS thread
+setting: the final eigensolve runs under the caller's, which can move the
+last bits.
 """
 
 from __future__ import annotations
@@ -663,9 +665,11 @@ def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate
     m x d feature matrix and takes the Gram trick's min(m, d) eigenvalues;
     every other run takes all d eigenvalues of `mc_covariance_matrix`,
     whose block partials F'F are computed on the workers.  Either way the
-    result is bit-identical for a fixed config regardless of `threads`; with
-    runs concurrent in one process, an eigensolve may overlap another run's
-    one-thread BLAS pin, and then agrees with a lone run's to round-off.
+    result is bit-identical for a fixed config regardless of `threads`,
+    under a fixed BLAS thread setting: the eigensolve runs under the
+    caller's, which can move the last bits.  With runs concurrent in one
+    process, an eigensolve may overlap another run's one-thread BLAS pin,
+    and then agrees with a lone run's to round-off.
     min(m, d) past the eigensolver's cap is refused before sampling.  The
     plan that ran is in `meta`: its `workers` and `block_rows`.
     """

@@ -1,13 +1,14 @@
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plrf import InvalidInput
+from plrf import InvalidInput, population
 from plrf import data as dio
 from plrf.records import RunSummary, SpectrumEstimate
 from plrf.spectral import SlopeFit
@@ -155,6 +156,84 @@ def test_spectrum_csv_lossless_property(tmp_path_factory, values):
     dio.write_spectrum_csv(make_spec(values), path)
     back = dio.read_spectrum_csv(path)
     assert np.array_equal(back.eigenvalues, np.asarray(values, dtype=float))
+
+
+def _per_row_csv(values) -> str:
+    # reference: the writer's output formatted one row at a time
+    rows = (f"{j},{dio._format_value(x)}\n" for j, x in enumerate(values.tolist(), start=1))
+    return "j,lambda\n" + "".join(rows)
+
+
+_EDGE_VALUES = [
+    0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324,
+    2.2250738585072014e-308, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53),
+    1e16 - 2, 1e16, 1e16 + 2, 1e22, 1.0, -3.0, 0.1,
+]
+_runs = st.lists(
+    st.tuples(st.one_of(st.sampled_from(_EDGE_VALUES), st.floats()), st.integers(1, 4)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(runs=_runs, lead=st.sampled_from([0, 1, dio._CSV_BLOCK - 2, 2 * dio._CSV_BLOCK - 1]))
+@example(
+    runs=[(-0.0, 2), (0.0, 3), (-0.0, 1), (float("nan"), 2), (2.0**53, 2), (1e16, 1), (5e-324, 3)],
+    lead=dio._CSV_BLOCK - 1,
+)
+def test_spectrum_csv_bytes_match_per_row_formula(tmp_path_factory, runs, lead):
+    # `lead` copies of the first value put a run across a block boundary
+    heads = np.array([v for v, _ in runs])
+    lengths = [n for _, n in runs]
+    lengths[0] += lead
+    values = np.repeat(heads, lengths)
+    path = tmp_path_factory.mktemp("csv") / "vals.csv"
+    dio.write_spectrum_csv(make_spec(values), path)
+    assert path.read_bytes() == _per_row_csv(values).encode()
+
+
+def _hpi_values(v, parts):
+    return population.hpi_top_k(population.PowerLawSpectrum(1.31, v), parts, 30_000).values()
+
+
+def _theory_values():
+    curve = population.theory_curve(3, 1.31)
+    return population.predicted_spectrum(curve, curve.scale, range(1, 3001))
+
+
+# sha256 of CSVs recorded with the one-row-at-a-time formula of _per_row_csv:
+# the benchmark's two top-k spectra and one theory spectrum.  The theory
+# values carry the caveat of test_population's _PREDICTED_GOLDEN: numpy's SIMD
+# log and power can move their last bit on other CPUs.
+_CSV_GOLDEN = [
+    (lambda: _hpi_values(20_000, (1, 1)),
+     "58efc86b62b1854ede9b00c85d8988079ced7c6353790dc1716fd20c8df2455c"),
+    (lambda: _hpi_values(5_000, (1, 1, 1)),
+     "4ed2403d5b9283040c8e76e05c0ca1a55fa18d28d20cc7cd873b360dc32a87ad"),
+    (_theory_values, "1e77acc7f194fae78f10c41b9e1086fde9821131603d8399799fa0863813e557"),
+]
+
+
+@pytest.mark.parametrize("values, digest", _CSV_GOLDEN, ids=["hpi_1_1", "hpi_1_1_1", "theory_p3"])
+def test_spectrum_csv_golden_digests(tmp_path, values, digest):
+    path = tmp_path / "spectrum.csv"
+    dio.write_spectrum_csv(make_spec(values()), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_spectrum_csv_tied_spectrum_memory(tmp_path):
+    # 30 000 rows holding 7 635 distinct values: the run texts, the row list
+    # and the joined block together must stay under the 948 KiB the per-row
+    # writer peaked at (Python 3.11)
+    spec = make_spec(_hpi_values(5_000, (1, 1, 1)))
+    tracemalloc.start()
+    try:
+        dio.write_spectrum_csv(spec, tmp_path / "hpi.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 948 * 1024, peak
 
 
 # ---------------------------------------------------------------------------
