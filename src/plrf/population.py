@@ -4,7 +4,9 @@ For a decreasing base spectrum H and an exponent composition (a_1, ..., a_l),
 the induced diagonal operator carries one entry H_{i_1}^{a_1} ... H_{i_l}^{a_l}
 per strictly increasing index tuple i_1 < ... < i_l, with a_1 applied to the
 smallest index.  This module enumerates the top of that spectrum by threshold
-search with branch pruning, counts entries above a threshold, evaluates the
+search with branch pruning (a few counting passes, then one emit at a cutoff
+extrapolated to hold 1.25 k entries, kept by a stable sort on value), counts
+entries above a threshold, evaluates the
 (log^(p-1)(j+1)/j)^alpha eigenvalue envelope, and builds the
 zero-free-parameter counting curves N(u) for monomial degrees 1-3, whose
 inversion (one array bisection, shared with `lattice`) predicts eigenvalues
@@ -39,6 +41,8 @@ __all__ = [
 
 _TIE_GUARD = 1.0 - 1e-12  # values this close to the threshold count as above
 _TINY = np.finfo(float).tiny  # smallest normal float; eps_j below it has underflowed
+_SMALLEST = math.ulp(0.0)  # smallest positive float; a product below it is 0.0
+_MIN_BLOCK = 2**15  # fewest emitted tuples merged into the kept top-k at once
 MAX_TUPLE_LENGTH = 4
 MAX_TOP_K = 10**7
 
@@ -124,15 +128,25 @@ class TopTuples(Sequence):
         return f"TopTuples(n={len(self)}, truncated={self.truncated})"
 
 
-def _prefix_search(H: PowerLawSpectrum, comp: Composition, eps: float, emit: bool):
+def _prefix_search(
+    H: PowerLawSpectrum, comp: Composition, eps: float, emit: bool, keep: int | None = None
+):
     """The tuples i_1 < ... < i_l with product >= eps: their count, or with
-    `emit` an (n, l) int64 index array and the float64 values, in search order.
+    `emit` an (n, l) int64 index array and the float64 values.
 
     The outer l-1 coordinates are walked depth first in O(l) state, pruning a
     prefix when even its best completion (all remaining factors at the next
     index) falls below eps; the innermost coordinate of each prefix is one run
     [start, end], found by binary search.  Ties within relative 1e-12 of eps
     count as above.
+
+    Emitted rows come in strictly increasing lexicographic order: prefixes
+    are visited in increasing order and each run ascends.  With `keep`, only
+    the `keep` largest values are returned, descending, ties in that
+    lexicographic order: whenever max(4 * keep, 2**15) or more emitted tuples
+    are pending (one run may overrun that), they are merged into the rows
+    kept so far by one stable sort, so memory follows `keep`, not the number
+    of qualifying tuples.
     """
     parts = comp.parts
     l = comp.length
@@ -143,7 +157,37 @@ def _prefix_search(H: PowerLawSpectrum, comp: Composition, eps: float, emit: boo
     tail = [float(sum(parts[t:])) for t in range(l + 1)]  # exponent sums for the completion bound
     idx = [0] * (l - 1)
     runs = []  # (*prefix indices, prefix value, start, end) per nonempty innermost run
-    count = 0
+    count = 0  # tuples found; with `keep`, those not yet merged
+    block = None if keep is None else max(4 * keep, _MIN_BLOCK)
+    kept = None  # with `keep`: the (indices, values) kept so far
+
+    def expand_runs():
+        run = np.array(runs, dtype=float).reshape(-1, l + 2)
+        runs.clear()
+        starts = run[:, l].astype(np.int64)
+        lengths = run[:, l + 1].astype(np.int64) - starts + 1
+        # innermost index of every tuple: the runs start..end laid end to end
+        last = np.arange(lengths.sum()) + np.repeat(starts + lengths - np.cumsum(lengths), lengths)
+        # the scalar pow of the prefix loop (the array power differs in the
+        # last bit), which returns H_i itself for an exponent of 1
+        top = int(run[:, l + 1].max(initial=0))
+        if a_last == 1:
+            powers = eig[:top]
+        else:
+            powers = np.fromiter(map(math.pow, eig[:top].tolist(), repeat(float(a_last))), float, top)
+        values = np.repeat(run[:, l - 1], lengths) * powers[last - 1]
+        indices = np.column_stack((np.repeat(run[:, : l - 1].astype(np.int64), lengths, axis=0), last))
+        return indices, values
+
+    def merge_runs() -> None:
+        # the kept rows precede the runs lexicographically, so a stable sort
+        # by value leaves tied rows in lexicographic order
+        nonlocal kept
+        indices, values = expand_runs()
+        if kept is not None:
+            indices, values = np.concatenate((kept[0], indices)), np.concatenate((kept[1], values))
+        order = np.argsort(-values, kind="stable")[:keep]
+        kept = np.take(indices, order, axis=0), values[order]
 
     def rec(depth: int, start: int, prefix: float) -> None:
         nonlocal count
@@ -161,6 +205,9 @@ def _prefix_search(H: PowerLawSpectrum, comp: Composition, eps: float, emit: boo
                 count += end - start + 1
                 if emit:
                     runs.append((*idx, prefix, start, end))
+                    if block is not None and count >= block:
+                        merge_runs()
+                        count = 0
             return
         a = parts[depth]
         for i in range(start, v - (l - 1 - depth) + 1):
@@ -173,18 +220,11 @@ def _prefix_search(H: PowerLawSpectrum, comp: Composition, eps: float, emit: boo
     rec(0, 1, 1.0)
     if not emit:
         return count
-
-    run = np.array(runs, dtype=float).reshape(-1, l + 2)
-    starts = run[:, l].astype(np.int64)
-    lengths = run[:, l + 1].astype(np.int64) - starts + 1
-    # innermost index of every tuple: the runs start..end laid end to end
-    last = np.arange(count) + np.repeat(starts + lengths - np.cumsum(lengths), lengths)
-    # the scalar pow of the prefix loop; the array power differs in the last bit
-    top = int(run[:, l + 1].max(initial=0))
-    powers = np.fromiter(map(math.pow, eig[:top].tolist(), repeat(float(a_last))), float, top)
-    values = np.repeat(run[:, l - 1], lengths) * powers[last - 1]
-    indices = np.column_stack((np.repeat(run[:, : l - 1].astype(np.int64), lengths, axis=0), last))
-    return indices, values
+    if keep is None:
+        return expand_runs()
+    if runs or kept is None:
+        merge_runs()
+    return kept
 
 
 def hpi_count_above(H: PowerLawSpectrum, composition, eps: float) -> int:
@@ -201,11 +241,16 @@ def hpi_count_above(H: PowerLawSpectrum, composition, eps: float) -> int:
 def hpi_top_k(H: PowerLawSpectrum, composition, k: int) -> TopTuples:
     """The k largest products H_{i_1}^{a_1} ... H_{i_l}^{a_l}, descending.
 
-    Threshold search: shrink a cutoff geometrically until at least k entries
-    qualify (refining toward a count <= 4k when the value distribution
-    allows), enumerate everything above it with prefix pruning, then sort.
-    Ties are broken by lexicographic index tuple.  Equals full enumeration
-    plus sort, without materialising all C(v, l) tuples.
+    Threshold search: halve a cutoff from the top product, counting, until
+    k/32 entries qualify and the last two counts differ; fit log count
+    against log cutoff through those two counts and emit once at the cutoff
+    predicted to hold 1.25 k entries.  An emit that falls short of k fits
+    again through its own count and emits again.  Tuples are emitted in
+    lexicographic order, so one stable sort on value keeps the k largest
+    with ties broken by lexicographic index tuple.  Equals full enumeration
+    plus sort, in memory that follows k, not C(v, l).  A largest product
+    that overflows, or fewer than k positive products in floating point,
+    is refused.
     """
     comp = _as_composition(composition)
     if not 1 <= k <= MAX_TOP_K:
@@ -221,35 +266,40 @@ def hpi_top_k(H: PowerLawSpectrum, composition, k: int) -> TopTuples:
     eig = H.eigenvalues
     top_val = math.prod(float(eig[t]) ** comp.parts[t] for t in range(l))
     min_val = math.prod(float(eig[H.v - l + t]) ** comp.parts[t] for t in range(l))
+    if top_val == math.inf:
+        raise InvalidInput(
+            f"the largest tuple product overflows float range (v = {H.v}, "
+            f"alpha = {H.alpha!r}, composition = {comp.parts})"
+        )
+    # every tuple qualifies at min_val; if that underflows, the smallest
+    # positive float admits exactly the positive products
+    lowest = min_val if min_val > 0 else _SMALLEST
 
-    eps = top_val
-    count = hpi_count_above(H, comp, eps)
-    while count < k_eff:
-        if eps <= min_val:
-            break  # everything qualifies now
-        eps = max(eps / 2.0, min_val)
-        count = hpi_count_above(H, comp, eps)
-    if count > 4 * k_eff:
-        # geometric bisection toward the [k, 4k] window; value plateaus may
-        # leave more than 4k qualifiers, which only costs enumeration time
-        lo, hi = eps, min(eps * 2.0, top_val)
-        for _ in range(80):
-            if hi / lo <= 1.0 + 1e-9:
-                break
-            mid = math.sqrt(lo * hi)
-            c = hpi_count_above(H, comp, mid)
-            if c >= k_eff:
-                lo = mid
-                if c <= 4 * k_eff:
-                    break
-            else:
-                hi = mid
-        eps = lo
-
-    indices, values = _prefix_search(H, comp, eps, emit=True)
-    # descending value, ties by lexicographic index tuple (last key is primary)
-    keep = np.lexsort((*indices[:, ::-1].T, -values))[:k_eff]
-    return TopTuples._from_arrays(indices[keep], values[keep], truncated=k > total)
+    # halve from the top product, counting, while the count is far below k or
+    # gives no slope yet; then emit where the log-log line through the last
+    # two counts predicts 1.25 k tuples, extrapolating again past a shortfall
+    eps = max(top_val, lowest)
+    points = [(eps, hpi_count_above(H, comp, eps))]
+    while True:
+        eps, count = points[-1]
+        if count < k_eff:
+            if eps <= lowest:
+                raise InvalidInput(
+                    f"only {count} of the {total} tuple products are positive in floating "
+                    f"point, fewer than k = {k} (v = {H.v}, alpha = {H.alpha!r}, "
+                    f"composition = {comp.parts})"
+                )
+            if count < k_eff / 32 or len(points) < 2 or points[-2][1] == count:
+                eps = max(eps / 2.0, lowest)
+                points.append((eps, hpi_count_above(H, comp, eps)))
+                continue
+            e0, c0 = points[-2]
+            slope = math.log(count / c0) / (math.log(e0) - math.log(eps))
+            eps = max(eps * (count / (1.25 * k_eff)) ** (1.0 / slope), lowest)
+        indices, values = _prefix_search(H, comp, eps, emit=True, keep=k_eff)
+        if values.size >= k_eff:
+            return TopTuples._from_arrays(indices, values, truncated=k > total)
+        points.append((eps, values.size))
 
 
 def envelope(j: int, alpha: float, p: int) -> float:

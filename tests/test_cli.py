@@ -333,6 +333,18 @@ def test_hpi_truncated_warns(tmp_path, capsys):
     assert payload["results"]["truncated"] is True and payload["results"]["eigenvalue_count"] == 6
 
 
+@pytest.mark.parametrize("argv, positive, total", [
+    (("--pi", "1,1", "--k", "45", "--alpha", "300"), 12, 45),
+    (("--pi", "1,1,1,1", "--k", "210", "--alpha", "100"), 186, 210),
+    (("--pi", "3,3", "--k", "45", "--alpha", "120"), 7, 45),
+])
+def test_hpi_underflowed_products_exit_2(capsys, argv, positive, total):
+    code, out, err = run_cli(capsys, "spectrum", "hpi", "--v", "10", *argv)
+    assert (code, out) == (2, "")
+    assert f"only {positive} of the {total} tuple products are positive in floating point" in err
+    assert "eps" not in err
+
+
 def test_spectrum_exact_route(tmp_path, capsys):
     out = tmp_path / "exact.csv"
     code, stdout, _ = run_cli(

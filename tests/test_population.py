@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,7 +117,12 @@ def test_prefix_search_and_top_k_equal_bruteforce(data):
     v = data.draw(st.integers(min_value=l, max_value=_MAX_V[l]))
     parts = tuple(data.draw(st.lists(st.integers(1, 3), min_size=l, max_size=l)))
     alpha = data.draw(st.floats(min_value=1.01, max_value=3.0))
-    H = PowerLawSpectrum(alpha, v)
+    if data.draw(st.booleans()):
+        H = PowerLawSpectrum(alpha, v)
+    else:  # repeated dyadic entries: many products tie exactly
+        pool = st.sampled_from([1.0, 0.75, 0.5, 0.375, 0.25])
+        eig = sorted(data.draw(st.lists(pool, min_size=v, max_size=v)), reverse=True)
+        H = PowerLawSpectrum(alpha, v, np.array(eig))
     eig = H.eigenvalues
     value = {
         idx: math.prod(float(eig[i - 1]) ** a for i, a in zip(idx, parts))
@@ -128,9 +135,17 @@ def test_prefix_search_and_top_k_equal_bruteforce(data):
         assert population.hpi_count_above(H, parts, eps) == len(above)
         indices, values = population._prefix_search(H, Composition(parts), eps, emit=True)
         assert indices.shape == (len(above), l) and values.shape == (len(above),)
-        emitted = dict(zip(map(tuple, indices.tolist()), values.tolist()))
-        assert sorted(emitted) == above
-        assert all(emitted[idx] == value[idx] for idx in above)  # bit-equal
+        rows = list(map(tuple, indices.tolist()))
+        assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly increasing, lexicographic
+        assert rows == above
+        assert values.tolist() == [value[idx] for idx in above]  # bit-equal
+        # with `keep`, merged in blocks of 4 * keep: the keep largest, ties lexicographic
+        keep = data.draw(st.integers(min_value=1, max_value=len(above) + 2))
+        with mock.patch.object(population, "_MIN_BLOCK", 1):
+            indices, values = population._prefix_search(H, Composition(parts), eps, emit=True, keep=keep)
+        want = sorted(above, key=lambda idx: (-value[idx], idx))[:keep]
+        assert list(map(tuple, indices.tolist())) == want
+        assert values.tolist() == [value[idx] for idx in want]
     k = data.draw(st.integers(min_value=1, max_value=len(value) + 3))
     top = population.hpi_top_k(H, parts, k)
     want = brute_top_k(H, parts, k)
@@ -179,24 +194,100 @@ def test_hpi_top_k_validation():
         population.hpi_top_k(H, (1, 1, 1, 1, 1), 3)
 
 
-@pytest.mark.parametrize("eig, k, counts", [
-    # 66 > 4k enters the bisection; 35 >= k raises lo, 12 <= 4k stops it
-    (np.linspace(1.0, 0.89, 12), 3, [1, 66, 35, 12]),
-    # 21 > 4k enters it; 1 < k lowers hi, then 5 lies in [k, 4k]
-    (np.array([1.0, 0.99, *np.linspace(0.6, 0.55, 10)]), 2, [1, 21, 1, 5]),
-])
-def test_hpi_top_k_window_bisection_arms(monkeypatch, eig, k, counts):
-    H = PowerLawSpectrum(1.5, eig.size, eigenvalues=eig)
-    count_above, seen = population.hpi_count_above, []
+@pytest.fixture
+def passes(monkeypatch):
+    """The passes of hpi_top_k in order: ("count", eps, count) per
+    hpi_count_above call and ("emit", eps, tuples emitted) per emitting pass."""
+    seen = []
+    count_above, search = population.hpi_count_above, population._prefix_search
 
-    def counted(*args):
-        seen.append(count_above(*args))
-        return seen[-1]
+    def counting(H, comp, eps):
+        seen.append(("count", eps, count_above(H, comp, eps)))
+        return seen[-1][2]
 
-    monkeypatch.setattr(population, "hpi_count_above", counted)
-    top = population.hpi_top_k(H, (1, 1), k)
-    assert seen == counts
-    assert list(top) == brute_top_k(H, (1, 1), k)
+    def searching(H, comp, eps, emit, keep=None):
+        if emit:
+            seen.append(("emit", eps, search(H, comp, eps, emit=False)))
+        return search(H, comp, eps, emit, keep)
+
+    monkeypatch.setattr(population, "hpi_count_above", counting)
+    monkeypatch.setattr(population, "_prefix_search", searching)
+    return seen
+
+
+def test_hpi_top_k_short_emit_extrapolates_again(passes):
+    # the line through the counts 1 and 2 predicts 50 tuples where only 38
+    # qualify; the fit through 2 and 38 then emits 45 >= k
+    H = PowerLawSpectrum(1.1, 20)
+    top = population.hpi_top_k(H, (2, 1), 40)
+    assert [(kind, n) for kind, _, n in passes] == [("count", 1), ("count", 2), ("emit", 38), ("emit", 45)]
+    assert passes[3][1] < passes[2][1]
+    assert list(top) == brute_top_k(H, (2, 1), 40)
+
+
+def test_hpi_top_k_overshoot_onto_plateau(passes, monkeypatch):
+    # 100 equal entries below a 1/j head: the fit from counts 1 and 3 lands
+    # past the plateau's edge, emitting 222 > 4k tuples, merged in blocks of 4k
+    monkeypatch.setattr(population, "_MIN_BLOCK", 1)
+    H = PowerLawSpectrum(1.5, 110, np.r_[np.arange(1, 11.0) ** -1.0, np.full(100, 0.09)])
+    top = population.hpi_top_k(H, (1, 1), 40)
+    assert [(kind, n) for kind, _, n in passes] == [("count", 1), ("count", 3), ("emit", 222)]
+    want = brute_top_k(H, (1, 1), 41)
+    assert want[-1].value == want[-2].value  # the cut falls inside a tie
+    assert list(top) == want[:40]
+
+
+def test_hpi_top_k_every_tuple_qualifies(passes):
+    H = PowerLawSpectrum(1.31, 6)
+    top = population.hpi_top_k(H, (1, 1), 100)
+    min_val = float(H.eigenvalues[-2] * H.eigenvalues[-1])
+    assert passes[-1] == ("emit", min_val, 15)
+    assert top.truncated and list(top) == brute_top_k(H, (1, 1), 15)
+
+
+def test_hpi_top_k_refuses_underflowed_products():
+    # j^(-300): H_i H_j > 0 in floating point exactly when i j <= 11
+    H = PowerLawSpectrum(300.0, 10)
+    with pytest.raises(InvalidInput, match=(
+        r"only 12 of the 45 tuple products are positive in floating point, fewer than "
+        r"k = 45 \(v = 10, alpha = 300.0, composition = \(1, 1\)\)"
+    )):
+        population.hpi_top_k(H, (1, 1), 45)
+    assert list(population.hpi_top_k(H, (1, 1), 12)) == brute_top_k(H, (1, 1), 12)
+    with pytest.raises(InvalidInput, match="only 0 of the 45 tuple products are positive"):
+        population.hpi_top_k(PowerLawSpectrum(1.5, 10, np.full(10, 1e-200)), (1, 1), 1)
+
+
+def test_hpi_top_k_refuses_overflowed_products():
+    H = PowerLawSpectrum(1.5, 3, np.array([1e200, 1e200, 1.0]))
+    with pytest.raises(InvalidInput, match=r"largest tuple product overflows float range \(v = 3,"):
+        population.hpi_top_k(H, (1, 1), 2)
+
+
+@pytest.mark.parametrize("v, parts, bisection_emitted", [(20000, (1, 1), 44191), (5000, (1, 1, 1), 38405)])
+def test_hpi_top_k_passes_at_benchmark_size(passes, v, parts, bisection_emitted):
+    # bisection_emitted: what the former [k, 4k] window bisection emitted here
+    k = 30_000
+    top = population.hpi_top_k(PowerLawSpectrum(1.31, v), parts, k)
+    assert len(top) == k
+    kinds = [kind for kind, _, _ in passes]
+    assert kinds.count("emit") == 1 and kinds[-1] == "emit"
+    assert sum(n for kind, _, n in passes if kind == "count") < k
+    assert k <= passes[-1][2] <= bisection_emitted
+
+
+def test_hpi_top_k_plateau_memory_follows_k():
+    # all C(2000, 2) products tie at 0.25 and qualify; the search keeps k
+    H = PowerLawSpectrum(1.31, 2000, np.full(2000, 0.5))
+    tracemalloc.start()
+    try:
+        top = population.hpi_top_k(H, (1, 1), 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [e.indices for e in top] == [(1, j) for j in range(2, 12)]
+    assert top.values().tolist() == [0.25] * 10
+    assert peak < 8 * 2**20
 
 
 def test_hpi_top_k_heap_oracle_large():
