@@ -26,9 +26,8 @@ its worker, in block order.
 Each worker owns one scratch slot per run, allocated once on the calling
 thread and sized to the run: a min(m, rows) x v draw buffer, reused as the
 monomial activation's temporary once the product is taken, and on the
-blockwise route min(m, rows) x d features and a d x d partial.  Blocks
-pass the slots on through a queue; a slot goes back only after the caller
-has summed its partial.  So a block allocates nothing block-sized on its
+blockwise route min(m, rows) x d features and a d x d partial.  Block b
+takes slot b mod workers.  So a block allocates nothing block-sized on its
 worker, where freed memory would stay in the thread's malloc arena (external
 rows need no draw buffer, and their activation takes a fresh temporary).
 
@@ -66,7 +65,6 @@ import contextlib
 import math
 import operator
 import os
-import queue
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -549,7 +547,11 @@ def _ordered_map(fn, items, threads: int) -> Iterator:
 
     Up to `threads` calls run on worker threads; at most `threads` results
     are pending at once, so a caller reducing them in order holds a bounded
-    number regardless of how many items there are.
+    number regardless of how many items there are.  The call on item i +
+    `threads` is submitted only when the caller asks for the result after
+    item i's, so by then the call on item i has returned and the caller is
+    done with its result.  Closing the iterator, or a call that raises,
+    waits for the calls in flight and submits no more.
     """
     if threads == 1:
         yield from map(fn, items)
@@ -569,11 +571,11 @@ class _Slot(NamedTuple):
 
     draw: np.ndarray | None  # min(m, rows) x v unit draws, then the activation's scratch
     features: np.ndarray | None  # min(m, rows) x d, when the run has no feature matrix
-    partial: np.ndarray | None  # d x d, what `reduce` writes, when it is given
+    partial: np.ndarray | None  # d x d, what `reduce` writes, when the run has no feature matrix
 
 
 def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) -> Iterator:
-    """reduce(F, partial) for the features F of every sample block, in block order.
+    """reduce(F, partial) for the features F of every sample block, in block order; None given `Phi`.
 
     Validates the config (external data before the sketch is drawn), draws
     the sketch and plans blocks of `_block_rows(v, d)` samples, each with
@@ -584,16 +586,14 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
     The run allocates one `_Slot` per worker, once, on the calling thread
     (memory a worker thread allocated and freed stays in its malloc arena),
     sized to the run: a min(m, rows) x v draw buffer (none for external
-    rows), min(m, rows) x d features when `Phi` is None, and a d x d
-    partial when `reduce` is given.  A block takes a free slot from a
-    queue, draws into it, writes its features into the slot (or into its
-    rows of `Phi`) and activates them there, with the spent draw buffer as
-    the activation's temporary; `reduce` runs on the worker and writes into
-    the slot's partial what it returns.  A slot goes back to the queue when
-    the consumer asks for the next result, so the consumer must be done
-    with a result (its sum taken) before then; a block that raises hands
-    its slot back at once.  There are as many slots as blocks in flight, so
-    a block never waits for one.  None yields None per block.
+    rows) and, when `Phi` is None, min(m, rows) x d features and a d x d
+    partial.  Block b takes slot b mod workers, draws into it, writes its
+    features into the slot or into its rows of `Phi` and activates them
+    there, with the spent draw buffer as the activation's temporary;
+    `reduce` runs on the worker and writes into the slot's partial what it
+    returns.  Block b + workers reuses the slot once the consumer asks for
+    the result after block b's (`_ordered_map`), so the consumer must be
+    done with a result, its sum taken, before then.
 
     When the run could have two workers at some `threads` (several blocks,
     and two workers' holdings fit the cap), BLAS runs on one thread
@@ -613,36 +613,28 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
         W *= np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)[:, None]
     rows = _block_rows(cfg.v, cfg.d)
     held = min(cfg.m, rows)
-    slots: queue.SimpleQueue = queue.SimpleQueue()
+    pooled = mc_worker_count(cfg.m, cfg.v, cfg.d, 2) > 1  # the same for every `threads`
 
-    def work(b: int):
-        slot = slots.get_nowait()
-        try:
+    def run() -> Iterator:
+        slots = [
+            _Slot(
+                None if dist.kind == "external" else np.empty((held, cfg.v)),
+                np.empty((held, cfg.d)) if Phi is None else None,
+                np.empty((cfg.d, cfg.d)) if Phi is None else None,
+            )
+            for _ in range(workers)
+        ]
+
+        def work(b: int):
+            slot = slots[b % workers]
             lo, hi = b * rows, min((b + 1) * rows, cfg.m)
             F = slot.features[: hi - lo] if Phi is None else Phi[lo:hi]
             with np.errstate(over="ignore", invalid="ignore"):  # the finiteness checks raise instead
                 _feature_block(cfg, W, b, lo, F, slot.draw)
-                return (None if reduce is None else reduce(F, slot.partial)), slot
-        except BaseException:
-            slots.put(slot)
-            raise
+                return reduce(F, slot.partial) if Phi is None else None
 
-    pooled = mc_worker_count(cfg.m, cfg.v, cfg.d, 2) > 1  # the same for every `threads`
-
-    def run() -> Iterator:
-        for _ in range(workers):
-            slots.put(
-                _Slot(
-                    None if dist.kind == "external" else np.empty((held, cfg.v)),
-                    np.empty((held, cfg.d)) if Phi is None else None,
-                    None if reduce is None else np.empty((cfg.d, cfg.d)),
-                )
-            )
         with _BLAS_BUDGET if pooled else contextlib.nullcontext():
-            with contextlib.closing(_ordered_map(work, range(-(-cfg.m // rows)), workers)) as results:
-                for result, slot in results:
-                    yield result
-                    slots.put(slot)
+            yield from _ordered_map(work, range(-(-cfg.m // rows)), workers)
 
     return run()
 
@@ -676,16 +668,17 @@ def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate
     size = min(cfg.m, cfg.d)
     if size > MAX_EIG_DIM:
         raise InvalidInput(f"min(m, d) = {size} exceeds the eigensolver's cap of {MAX_EIG_DIM}")
+    workers = mc_worker_count(cfg.m, cfg.v, cfg.d, threads)  # resolves to itself when passed on
     rows = _block_rows(cfg.v, cfg.d)
     if cfg.m <= rows or cfg.m < cfg.d:
         Phi = np.empty((cfg.m, cfg.d))
-        for _ in _sample_blocks(cfg, threads, Phi=Phi):
+        for _ in _sample_blocks(cfg, workers, Phi=Phi):
             pass
         if cfg.centered:
             Phi -= Phi.mean(axis=0)
         eig = gram_spectrum(Phi, cfg.feature_scale / cfg.m)
     else:
-        eig = sym_eigenvalues(mc_covariance_matrix(cfg, threads))
+        eig = sym_eigenvalues(mc_covariance_matrix(cfg, workers))
 
     return SpectrumEstimate(
         eigenvalues=eig,
@@ -698,7 +691,7 @@ def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate
             "alpha": repr(cfg.alpha),
             "centered": str(cfg.centered).lower(),
             "scale": repr(cfg.feature_scale),
-            "workers": str(mc_worker_count(cfg.m, cfg.v, cfg.d, threads)),
+            "workers": str(workers),
             "block_rows": str(rows),
         },
     )
@@ -711,14 +704,14 @@ def mc_covariance_matrix(cfg: RFConfig, threads: int | None = None) -> np.ndarra
     features and d x d partial the run allocates once per worker; the
     second moment F'F is written into the slot's partial on the worker,
     and the partials are summed in fixed block order as they arrive, each
-    before the next block is asked for, which hands its slot back.
-    Centered, a block's second moment is taken
-    about the block's own mean, and the scatter of each block's mean about
-    the mean of the blocks before it is added too (the pairwise update of
-    Chan, Golub and LeVeque), as one product per batch of up to
-    `_block_rows(v, d)` blocks; so no large uncentered moments cancel.  The
-    exactly symmetric sum is scaled in place, so after sampling one d x d
-    array is alive, two when centered (the last batch's scatter).
+    before the next block is asked for, which may start in its slot.
+    Centered, a block's second moment is taken about the block's own mean,
+    and the scatter of each block's mean about the mean of the blocks
+    before it is added too (the pairwise update of Chan, Golub and
+    LeVeque), as one product per batch of up to `_block_rows(v, d)` blocks;
+    so no large uncentered moments cancel.  The exactly symmetric sum is
+    scaled in place, so after sampling one d x d array is alive, two when
+    centered (the last batch's scatter).
     """
 
     def moments(F: np.ndarray, partial: np.ndarray):
@@ -734,7 +727,7 @@ def mc_covariance_matrix(cfg: RFConfig, threads: int | None = None) -> np.ndarra
     deltas = []  # scaled block mean differences, added to G in batches of at most `rows`
     with np.errstate(over="ignore", invalid="ignore"):  # sym_eigenvalues rejects an overflow
         for b, (Gb, mu) in enumerate(_sample_blocks(cfg, threads, moments)):
-            G += Gb  # summed before the next block is asked for, which hands Gb's slot back
+            G += Gb  # summed before the next block is asked for, which may reuse Gb's slot
             if mu is None:
                 continue
             seen, n = b * rows, min(rows, cfg.m - b * rows)

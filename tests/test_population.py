@@ -328,11 +328,14 @@ def test_hpi_count_above_examples():
 def test_hpi_count_above_matches_bounded_ordered_count():
     # cross-oracle of two independent prefix searches: on the default spectrum
     # a product is >= X^(-alpha) exactly when prod i^(a_i) <= X, so the float
-    # threshold count equals the integer lattice count with coordinates <= v
+    # threshold count equals the integer lattice count with coordinates <= v;
+    # at every integer X up to 399 products equal to X meet both tie guards,
+    # 1 - 1e-12 on the float side and 1 + 1e-12 on the lattice side
     grid = itertools.product(
         ((1, 1), (1, 1, 1), (2, 1), (1, 2), (3, 1, 1)), (50, 400), (37, 500, 3000.5), (1.31, 2.0)
     )
-    for parts, v, X, alpha in grid:
+    ties = itertools.product(((1, 1), (1, 1, 1), (2, 1)), (60,), range(1, 400), (1.1, 1.31, 1.5, 2.0))
+    for parts, v, X, alpha in itertools.chain(grid, ties):
         want = lattice.count_ordered(X, parts, bound_v=v).count
         got = population.hpi_count_above(PowerLawSpectrum(alpha, v), parts, X**-alpha)
         assert got == want, (parts, v, X, alpha)
@@ -348,6 +351,21 @@ def test_hpi_count_above_matches_bounded_ordered_count():
 def test_hpi_count_above_matches_bounded_ordered_count_at_scale(parts, v, X, alpha):
     # the same identity where counts reach 1e8: integer products differ from an
     # integer or half-integer X by far more than the 1e-12 tie tolerance
+    want = lattice.count_ordered(X, parts, bound_v=v).count
+    assert population.hpi_count_above(PowerLawSpectrum(alpha, v), parts, X**-alpha) == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    parts=st.sampled_from(((1,), (1, 1), (2, 1), (1, 2), (1, 1, 1), (1, 2, 1), (3, 1), (1, 1, 1, 1))),
+    alpha=st.sampled_from((1.1, 1.31, 1.5, 2.0)),
+    v=st.integers(1, 299),
+    X=st.one_of(st.integers(1, 5 * 10**4), st.floats(1.0, 5e4)),
+)
+def test_hpi_count_above_is_the_lattice_count(parts, alpha, v, X):
+    # the same identity, population._prefix_search against
+    # lattice._count_general, over drawn compositions, exponents, v and X
+    # (integer X included)
     want = lattice.count_ordered(X, parts, bound_v=v).count
     assert population.hpi_count_above(PowerLawSpectrum(alpha, v), parts, X**-alpha) == want
 

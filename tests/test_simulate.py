@@ -588,6 +588,7 @@ def test_mc_covariance_matrix_block_holds_one_v_wide_array():
 def test_mc_covariance_matrix_workers_hold_one_v_wide_array_each():
     # ten blocks on two workers: at most two block draws are alive at once
     cfg = RFConfig(v=400, d=100, m=20000, alpha=1.31, activation=Activation("monomial", 2), seed=1)
+    simulate.mc_covariance_matrix(cfg, threads=2)  # first-call imports (numpy.random) outside the trace
     peak = _traced_peak(lambda: simulate.mc_covariance_matrix(cfg, threads=2))
     assert peak < 8 * (2 * _worker_entries(cfg.v, cfg.d) + cfg.v * cfg.d) + 1_000_000, peak
 
@@ -601,6 +602,7 @@ def test_mc_covariance_dense_route_keeps_no_block_by_d_copy(threads, p):
     # would add 6 MB
     cfg = RFConfig(v=2000, d=1500, m=1200, alpha=1.31, activation=Activation("monomial", p), seed=2)
     assert cfg.m < cfg.d and cfg.m > simulate._block_rows(cfg.v, cfg.d)
+    simulate.mc_covariance(cfg, threads=threads)  # first-call imports (numpy.random) outside the trace
     peak = _traced_peak(lambda: simulate.mc_covariance(cfg, threads=threads))
     rows = simulate._block_rows(cfg.v, cfg.d)
     bound = 8 * (cfg.m * cfg.d + threads * rows * cfg.v + cfg.v * cfg.d) + 1_000_000
@@ -635,10 +637,11 @@ def test_mc_slots_are_sized_to_the_run(threads):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_mc_blocks_reuse_one_slot_per_worker(monkeypatch, threads):
-    # fifteen 682-row blocks: every draw lands in one of `workers` draw buffers
-    # and every partial in one of `workers` d x d arrays, all owned by the run;
-    # a slot goes back only once the consumer has summed its partial, so the
-    # sum equals one taken over copies of the partials
+    # fifteen 682-row blocks: block b draws into slot b mod workers, so every
+    # draw lands in one of `workers` draw buffers and every partial in one of
+    # `workers` d x d arrays, all owned by the run; block b + workers starts
+    # only once the consumer has summed block b's partial, so the sum equals
+    # one taken over copies of the partials
     cfg = RFConfig(v=800, d=400, m=10**4, alpha=1.31, activation=Activation("monomial", 3), seed=5)
     workers = simulate.mc_worker_count(cfg.m, cfg.v, cfg.d, threads)
     draws, partials = [], []
@@ -673,8 +676,8 @@ def test_mc_blocks_reuse_one_slot_per_worker(monkeypatch, threads):
 @pytest.mark.parametrize("threads", [2, 3])
 def test_mc_run_closed_early_or_failing_returns_and_restores_blas(within, threads):
     # five blocks: closing the run after its first block, or a block that
-    # fails while others are in flight, waits for the blocks in flight, which
-    # find free slots, and puts back the caller's BLAS setting
+    # fails while others are in flight, waits for the blocks in flight, each
+    # in its own slot b mod workers, and puts back the caller's BLAS setting
     cfg = RFConfig(v=300, d=150, m=9000, alpha=1.31, activation=Activation("monomial", 3), seed=8)
     assert -(-cfg.m // simulate._block_rows(cfg.v, cfg.d)) == 5
     before = None if _BLAS_CALLS is None else _blas_threads()
@@ -682,18 +685,21 @@ def test_mc_run_closed_early_or_failing_returns_and_restores_blas(within, thread
     X = np.ones((cfg.m, cfg.v))
     X[2500, 3] = np.inf  # in the second block
     failing = dataclasses.replace(cfg, distribution=DataDistribution("external", matrix=X))
+
+    def reduce(F, partial):
+        return np.matmul(F.T, F, out=partial)
+
     with within(60):
-        for reduce in (None, lambda F, partial: np.matmul(F.T, F, out=partial)):
-            run = simulate._sample_blocks(cfg, threads, reduce)
-            next(run)
-            run.close()
-            if before is not None:
-                assert _blas_threads() == before
-            with pytest.raises(InvalidInput, match="sample index 2500"):
-                for _ in simulate._sample_blocks(failing, threads, reduce):
-                    pass
-            if before is not None:
-                assert _blas_threads() == before
+        run = simulate._sample_blocks(cfg, threads, reduce)
+        next(run)
+        run.close()
+        if before is not None:
+            assert _blas_threads() == before
+        with pytest.raises(InvalidInput, match="sample index 2500"):
+            for _ in simulate._sample_blocks(failing, threads, reduce):
+                pass
+        if before is not None:
+            assert _blas_threads() == before
         assert np.array_equal(simulate.mc_covariance_matrix(cfg, threads=threads), want)
 
 
