@@ -22,8 +22,17 @@ run over the largest exponents and the smallest one is resolved
 arithmetically; two equal smallest exponents a are resolved together, since
 s^a t^a <= Y exactly when s t <= floor(Y^(1/a)), by the O(sqrt) divisor sum.
 All-ones exponents with k >= 3 take hyperbola-method kernels: the symmetric
-s_1 <= s_2 <= s_3 form in O(X^(2/3)) for k = 3, and for k = 4 the k = 3
-kernel summed over the O(sqrt X) distinct quotients X // s_1, in O(X^(5/6)).
+s_1 <= s_2 <= s_3 form in O(X^(2/3)) for k = 3, and for k = 4 the pairs
+u = s_1 s_2, w = s_3 s_4 weighted by their divisor counts, in
+O(X^(3/4) log X).
+
+Integer exponents with an integer-valued X count in exact integer arithmetic:
+a prefix P leaves the bound X // P, the innermost coordinate is an exact
+integer root, and the loop over the coordinate before it is one sum of floor
+quotients over an array (int64 below 2^63, Python ints past it, 2^16 terms
+at a time), as are the divisor sums of the hyperbola kernels.  Real
+exponents or a non-integer X take the float recursion, whose relative 1e-12
+guard band resolves boundary ties toward inclusion.
 """
 
 from __future__ import annotations
@@ -54,6 +63,9 @@ ITERATION_BUDGET = 10**9
 COORDINATE_LIMIT = 2**53  # floats hold every integer below this, but not past it
 _INCLUSION_GUARD = 1.0 + 1e-12  # boundary ties resolve toward inclusion
 _EQ_RTOL = 1e-9  # exponents closer than this are treated as equal
+_CHUNK = 2**16  # terms per array pass of the exact integer kernels
+_INT64_END = 2**63
+_ARRAY_MIN = 64  # shorter quotient sums run in Python
 _BISECT_STEPS = 200  # halvings before a bisection gives up
 _INVERT_RTOL = 1e-9  # invert_count_equal stops at |N(X) - N| <= this * N
 
@@ -165,13 +177,10 @@ def _max_coordinate(x: float, power: float, cap: int | None = None) -> int:
         if math.log(x) > power * math.log(cap) + 1e-9:
             return cap
         return min(_max_coordinate(x, power), cap)
-    n = int(x ** (1.0 / power))
     # below 2^53 a power past 53 leaves only n <= 1, which needs no exact integers
     if power == int(power) and power <= 53 and x < 2**53 and float(x).is_integer():
-        p, xi = int(power), int(x)
-        if n**p <= xi < (n + 1) ** p:  # the usual case: the guess is right
-            return n
-        return _last_true(partial(_int_fits, p, xi), n)
+        return _iroot(int(x), int(power))
+    n = int(x ** (1.0 / power))
     lim = x * _INCLUSION_GUARD
     try:
         if n**power <= lim < (n + 1) ** power:
@@ -194,50 +203,215 @@ def _float_fits(power: float, lim: float, k: int) -> bool:
         return False
 
 
-def _divisor_sum(X: int) -> int:
-    """sum_{s <= X} floor(X/s), via the hyperbola method in O(sqrt X)."""
-    if X <= 0:
-        return 0
-    r = math.isqrt(X)
-    return 2 * sum(map(X.__floordiv__, range(1, r + 1))) - r * r
+def _pair_fits(a: int, b: int, y: int, s: int) -> bool:
+    return s**a * (s + 1) ** b <= y
+
+
+def _iroot(y: int, a: int) -> int:
+    """floor(y ** (1/a)) for integers y >= 0 and a >= 1, exactly."""
+    if a == 1:
+        return y
+    if a == 2:
+        return math.isqrt(y)
+    n = int(float(y) ** (1.0 / a))
+    if n**a <= y < (n + 1) ** a:  # the usual case: the float guess is right
+        return n
+    return _last_true(partial(_int_fits, a, y), n)
+
+
+# ---------------------------------------------------------------------------
+# exact integer kernels: sums of floor quotients over int64 arrays (Python
+# ints once a quotient's numerator reaches 2^63), _CHUNK terms at a time
+
+
+def _int_array(values, top: int):
+    """Integer `values` as int64 while `top`, their largest, is below 2^63; else as Python ints."""
+    return np.asarray(values, dtype=np.int64 if top < _INT64_END else object)
+
+
+def _iroot_array(q, a: int):
+    """floor(q ** (1/a)) elementwise for a nonnegative int64 or Python-int array q, exactly.
+
+    The roots must be coordinates (below 2^53), so the float guess fits int64.
+    """
+    if a == 1:
+        return q
+    n = np.floor(q.astype(float) ** (1.0 / a)).astype(np.int64).astype(q.dtype, copy=False)
+    while np.any(up := _fits_array(q, n + 1, a)):
+        n = np.where(up, n + 1, n)
+    while np.any(down := ~_fits_array(q, n, a)):
+        n = np.where(down, n - 1, n)
+    return n
+
+
+def _fits_array(q, m, a: int):
+    """m**a <= q elementwise, by a - 1 floor divisions of q by m, so no power can overflow."""
+    d = np.maximum(m, 1)
+    for _ in range(a - 1):
+        q = q // d
+    return q >= m
+
+
+def _exact_sum(v, top: int) -> int:
+    """Sum of an integer array of at most 2^31 entries, each of magnitude at most `top`.
+
+    An int64 sum that could pass 2^63 adds the high and low 32 bits apart.
+    """
+    if v.dtype == object or v.size * top < _INT64_END:
+        return int(v.sum())
+    return (int((v >> 32).sum()) << 32) + int((v & 0xFFFFFFFF).sum())
+
+
+def _floor_sum(n: int, lo: int, hi: int, power: int = 1, root: int = 1) -> int:
+    """sum_{b = lo}^{hi} floor((n // b**power) ** (1/root)) for hi**power <= n, exactly."""
+    if hi - lo < _ARRAY_MIN and power == root == 1:  # too short to repay an array pass
+        return sum(map(n.__floordiv__, range(lo, hi + 1)))
+    total = 0
+    for first in range(lo, hi + 1, _CHUNK):
+        b = _int_array(np.arange(first, min(first + _CHUNK, hi + 1)), n)
+        total += _exact_sum(_iroot_array(n // b**power, root), n)
+    return total
+
+
+def _segment_sum(n, lo, hi, weights=None) -> int:
+    """sum_i w_i sum_{b = lo_i}^{hi_i} n_i // b over int64 arrays, exactly (w_i = 1 by default).
+
+    Segment i runs b over lo_i..hi_i, empty when hi_i = lo_i - 1.  The terms
+    are formed `_CHUNK` at a time across segment boundaries, so memory holds
+    the segments and one chunk.
+    """
+    lengths = hi - lo + 1
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    shift = starts - lo  # b = flat index - shift[i] in segment i
+    size = int(ends[-1]) if ends.size else 0
+    top = int(n.max()) * (1 if weights is None else int(weights.max())) if n.size else 0
+    total = 0
+    for first in range(0, size, _CHUNK):
+        last = min(first + _CHUNK, size)
+        i, j = np.searchsorted(ends, (first, last - 1), side="right")  # the segments in the chunk
+        within = np.minimum(ends[i : j + 1], last) - np.maximum(starts[i : j + 1], first)
+        seg = np.repeat(np.arange(i, j + 1), within)
+        terms = n[seg] // (np.arange(first, last) - shift[seg])
+        if weights is not None:
+            terms *= weights[seg]
+        total += _exact_sum(terms, top)
+    return total
+
+
+def _divisor_sum(N: int) -> int:
+    """sum_{s <= N} floor(N / s), via the hyperbola method in O(sqrt N)."""
+    r = math.isqrt(N)
+    return 2 * _floor_sum(N, 1, r) - r * r
+
+
+def _divisor_sums(N, weights=None) -> int:
+    """sum_i w_i sum_{s <= N_i} floor(N_i / s) over an int64 array N, by the hyperbola method."""
+    r = _iroot_array(N, 2)
+    rr = r * r if weights is None else r * r * weights
+    return 2 * _segment_sum(N, np.ones_like(r), r, weights) - _exact_sum(rr, int(rr.max()) if rr.size else 0)
 
 
 def _divisor_triples(X: int) -> int:
-    """#{(s_1, s_2, s_3) : s_1 s_2 s_3 <= X} in O(X^(2/3)).
+    """#{(s_1, s_2, s_3) : s_1 s_2 s_3 <= X} in O(X^(2/3)), for X < 2^53.
 
     Symmetric hyperbola method over a <= b <= c: a triple with three equal
     coordinates counts once, one with exactly two equal three times, and one
     with distinct coordinates six times.
     """
-    total = 0
-    a = 1
-    while a * a * a <= X:
-        n = X // a  # b c <= n, and b <= c forces b <= isqrt(n)
-        m = math.isqrt(n)
-        # b = a: (a, a, a) once, (a, a, c > a) three times each
-        total += 1 + 3 * (n // a - a)
-        # b in a+1..m: (a, b, b) three times, (a, b, c > b) six times each
-        quotients = sum(map(n.__floordiv__, range(a + 1, m + 1)))
-        total += 6 * quotients - 3 * (m * (m + 1) - a * (a + 1)) + 3 * (m - a)
-        a += 1
-    return total
+    a = np.arange(1, _iroot(X, 3) + 1)
+    n = X // a  # b c <= n, and b <= c forces b <= isqrt(n)
+    m = _iroot_array(n, 2)
+    # b = a: (a, a, a) once, (a, a, c > a) three times each: 1 + 3 (n // a - a);
+    # b in a+1..m: (a, b, b) three times, (a, b, c > b) six times each:
+    # 6 sum_b n // b - 3 (m (m + 1) - a (a + 1)) + 3 (m - a)
+    ends = 1 + 3 * (n // a - m * m + a * a - a)
+    return _exact_sum(ends, 7 * X) + 6 * _segment_sum(n, a + 1, m)
 
 
 def _count_ones(X: int, k: int) -> int:
-    """Unordered count for all exponents equal to 1 (s_1 ... s_k <= X), k = 3 or 4."""
+    """Unordered count for all exponents equal to 1 (s_1 ... s_k <= X), k = 3 or 4, X < 2^53."""
     if X <= 0:
         return 0
     if k == 3:
         return _divisor_triples(X)
-    # s_1 (s_2 s_3 s_4) <= X: all s_1 sharing the quotient X // s_1 add the same triple count
+    # u w <= X over u = s_1 s_2 and w = s_3 s_4, each weighted by its divisor
+    # count d: by the hyperbola method at r = isqrt(X) that is
+    # 2 sum_{u <= r} d(u) D(X // u) - D(r)^2, with D the divisor sum
+    r = math.isqrt(X)
+    d = np.zeros(r + 1, dtype=np.int64)
+    for s in range(1, r + 1):
+        d[s::s] += 1
     total = 0
-    s = 1
-    while s <= X:
-        q = X // s
-        s_next = X // q + 1
-        total += (s_next - s) * _divisor_triples(q)
-        s = s_next
+    for first in range(1, r + 1, _CHUNK):
+        u = np.arange(first, min(first + _CHUNK, r + 1))
+        total += _divisor_sums(X // u, d[u])
+    return 2 * total - _divisor_sum(r) ** 2
+
+
+def _count_pairs(a: int, b: int, Y: int, start: int, strict: bool, bound: int | None) -> int:
+    """#{(s, t) : s >= start, s^a t^b <= Y, t > s (strict) or t >= 1, s, t <= bound}, exactly.
+
+    For each s the count of t is min(iroot(Y // s^a, b), bound), less s when
+    strict: one quotient sum over the s whose root stays below the bound.
+    """
+    if strict:  # the last s with a completion t = s + 1
+        S = _last_true(partial(_pair_fits, a, b, Y), _iroot(Y, a + b))
+    else:
+        S = _iroot(Y, a)
+    capped = start - 1  # the s up to here have the root at or past the bound
+    if bound is not None:
+        S = min(S, bound - 1 if strict else bound)
+        capped = max(capped, min(S, _iroot(Y // bound**b, a)))
+    if S < start:
+        return 0
+    total = (capped - start + 1) * bound if bound is not None else 0
+    total += _floor_sum(Y, capped + 1, S, a, b)
+    if strict:
+        total -= (S * (S + 1) - (start - 1) * start) // 2
     return total
+
+
+def _count_exact(pis: tuple[int, ...], Y: int, start: int, strict: bool, bound: int | None) -> int:
+    """`_count_general` in integers: the coordinates left have a product of at most Y.
+
+    A prefix of integer coordinates with value P fits before a remainder R
+    exactly when R <= Y // P, so each level passes the floor quotient down
+    and no guard band is needed.
+    """
+    a, rest = pis[0], pis[1:]
+    if not rest:
+        n = _iroot(Y, a)
+        return max(0, (n if bound is None else min(n, bound)) - start + 1)
+    if rest == (a,) and not strict and bound is None:
+        # s^a t^a <= Y exactly when s t <= iroot(Y, a): a divisor sum
+        return _divisor_sum(_iroot(Y, a))
+    if len(rest) == 1:
+        return _count_pairs(a, rest[0], Y, start, strict, bound)
+    if len(rest) == 2 and rest[0] == rest[1] and not strict and bound is None:
+        # s^a t^b u^b <= Y: one divisor sum at iroot(Y // s^a, b) per s, _CHUNK values of s at once
+        S = _iroot(Y, a)
+        total = 0
+        for first in range(start, S + 1, _CHUNK):
+            s = _int_array(np.arange(first, min(first + _CHUNK, S + 1)), Y)
+            total += _divisor_sums(_iroot_array(Y // s**a, rest[0]).astype(np.int64, copy=False))
+        return total
+    rest_sum = sum(rest)
+    total = 0
+    s = start
+    s_cap = None if bound is None else (bound - len(rest) if strict else bound)
+    while s_cap is None or s <= s_cap:
+        value = s**a
+        # best completion: remaining coords are >= s+1 (strict) or >= 1
+        if value * ((s + 1) ** rest_sum if strict else 1) > Y:
+            break
+        total += _count_exact(rest, Y // value, s + 1 if strict else 1, strict, bound)
+        s += 1
+    return total
+
+
+# ---------------------------------------------------------------------------
+# counts at real exponents or non-integer X: floats and the inclusion guard
 
 
 def _count_general(
@@ -285,9 +459,9 @@ def _budget_or_raise(exps: Exponents, X: float, strict: bool, bound_v: int | Non
             # coordinates <= bound_v: at most C(bound_v, j) increasing prefixes of each length j < k
             est = min(est, sum(math.comb(bound_v, j) for j in range(1, exps.k)))
     elif exps.k >= 3 and all(a == 1.0 for a in exps.values):
-        # hyperbola kernels: about 1.5 X^(2/3) for the triple sum, and about
-        # 5.4 X^(5/6) for triples over X // s_1
-        est = {3: 1.5 * X ** (2 / 3), 4: 5.4 * X ** (5 / 6)}[exps.k]
+        # hyperbola kernels: about 1.5 X^(2/3) terms for the triple sum, and
+        # under X^(3/4) log X for the divisor-weighted pair sum
+        est = {3: 1.5 * X ** (2 / 3), 4: X**0.75 * logx}[exps.k]
     else:
         # the loops run over every exponent but the smallest (see count_unordered);
         # a repeated smallest exponent a ends them in an O(sqrt(X^(1/a))) divisor sum
@@ -324,6 +498,17 @@ def _finite_X(X) -> float:
     return Xf
 
 
+def _integer_form(X: float, pis: tuple[float, ...]) -> tuple[tuple[int, ...], int] | None:
+    """(exponents, X) as ints when the count can run in integers, else None.
+
+    An integer-valued X and integer exponents of at most 1024 qualify; past
+    1024, 2^a exceeds every finite X, so such a coordinate is 1 on either path.
+    """
+    if X.is_integer() and all(a.is_integer() and a <= 1024 for a in pis):
+        return tuple(map(int, pis)), int(X)
+    return None
+
+
 def count_unordered(X: float, exponents) -> CountResult:
     """Exact #{(s_1,...,s_k) in N^k : s_1^{a_1} ... s_k^{a_k} <= X}.
 
@@ -332,8 +517,11 @@ def count_unordered(X: float, exponents) -> CountResult:
     and the coordinate with the smallest exponent is resolved arithmetically;
     when the two smallest exponents are equal, the last two coordinates are
     resolved together by a divisor sum.  All-ones exponents with k >= 3 count
-    the products <= floor(X) (up to the 1e-12 inclusion guard) with the
-    hyperbola kernels.
+    the products <= floor(X) with the hyperbola kernels.
+
+    Integer exponents with an integer-valued X count in exact integer
+    arithmetic.  Otherwise the count runs in floats, and a relative 1e-12
+    guard band resolves boundary ties toward inclusion.
     """
     exps = _as_exponents(exponents)
     if exps.k > 4:
@@ -343,10 +531,12 @@ def count_unordered(X: float, exponents) -> CountResult:
         return CountResult(0, Xf, exps, ordered=False)
     _budget_or_raise(exps, Xf, strict=False)
     _coordinate_limit_or_raise(Xf, exps.pi_star, None)
+    pis = tuple(sorted(exps.values, reverse=True))
     if exps.k >= 3 and all(a == 1.0 for a in exps.values):
         count = _count_ones(_max_coordinate(Xf, 1.0), exps.k)
+    elif exact := _integer_form(Xf, pis):
+        count = _count_exact(*exact, 1, strict=False, bound=None)
     else:
-        pis = tuple(sorted(exps.values, reverse=True))
         count = _count_general(pis, Xf, 1.0, 1, strict=False, bound=None)
     return CountResult(count, Xf, exps, ordered=False)
 
@@ -355,7 +545,9 @@ def count_ordered(X: float, exponents, bound_v: int | None = None) -> CountResul
     """Exact #{1 <= s_1 < ... < s_k : s_1^{a_1} ... s_k^{a_k} <= X}, coords <= bound_v if given.
 
     Strict ordering throughout; the exponent a_1 applies to the smallest
-    coordinate.  Equals the unbounded count whenever X <= bound_v.
+    coordinate.  Equals the unbounded count whenever X <= bound_v.  Exact in
+    integer arithmetic for integer exponents with an integer-valued X; in
+    floats with the relative 1e-12 inclusion guard otherwise.
     """
     exps = _as_exponents(exponents)
     if exps.k > 4:
@@ -367,7 +559,10 @@ def count_ordered(X: float, exponents, bound_v: int | None = None) -> CountResul
         return CountResult(0, Xf, exps, ordered=True, bound_v=bound_v)
     _budget_or_raise(exps, Xf, strict=True, bound_v=bound_v)
     _coordinate_limit_or_raise(Xf, exps.values[-1], bound_v)
-    count = _count_general(exps.values, Xf, 1.0, 1, strict=True, bound=bound_v)
+    if exact := _integer_form(Xf, exps.values):
+        count = _count_exact(*exact, 1, strict=True, bound=bound_v)
+    else:
+        count = _count_general(exps.values, Xf, 1.0, 1, strict=True, bound=bound_v)
     return CountResult(count, Xf, exps, ordered=True, bound_v=bound_v)
 
 
@@ -488,18 +683,28 @@ def _invert_increasing(f, targets, lo: float, hi: float, rel_tol: float):
     if np.any(short) or np.any(f(lo_) > t):
         raise RuntimeError(f"bisection bracket failure from [{lo}, {hi}]")
     x = np.empty_like(t)
-    todo = np.arange(t.size)  # elements not yet converged
+    # lo_, hi_, t and todo (their indices in x) are compacted to the live,
+    # unconverged elements once half of them have converged; a converged
+    # element keeps halving until then, but x holds its freezing midpoint
+    todo = np.arange(t.size)
+    live = np.ones(t.size, dtype=bool)
     for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo_[todo] + hi_[todo])
-        x[todo] = mid
-        val, tt = f(mid), t[todo]
-        below = val < tt
-        lo_[todo[below]] = mid[below]
-        hi_[todo[~below]] = mid[~below]
-        todo = todo[np.abs(val - tt) > rel_tol * tt]
-        if not todo.size:
+        mid = 0.5 * (lo_ + hi_)
+        val = f(mid)
+        below = val < t
+        np.copyto(lo_, mid, where=below)
+        np.copyto(hi_, mid, where=~below)
+        done = live & (np.abs(val - t) <= rel_tol * t)
+        if not done.any():
+            continue
+        x[todo[done]] = mid[done]
+        live &= ~done
+        if not (n := np.count_nonzero(live)):
             return x
-    raise RuntimeError(f"bisection did not converge after {_BISECT_STEPS} steps at t={float(t[todo[0]])!r}")
+        if 2 * n <= live.size:
+            lo_, hi_, t, todo = lo_[live], hi_[live], t[live], todo[live]
+            live = np.ones(n, dtype=bool)
+    raise RuntimeError(f"bisection did not converge after {_BISECT_STEPS} steps at t={float(t[live][0])!r}")
 
 
 def invert_count_equal(N: float, pi_common: float, k: int) -> float:

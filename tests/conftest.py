@@ -1,7 +1,18 @@
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
+
+
+def _traced_peak(fn) -> int:
+    """The peak of memory traced by tracemalloc while fn() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class Overtime(BaseException):

@@ -86,6 +86,13 @@ def test_lattice_count_equal_smallest_pair_within_budget(capsys):
     assert int(out.split("count = ")[1]) > 10**9
 
 
+def test_lattice_count_is_exact_past_1e12(capsys):
+    # sum_t floor(X / t^2) as a Python integer sum; a 1e-12 guard band would add 48
+    code, out, _ = run_cli(capsys, "lattice", "count", "--X", "1999999999999", "--pi", "1,2")
+    assert code == 0
+    assert out == "count = 3289866068560\n"
+
+
 def test_lattice_count_with_ratio(capsys):
     code, out, _ = run_cli(
         capsys, "lattice", "count", "--X", "100000", "--pi", "1,1", "--with-asym"

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _traced_peak
 from plrf import InvalidInput, population
 from plrf import data as dio
 from plrf.records import RunSummary, SpectrumEstimate
@@ -135,18 +135,12 @@ def test_spectrum_csv_memory_is_bounded(tmp_path):
     vals = np.sort(rng.random(200_000) ** 3)[::-1]
     spec = make_spec(vals)
     path = tmp_path / "big.csv"
-    tracemalloc.start()
-    try:
-        dio.write_spectrum_csv(spec, path)
-        write_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        back = dio.read_spectrum_csv(path)
-        read_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    write_peak = _traced_peak(lambda: dio.write_spectrum_csv(spec, path))
+    out = []
+    read_peak = _traced_peak(lambda: out.append(dio.read_spectrum_csv(path)))
     assert write_peak < 4_000_000, write_peak
     assert read_peak < 4_000_000, read_peak
-    assert np.array_equal(back.eigenvalues, vals)
+    assert np.array_equal(out[0].eigenvalues, vals)
 
 
 @settings(deadline=None, max_examples=200)
@@ -227,12 +221,7 @@ def test_spectrum_csv_tied_spectrum_memory(tmp_path):
     # and the joined block together must stay under the 948 KiB the per-row
     # writer peaked at (Python 3.11)
     spec = make_spec(_hpi_values(5_000, (1, 1, 1)))
-    tracemalloc.start()
-    try:
-        dio.write_spectrum_csv(spec, tmp_path / "hpi.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: dio.write_spectrum_csv(spec, tmp_path / "hpi.csv"))
     assert peak <= 948 * 1024, peak
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _traced_peak
 from plrf import InvalidInput, lattice
 
 
@@ -54,6 +55,16 @@ def brute_ordered(X, pis, bound=None):
     return count
 
 
+def iroot(y, a):
+    """floor(y ** (1/a)) for Python ints, stepped from the float guess."""
+    n = int(round(float(y) ** (1.0 / a)))
+    while n**a > y:
+        n -= 1
+    while (n + 1) ** a <= y:
+        n += 1
+    return n
+
+
 def seed_count_ones(X, k):
     """The original all-ones recursion: sum over s of the (k-1)-count at X // s."""
     if k == 2:
@@ -94,21 +105,81 @@ def test_count_matches_bruteforce_real_exponents():
 
 
 def test_count_bounded_matches_bruteforce():
-    for v in (2, 3, 5, 10):
-        for X in (5, 25, 60):
-            got = lattice.count_ordered(X, (1, 1, 1), bound_v=v).count
-            assert got == brute_ordered(X, (1, 1, 1), bound=v), (v, X)
+    for pis in ((1, 1, 1), (2, 1), (1, 3), (1, 1, 1, 1), (2, 1, 3), (1, 2, 1, 1), (1.31, 1)):
+        for v in (2, 3, 5, 10):
+            for X in (5, 25, 60, 60.5, 400):
+                got = lattice.count_ordered(X, pis, bound_v=v).count
+                assert got == brute_ordered(X, pis, bound=v), (pis, v, X)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=150)
 @given(
-    X=st.floats(min_value=0.25, max_value=400.0),
-    pis=st.lists(st.sampled_from([0.5, 1.0, 1.31, 2.0, 3.0]), min_size=1, max_size=3),
+    X=st.floats(min_value=0.25, max_value=400.0) | st.integers(min_value=0, max_value=400),
+    pis=st.lists(st.sampled_from([0.5, 1.0, 1.31, 2.0, 3.0]), min_size=1, max_size=3)
+    | st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4),
+    v=st.none() | st.integers(min_value=1, max_value=30),
 )
-def test_count_engine_equals_bruteforce(X, pis):
+def test_count_engine_equals_bruteforce(X, pis, v):
+    # real exponents count in floats; integer ones at an integer X in integers
     pis = tuple(pis)
     assert lattice.count_unordered(X, pis).count == brute_unordered(X, pis)
     assert lattice.count_ordered(X, pis).count == brute_ordered(X, pis)
+    if v is not None:
+        assert lattice.count_ordered(X, pis, bound_v=v).count == brute_ordered(X, pis, bound=v)
+
+
+@pytest.mark.parametrize("count, X, pis, want", [
+    (lattice.count_unordered, 1999999999999, (1, 2), 3289866068560),
+    (lattice.count_unordered, 999999999999, (1, 2), 1644932606581),
+    (lattice.count_unordered, 2999999999993, (1, 2), 4934799671111),
+    (lattice.count_ordered, 1999999999999, (2, 1), 3289630017270),
+])
+def test_count_at_integer_X_past_the_guard_band_is_exact(count, X, pis, want):
+    # from X = 1e12 on, the float path's 1e-12 guard band is an integer wide
+    # and the parent counted 48, 48, 1 and 35 more; these are Python integer sums
+    assert count(X, pis).count == want
+    assert count(float(X), pis).count == want
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    X=st.integers(min_value=1, max_value=10**6),
+    pis=st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3),
+)
+def test_integer_counts_equal_the_float_recursion_below_1e12(X, pis):
+    # where the guard band is under one integer both paths count the same tuples
+    pis = tuple(pis)
+    if len(pis) == 3 and all(a == 1 for a in pis):
+        pis = (1, 1, 2)  # all-ones triples take the hyperbola kernel on either path
+    floats = tuple(map(float, pis))
+    desc = tuple(sorted(floats, reverse=True))
+    assert lattice.count_unordered(X, pis).count == lattice._count_general(desc, float(X), 1.0, 1, False, None)
+    for v in (None, 50):
+        got = lattice.count_ordered(X, pis, bound_v=v).count
+        assert got == lattice._count_general(floats, float(X), 1.0, 1, True, v), v
+
+
+@pytest.mark.parametrize("X", [2**63 - 1024, 2**63 + 2**20])
+def test_count_across_the_int64_end(X):
+    # the largest double below 2^63 counts in int64 arrays, 2^63 + 2^20 in Python ints
+    assert float(X) == X
+    S = iroot(X, 4)
+    unordered = sum(iroot(X // s**4, 3) for s in range(1, S + 1))  # s^4 t^3 <= X
+    assert lattice.count_unordered(X, (3, 4)).count == unordered
+    assert lattice.count_unordered(X, (4, 3)).count == unordered
+    # s < t with s^3 t^4 <= X; t <= 600 binds for s up to about 414 of the 510
+    ordered = sum(max(0, iroot(X // s**3, 4) - s) for s in range(1, iroot(X, 7) + 2))
+    bounded = sum(max(0, min(iroot(X // s**3, 4), 600) - s) for s in range(1, 600))
+    assert lattice.count_ordered(X, (3, 4)).count == ordered
+    assert lattice.count_ordered(X, (3, 4), bound_v=600).count == bounded
+
+
+def test_count_memory_stays_within_its_chunks():
+    # 4.3e7 quotient terms at X = 1e11 are 340 MB as one int64 array; the
+    # kernels hold 2^16 terms and the X^(1/3) segments at a time
+    lattice.count_unordered(10**3, (1, 1, 1))
+    peak = _traced_peak(lambda: lattice.count_unordered(10**11, (1, 1, 1)))
+    assert peak < 8 * 2**20, peak
 
 
 @settings(deadline=None, max_examples=40)
@@ -509,6 +580,13 @@ def test_invert_count_equal_forward_residual():
     X = lattice.invert_count_equal(1e5, 1.0, 3)
     forward = lattice.asymptotic_ordered_equal(X, 1.0, 3)
     assert abs(forward / 1e5 - 1.0) <= 1e-4
+
+
+def test_invert_increasing_names_a_target_that_never_converges():
+    # floor(x) meets t = 1 and never t = 2.5: the first freezes, the arrays
+    # compact to the second, and the halvings run out on it
+    with pytest.raises(RuntimeError, match=r"did not converge after 200 steps at t=2\.5"):
+        lattice._invert_increasing(np.floor, [1.0, 2.5], 0.5, 4.0, 1e-9)
 
 
 def test_invert_count_equal_validation():

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _traced_peak
 from plrf import InvalidInput, lattice, population
 from plrf.combinatorics import Composition, compositions
 from plrf.population import PowerLawSpectrum, TopTuples, TupleEigenvalue
@@ -279,12 +279,9 @@ def test_hpi_top_k_passes_at_benchmark_size(passes, v, parts, bisection_emitted)
 def test_hpi_top_k_plateau_memory_follows_k():
     # all C(2000, 2) products tie at 0.25 and qualify; the search keeps k
     H = PowerLawSpectrum(1.31, 2000, np.full(2000, 0.5))
-    tracemalloc.start()
-    try:
-        top = population.hpi_top_k(H, (1, 1), 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out = []
+    peak = _traced_peak(lambda: out.append(population.hpi_top_k(H, (1, 1), 10)))
+    top = out[0]
     assert [e.indices for e in top] == [(1, j) for j in range(2, 12)]
     assert top.values().tolist() == [0.25] * 10
     assert peak < 8 * 2**20
@@ -363,9 +360,9 @@ def test_hpi_count_above_matches_bounded_ordered_count_at_scale(parts, v, X, alp
     X=st.one_of(st.integers(1, 5 * 10**4), st.floats(1.0, 5e4)),
 )
 def test_hpi_count_above_is_the_lattice_count(parts, alpha, v, X):
-    # the same identity, population._prefix_search against
-    # lattice._count_general, over drawn compositions, exponents, v and X
-    # (integer X included)
+    # the same identity, population._prefix_search against the lattice
+    # counts, over drawn compositions, exponents, v and X (integer X, which
+    # counts in exact integer arithmetic, included)
     want = lattice.count_ordered(X, parts, bound_v=v).count
     assert population.hpi_count_above(PowerLawSpectrum(alpha, v), parts, X**-alpha) == want
 

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _traced_peak
 from plrf import InvalidInput, simulate, spectral
 from plrf.combinatorics import HERMITE_DEGREE_CAP, pairing_class_counts
 from plrf.population import PowerLawSpectrum
@@ -446,12 +446,7 @@ def test_mc_covariance_matrix_reduction_memory_is_bounded(monkeypatch, threads):
     act = Activation("monomial", 2)
     simulate.mc_covariance_matrix(RFConfig(v=50, d=50, m=100, alpha=1.31, activation=act))
     cfg = RFConfig(v=50, d=50, m=20000, alpha=1.31, activation=act, seed=1)
-    tracemalloc.start()
-    try:
-        simulate.mc_covariance_matrix(cfg, threads=threads)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: simulate.mc_covariance_matrix(cfg, threads=threads))
     assert peak < 1_000_000, peak
 
 
@@ -561,15 +556,6 @@ def test_chunked_blocks_keep_the_recipe(monkeypatch, dist, act, centered):
     for threads in (2, 3):
         assert np.array_equal(simulate.mc_covariance_matrix(cfg, threads=threads), mat)
         assert np.array_equal(simulate.mc_covariance(cfg, threads=threads).eigenvalues, eig)
-
-
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def _worker_entries(v: int, d: int) -> int:
@@ -1492,12 +1478,7 @@ def test_iterated_sketch_stages_match_the_matrix_level_chain():
 def test_iterated_sketch_never_forms_a_v_by_v_matrix():
     v, d1 = 2000, 1000
     H = PowerLawSpectrum(1.31, v)
-    tracemalloc.start()
-    try:
-        simulate.iterated_sketch(H, [d1, 500], seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: simulate.iterated_sketch(H, [d1, 500], seed=3))
     # the stage-1 sketch is v*d1 doubles; a v x v matrix would add 2 * v*d1 more
     assert peak < 3 * v * d1 * 8
 

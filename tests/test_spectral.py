@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _traced_peak
 from plrf import InvalidInput, spectral
 
 
@@ -75,15 +75,6 @@ def test_gram_spectrum_of_a_finite_huge_gram_is_quiet():
 def test_eigenvalues_negative_kept_visible():
     eig = spectral.sym_eigenvalues(np.diag([1.0, -0.5]))
     assert np.allclose(eig, [1.0, -0.5])
-
-
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_eigenvalues_asymmetry_check_holds_one_temporary():
