@@ -679,15 +679,14 @@ def _invert_increasing(f, targets, lo: float, hi: float, rel_tol: float):
     for _ in range(2000):
         if not np.any(short := f(hi_) < t):
             break
-        hi_[short] *= 2.0
+        np.copyto(hi_, 2.0 * hi_, where=short)
     if np.any(short) or np.any(f(lo_) > t):
         raise RuntimeError(f"bisection bracket failure from [{lo}, {hi}]")
     x = np.empty_like(t)
-    # lo_, hi_, t and todo (their indices in x) are compacted to the live,
-    # unconverged elements once half of them have converged; a converged
-    # element keeps halving until then, but x holds its freezing midpoint
-    todo = np.arange(t.size)
-    live = np.ones(t.size, dtype=bool)
+    # every array keeps the targets' size, so the allocations do not depend on
+    # how the elements converge; a converged element keeps halving, but x
+    # holds its freezing midpoint
+    live = np.ones(t.size, dtype=bool)  # elements not yet converged
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo_ + hi_)
         val = f(mid)
@@ -695,15 +694,10 @@ def _invert_increasing(f, targets, lo: float, hi: float, rel_tol: float):
         np.copyto(lo_, mid, where=below)
         np.copyto(hi_, mid, where=~below)
         done = live & (np.abs(val - t) <= rel_tol * t)
-        if not done.any():
-            continue
-        x[todo[done]] = mid[done]
+        np.copyto(x, mid, where=done)
         live &= ~done
-        if not (n := np.count_nonzero(live)):
+        if not live.any():
             return x
-        if 2 * n <= live.size:
-            lo_, hi_, t, todo = lo_[live], hi_[live], t[live], todo[live]
-            live = np.ones(n, dtype=bool)
     raise RuntimeError(f"bisection did not converge after {_BISECT_STEPS} steps at t={float(t[live][0])!r}")
 
 

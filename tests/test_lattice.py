@@ -583,8 +583,8 @@ def test_invert_count_equal_forward_residual():
 
 
 def test_invert_increasing_names_a_target_that_never_converges():
-    # floor(x) meets t = 1 and never t = 2.5: the first freezes, the arrays
-    # compact to the second, and the halvings run out on it
+    # floor(x) meets t = 1 and never t = 2.5: the first freezes, and the
+    # halvings run out on the second, which the message names
     with pytest.raises(RuntimeError, match=r"did not converge after 200 steps at t=2\.5"):
         lattice._invert_increasing(np.floor, [1.0, 2.5], 0.5, 4.0, 1e-9)
 
