@@ -21,18 +21,21 @@ exceeds X.  The unordered count is symmetric in the exponents, so its loops
 run over the largest exponents and the smallest one is resolved
 arithmetically; two equal smallest exponents a are resolved together, since
 s^a t^a <= Y exactly when s t <= floor(Y^(1/a)), by the O(sqrt) divisor sum.
-All-ones exponents with k >= 3 take hyperbola-method kernels: the symmetric
-s_1 <= s_2 <= s_3 form in O(X^(2/3)) for k = 3, and for k = 4 the pairs
+Three or more unordered coordinates with exponent 1, alone or behind a larger
+integer exponent, take hyperbola-method kernels: the symmetric
+s_1 <= s_2 <= s_3 form in O(X^(2/3)) for three, and for four the pairs
 u = s_1 s_2, w = s_3 s_4 weighted by their divisor counts, in
 O(X^(3/4) log X).
 
-Integer exponents with an integer-valued X count in exact integer arithmetic:
-a prefix P leaves the bound X // P, the innermost coordinate is an exact
-integer root, and the loop over the coordinate before it is one sum of floor
-quotients over an array (int64 below 2^63, Python ints past it, 2^16 terms
-at a time), as are the divisor sums of the hyperbola kernels.  Real
-exponents or a non-integer X take the float recursion, whose relative 1e-12
-guard band resolves boundary ties toward inclusion.
+The kind of the exponents alone picks the route.  Integer exponents count in
+exact integer arithmetic at N, the largest integer X admits: X itself when
+integer-valued (an int X as given, not rounded to a double), else floor(X)
+widened by the relative 1e-12 guard band.  A prefix P leaves the bound
+N // P, the innermost coordinate is an exact integer root, and the loop over
+the coordinate before it is one sum of floor quotients over an array (int64
+below 2^63, Python ints past it, 2^16 terms at a time), as are the divisor
+sums of the hyperbola kernels.  Real exponents take the float recursion,
+whose guard band resolves boundary ties toward inclusion.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ class OrderedShape:
 @dataclass(frozen=True)
 class CountResult:
     count: int
-    X: float
+    X: int | float  # an int X as given, any other X as a float
     exponents: Exponents
     ordered: bool
     bound_v: int | None = None
@@ -379,6 +382,8 @@ def _count_exact(pis: tuple[int, ...], Y: int, start: int, strict: bool, bound: 
     exactly when R <= Y // P, so each level passes the floor quotient down
     and no guard band is needed.
     """
+    if len(pis) >= 3 and set(pis) == {1} and not strict and bound is None:
+        return _count_ones(Y, len(pis))
     a, rest = pis[0], pis[1:]
     if not rest:
         n = _iroot(Y, a)
@@ -411,7 +416,7 @@ def _count_exact(pis: tuple[int, ...], Y: int, start: int, strict: bool, bound: 
 
 
 # ---------------------------------------------------------------------------
-# counts at real exponents or non-integer X: floats and the inclusion guard
+# counts at real exponents: floats and the inclusion guard
 
 
 def _count_general(
@@ -444,10 +449,12 @@ def _count_general(
     return total
 
 
-def _budget_or_raise(exps: Exponents, X: float, strict: bool, bound_v: int | None = None) -> None:
+def _budget_or_raise(exps: Exponents, X: float, strict: bool, bound_v: int | None, exact: bool) -> None:
+    """Refuse a count whose estimated steps on its route (`exact`: in integers) exceed the budget."""
     if exps.k == 1 or X <= 1.0:
         return
     logx = max(1.0, math.log(X))
+    asc = sorted(exps.values)
     if strict:
         # prefix enumeration grows like the increasing count with the last
         # two exponents fused (the completion bound absorbs the final coord)
@@ -458,14 +465,20 @@ def _budget_or_raise(exps: Exponents, X: float, strict: bool, bound_v: int | Non
         if bound_v is not None:
             # coordinates <= bound_v: at most C(bound_v, j) increasing prefixes of each length j < k
             est = min(est, sum(math.comb(bound_v, j) for j in range(1, exps.k)))
-    elif exps.k >= 3 and all(a == 1.0 for a in exps.values):
-        # hyperbola kernels: about 1.5 X^(2/3) terms for the triple sum, and
-        # under X^(3/4) log X for the divisor-weighted pair sum
-        est = {3: 1.5 * X ** (2 / 3), 4: X**0.75 * logx}[exps.k]
+    elif exact and exps.k >= 3 and asc[2] == 1.0:
+        # three or more ones end in the hyperbola kernels: about 1.5 X^(2/3) terms
+        # for the triple sum and under X^(3/4) log X for the divisor-weighted pair
+        # sum; behind an a > 1, one triple sum at X / s^a per s, X^(1/a) calls of
+        # together 1.5 zeta(2a/3) X^(2/3) terms
+        if exps.k == 3:
+            est = 1.5 * X ** (2 / 3)
+        elif asc[3] == 1.0:
+            est = X**0.75 * logx
+        else:
+            est = 1.5 * zeta(2 * asc[3] / 3) * X ** (2 / 3) + X ** (1.0 / asc[3])
     else:
         # the loops run over every exponent but the smallest (see count_unordered);
         # a repeated smallest exponent a ends them in an O(sqrt(X^(1/a))) divisor sum
-        asc = sorted(exps.values)
         if asc[0] != asc[1]:
             est = X ** (1.0 / asc[1]) * logx ** (exps.k - 2)
         elif exps.k == 2:
@@ -476,37 +489,49 @@ def _budget_or_raise(exps: Exponents, X: float, strict: bool, bound_v: int | Non
         raise BudgetExceededError(est)
 
 
-def _coordinate_limit_or_raise(X: float, a: float, bound_v: int | None) -> None:
-    """Refuse a count whose coordinates reach COORDINATE_LIMIT = 2^53.
-
-    The largest coordinate is min(bound_v, X^(1/a)), `a` the exponent of the
-    coordinate resolved last; past 2^53 floats skip integers, so the count
-    is no longer exact.  Compared in logs, so X^(1/a) never overflows.
-    """
-    capped = bound_v is not None and bound_v < COORDINATE_LIMIT
-    if not capped and math.log2(X) >= math.log2(COORDINATE_LIMIT) * a:
-        raise InvalidInput(
-            f"coordinate bound X^(1/a) = {X!r}^(1/{a!r}) reaches 2^53, "
-            "past which floats skip integers; exact counts stop there"
-        )
-
-
 def _finite_X(X) -> float:
-    Xf = float(X)
+    try:
+        Xf = float(X)
+    except OverflowError:  # an int past float range; its digits may be too many to print
+        raise InvalidInput(f"X is an int of {int(X).bit_length()} bits, past float range") from None
     if not math.isfinite(Xf):
         raise InvalidInput(f"X must be finite, got {X}")
     return Xf
 
 
-def _integer_form(X: float, pis: tuple[float, ...]) -> tuple[tuple[int, ...], int] | None:
-    """(exponents, X) as ints when the count can run in integers, else None.
+def _count(exps: Exponents, X, strict: bool, bound_v: int | None) -> CountResult:
+    """The checks and the choice of route that both orderings share.
 
-    An integer-valued X and integer exponents of at most 1024 qualify; past
-    1024, 2^a exceeds every finite X, so such a coordinate is 1 on either path.
+    Strict counts loop over the exponents in the given order, unordered ones
+    in descending order.  Integer exponents past 1024 count in floats: 2^a
+    exceeds every finite X, so such a coordinate is 1 on either route.
     """
-    if X.is_integer() and all(a.is_integer() and a <= 1024 for a in pis):
-        return tuple(map(int, pis)), int(X)
-    return None
+    if exps.k > 4:
+        raise InvalidInput(f"exact counting supports k <= 4, got k={exps.k}")
+    if bound_v is not None and bound_v < 1:
+        raise InvalidInput(f"bound_v must be >= 1, got {bound_v}")
+    Xf = _finite_X(X)
+    X = X if isinstance(X, int) else Xf
+    pis = exps.values if strict else tuple(sorted(exps.values, reverse=True))
+    exact = all(a.is_integer() and a <= 1024 for a in pis)
+    count = 0
+    if Xf * _INCLUSION_GUARD >= 1.0:
+        _budget_or_raise(exps, Xf, strict, bound_v, exact)
+        # the largest coordinate is min(bound_v, X^(1/a)), a the exponent resolved
+        # last; past 2^53 floats skip integers (compared in logs: no overflow)
+        a = pis[-1]
+        capped = bound_v is not None and bound_v < COORDINATE_LIMIT
+        if not capped and math.log2(Xf) >= math.log2(COORDINATE_LIMIT) * a:
+            raise InvalidInput(
+                f"coordinate bound X^(1/a) = {Xf!r}^(1/{a!r}) reaches 2^53, "
+                "past which floats skip integers; exact counts stop there"
+            )
+        if exact:
+            N = int(X) if Xf.is_integer() else _max_coordinate(Xf, 1.0)
+            count = _count_exact(tuple(map(int, pis)), N, 1, strict, bound_v)
+        else:
+            count = _count_general(pis, Xf, 1.0, 1, strict, bound_v)
+    return CountResult(count, X, exps, ordered=strict, bound_v=bound_v)
 
 
 def count_unordered(X: float, exponents) -> CountResult:
@@ -516,54 +541,22 @@ def count_unordered(X: float, exponents) -> CountResult:
     run over the coordinates with the largest exponents, in descending order,
     and the coordinate with the smallest exponent is resolved arithmetically;
     when the two smallest exponents are equal, the last two coordinates are
-    resolved together by a divisor sum.  All-ones exponents with k >= 3 count
-    the products <= floor(X) with the hyperbola kernels.
-
-    Integer exponents with an integer-valued X count in exact integer
-    arithmetic.  Otherwise the count runs in floats, and a relative 1e-12
-    guard band resolves boundary ties toward inclusion.
+    resolved together by a divisor sum, and three or more exponents equal to
+    1 end in a hyperbola kernel.  Integer exponents count in integers at the
+    largest integer X admits, real ones in floats (see the module docstring).
     """
-    exps = _as_exponents(exponents)
-    if exps.k > 4:
-        raise InvalidInput(f"exact counting supports k <= 4, got k={exps.k}")
-    Xf = _finite_X(X)
-    if Xf * _INCLUSION_GUARD < 1.0:
-        return CountResult(0, Xf, exps, ordered=False)
-    _budget_or_raise(exps, Xf, strict=False)
-    _coordinate_limit_or_raise(Xf, exps.pi_star, None)
-    pis = tuple(sorted(exps.values, reverse=True))
-    if exps.k >= 3 and all(a == 1.0 for a in exps.values):
-        count = _count_ones(_max_coordinate(Xf, 1.0), exps.k)
-    elif exact := _integer_form(Xf, pis):
-        count = _count_exact(*exact, 1, strict=False, bound=None)
-    else:
-        count = _count_general(pis, Xf, 1.0, 1, strict=False, bound=None)
-    return CountResult(count, Xf, exps, ordered=False)
+    return _count(_as_exponents(exponents), X, strict=False, bound_v=None)
 
 
 def count_ordered(X: float, exponents, bound_v: int | None = None) -> CountResult:
     """Exact #{1 <= s_1 < ... < s_k : s_1^{a_1} ... s_k^{a_k} <= X}, coords <= bound_v if given.
 
     Strict ordering throughout; the exponent a_1 applies to the smallest
-    coordinate.  Equals the unbounded count whenever X <= bound_v.  Exact in
-    integer arithmetic for integer exponents with an integer-valued X; in
-    floats with the relative 1e-12 inclusion guard otherwise.
+    coordinate.  Equals the unbounded count whenever X <= bound_v.  Integer
+    exponents count in integers at the largest integer X admits, real ones in
+    floats (see the module docstring).
     """
-    exps = _as_exponents(exponents)
-    if exps.k > 4:
-        raise InvalidInput(f"exact counting supports k <= 4, got k={exps.k}")
-    if bound_v is not None and bound_v < 1:
-        raise InvalidInput(f"bound_v must be >= 1, got {bound_v}")
-    Xf = _finite_X(X)
-    if Xf * _INCLUSION_GUARD < 1.0:
-        return CountResult(0, Xf, exps, ordered=True, bound_v=bound_v)
-    _budget_or_raise(exps, Xf, strict=True, bound_v=bound_v)
-    _coordinate_limit_or_raise(Xf, exps.values[-1], bound_v)
-    if exact := _integer_form(Xf, exps.values):
-        count = _count_exact(*exact, 1, strict=True, bound=bound_v)
-    else:
-        count = _count_general(exps.values, Xf, 1.0, 1, strict=True, bound=bound_v)
-    return CountResult(count, Xf, exps, ordered=True, bound_v=bound_v)
+    return _count(_as_exponents(exponents), X, strict=True, bound_v=bound_v)
 
 
 # Euler-Maclaurin: B_{2k} / (2k)! for 2k = 2, 4, ..., 12

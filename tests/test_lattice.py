@@ -120,7 +120,7 @@ def test_count_bounded_matches_bruteforce():
     v=st.none() | st.integers(min_value=1, max_value=30),
 )
 def test_count_engine_equals_bruteforce(X, pis, v):
-    # real exponents count in floats; integer ones at an integer X in integers
+    # real exponents count in floats, integer ones in integers at every X
     pis = tuple(pis)
     assert lattice.count_unordered(X, pis).count == brute_unordered(X, pis)
     assert lattice.count_ordered(X, pis).count == brute_ordered(X, pis)
@@ -141,16 +141,49 @@ def test_count_at_integer_X_past_the_guard_band_is_exact(count, X, pis, want):
     assert count(float(X), pis).count == want
 
 
+@pytest.mark.parametrize("count, X, pis, want", [
+    (lattice.count_unordered, 1999999999999.5, (1, 2), 3289866068610),
+    (lattice.count_unordered, 999999999999.5, (1, 2), 1644932606630),
+    (lattice.count_ordered, 1999999999999.5, (2, 1), 3289630017307),
+])
+def test_count_at_non_integer_X_past_1e12_runs_in_integers(within, count, X, pis, want):
+    # integer exponents count the tuples the float recursion's guard band admits,
+    # in integers at floor(X (1 + 1e-12)); that recursion took 1.1 s for the first
+    with within(0.5):
+        assert count(X, pis).count == want
+
+
+def test_an_int_X_is_counted_as_given():
+    # the double nearest X is 56 095 569 lower and leaves out (1001, 10001),
+    # the one tuple with s^4 t^3 = X; the count is the sum of iroot(X // s^4, 3)
+    X = 1001**4 * 10001**3
+    result = lattice.count_unordered(X, (4, 3))
+    assert (result.count, result.X, type(result.X)) == (357165121, X, int)
+    assert lattice.count_unordered(X - 1, (4, 3)).count == 357165120
+
+
+@pytest.mark.parametrize("call", [
+    lambda X: lattice.count_unordered(X, (1,)),
+    lambda X: lattice.count_ordered(X, (1,)),
+    lambda X: lattice.asymptotic_unordered(X, (1,)),
+    lambda X: lattice.asymptotic_ordered_equal(X, 1.0, 1),
+])
+def test_an_int_X_past_float_range_is_invalid_input(call):
+    with pytest.raises(InvalidInput, match="X is an int of 1329 bits, past float range"):
+        call(10**400)
+
+
 @settings(deadline=None, max_examples=40)
 @given(
-    X=st.integers(min_value=1, max_value=10**6),
+    X=st.integers(min_value=1, max_value=10**6) | st.floats(min_value=1.0, max_value=1e6),
     pis=st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3),
 )
 def test_integer_counts_equal_the_float_recursion_below_1e12(X, pis):
-    # where the guard band is under one integer both paths count the same tuples
+    # where the guard band is under one integer both routes count the same
+    # tuples, at an integer X and at floor(X (1 + 1e-12)) for a non-integer one
     pis = tuple(pis)
     if len(pis) == 3 and all(a == 1 for a in pis):
-        pis = (1, 1, 2)  # all-ones triples take the hyperbola kernel on either path
+        pis = (1, 1, 2)  # the float recursion is linear in X for all-ones triples
     floats = tuple(map(float, pis))
     desc = tuple(sorted(floats, reverse=True))
     assert lattice.count_unordered(X, pis).count == lattice._count_general(desc, float(X), 1.0, 1, False, None)
@@ -241,6 +274,14 @@ def test_count_unordered_loops_over_the_largest_exponent():
 def test_count_unordered_equal_smallest_pair_pinned(X, pis, want):
     # the last two coordinates share the smallest exponent and end in one divisor sum
     assert lattice.count_unordered(X, pis).count == want
+
+
+@pytest.mark.parametrize("X, want", [(10**5, 10469183), (10**6, 151114474), (4 * 10**6, 733066092)])
+def test_count_unordered_three_ones_behind_a_larger_exponent(within, X, want):
+    # s^2 t u w <= X: one triple hyperbola kernel at X // s^2 per s
+    with within(0.5):
+        for perm in ((2, 1, 1, 1), (1, 1, 2, 1)):
+            assert lattice.count_unordered(X, perm).count == want, perm
 
 
 def test_count_unordered_equal_smallest_pair_is_a_divisor_sum_per_prefix():
@@ -405,6 +446,11 @@ def test_count_budget_error():
         lattice.count_unordered(1e15, (1.0, 1.5))
     with pytest.raises(lattice.BudgetExceededError):
         lattice.count_unordered(1e12, (1, 1, 1, 1))
+    # three ones behind a = 2, one triple kernel per s: 1.5 zeta(4/3) X^(2/3)
+    # terms and X^(1/2) calls reach 1e9 at X = 2.513e12
+    lattice._budget_or_raise(lattice.Exponents((2, 1, 1, 1)), 2.51e12, False, None, True)
+    with pytest.raises(lattice.BudgetExceededError):
+        lattice.count_unordered(2.52e12, (2, 1, 1, 1))
     # an equal smallest pair a, a is priced X^max(1/(2a), 1/b) log(X)^(k-2), b the next exponent
     lattice.count_unordered(1e9, (2, 1, 1))
     with pytest.raises(lattice.BudgetExceededError):

@@ -361,8 +361,8 @@ def test_hpi_count_above_matches_bounded_ordered_count_at_scale(parts, v, X, alp
 )
 def test_hpi_count_above_is_the_lattice_count(parts, alpha, v, X):
     # the same identity, population._prefix_search against the lattice
-    # counts, over drawn compositions, exponents, v and X (integer X, which
-    # counts in exact integer arithmetic, included)
+    # counts, over drawn compositions, exponents, v and X (integer and
+    # non-integer X, both counted in exact integer arithmetic)
     want = lattice.count_ordered(X, parts, bound_v=v).count
     assert population.hpi_count_above(PowerLawSpectrum(alpha, v), parts, X**-alpha) == want
 
