@@ -13,7 +13,8 @@ where a_* is the smallest exponent and m its multiplicity.  For unequal
 exponents the increasing count grows like X^theta* (log X)^(mu-1) with
 theta* = max_r r / (a_k + ... + a_{k-r+1}) and mu its multiplicity;
 `ordered_shape` computes that growth shape.  `invert_count_equal` solves
-N(X) = N for X by the monotone bisection `population` shares.
+N(X) = N for X by the bracketed regula falsi in log-log (Illinois rule) that
+`population` shares.
 
 Exact counting replaces the innermost loop by the arithmetic count
 floor((X/prefix)^(1/a_k)) and prunes prefixes whose best completion already
@@ -69,8 +70,9 @@ _EQ_RTOL = 1e-9  # exponents closer than this are treated as equal
 _CHUNK = 2**16  # terms per array pass of the exact integer kernels
 _INT64_END = 2**63
 _ARRAY_MIN = 64  # shorter quotient sums run in Python
-_BISECT_STEPS = 200  # halvings before a bisection gives up
+_INVERT_STEPS = 200  # steps before an inversion gives up
 _INVERT_RTOL = 1e-9  # invert_count_equal stops at |N(X) - N| <= this * N
+_FLOAT_MAX = np.finfo(float).max
 
 
 class BudgetExceededError(InvalidInput):
@@ -599,12 +601,17 @@ def _asymptotic_X(X) -> float:
     return Xf
 
 
-def _leading_term(const: float, X: float, a: float, log_power: int) -> float:
-    """const * X^(1/a) * (log X)^log_power, refused when it leaves float range."""
+def _leading_value(const: float, X: float, a: float, log_power: int) -> float:
+    """const * X^(1/a) * (log X)^log_power, inf past float range."""
     try:
-        out = const * X ** (1.0 / a) * math.log(X) ** log_power
+        return const * X ** (1.0 / a) * math.log(X) ** log_power
     except OverflowError:
-        out = math.inf
+        return math.inf
+
+
+def _leading_term(const: float, X: float, a: float, log_power: int) -> float:
+    """`_leading_value`, refused when it leaves float range."""
+    out = _leading_value(const, X, a, log_power)
     if not out < math.inf:
         raise InvalidInput(f"asymptotic at X = {X!r} with exponent {a!r} exceeds float range")
     return out
@@ -643,67 +650,102 @@ def ordered_shape(exponents) -> OrderedShape:
     return OrderedShape(theta_star, mu, tuple(tails))
 
 
+def _ordered_equal_constant(pi_common: float, k: int) -> tuple[float, float]:
+    """The exponent a and the constant a^(1-k) / (Gamma(k) Gamma(k+1)), checked."""
+    if k < 1:
+        raise InvalidInput(f"k must be >= 1, got {k}")
+    a = float(pi_common)
+    if not (a > 0 and math.isfinite(a)):
+        raise InvalidInput(f"exponent must be positive and finite, got {a}")
+    return a, a ** (1.0 - k) / math.exp(math.lgamma(k) + math.lgamma(k + 1))
+
+
 def asymptotic_ordered_equal(X: float, pi_common: float, k: int) -> float:
     """Leading-order strictly increasing count for k equal exponents.
 
     N(X) ~ a^(1-k) / (Gamma(k) Gamma(k+1)) * X^(1/a) * (log X)^(k-1).
     """
     X = _asymptotic_X(X)
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
-    a = float(pi_common)
-    if not (a > 0 and math.isfinite(a)):
-        raise InvalidInput(f"exponent must be positive and finite, got {a}")
-    const = a ** (1.0 - k) / math.exp(math.lgamma(k) + math.lgamma(k + 1))
+    a, const = _ordered_equal_constant(pi_common, k)
     return _leading_term(const, X, a, k - 1)
 
 
 def _invert_increasing(f, targets, lo: float, hi: float, rel_tol: float):
-    """Solve f(x) = t for every t in `targets` by one masked bisection.
+    """Solve f(x) = t for every t in `targets` by one masked regula falsi in log-log.
 
-    `f` is increasing and maps arrays to arrays.  Upper brackets double from
-    `hi` while f(hi) < t; then all brackets halve at 0.5 * (lo + hi) until
-    |f(x) - t| <= rel_tol * t freezes each element, as a scalar bisection
-    would.  Raises RuntimeError when a bracket fails or `_BISECT_STEPS`
-    halvings do not converge.
+    `f` is increasing and maps float arrays to new float arrays.  While
+    f(hi) < t the upper end becomes the lower one and is squared (doubled
+    below 2, held at the largest float).  Each step then takes the point
+    where the chord through (log lo, log f(lo)) and (log hi, log f(hi))
+    meets log t, or the midpoint 0.5 * lo + 0.5 * hi where that point leaves
+    the open bracket or is undefined (f(lo) = 0), and moves the end on its
+    side there; an end left standing twice running has its log residual
+    halved (the Illinois rule).  |f(x) - t| <= rel_tol * t freezes each
+    element at its first such iterate, as a scalar solver would.  Raises
+    RuntimeError when a bracket fails or `_INVERT_STEPS` steps do not
+    converge.
     """
     t = np.asarray(targets, dtype=float)
     lo_, hi_ = np.full(t.shape, float(lo)), np.full(t.shape, float(hi))
+    f_lo = f(lo_)
     for _ in range(2000):
-        if not np.any(short := f(hi_) < t):
+        f_hi = f(hi_)
+        short = f_hi < t
+        if not np.any(short & (hi_ < _FLOAT_MAX)):
             break
-        np.copyto(hi_, 2.0 * hi_, where=short)
-    if np.any(short) or np.any(f(lo_) > t):
-        raise RuntimeError(f"bisection bracket failure from [{lo}, {hi}]")
+        np.copyto(lo_, hi_, where=short)
+        np.copyto(f_lo, f_hi, where=short)
+        with np.errstate(over="ignore"):
+            np.copyto(hi_, np.minimum(hi_ * np.maximum(hi_, 2.0), _FLOAT_MAX), where=short)
+    if np.any(short) or np.any(f_lo > t):
+        raise RuntimeError(f"inversion bracket failure from [{lo}, {hi}]")
     x = np.empty_like(t)
     # every array keeps the targets' size, so the allocations do not depend on
-    # how the elements converge; a converged element keeps halving, but x
-    # holds its freezing midpoint
+    # how the elements converge; a converged element keeps stepping, but x
+    # holds its freezing iterate
     live = np.ones(t.size, dtype=bool)  # elements not yet converged
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo_ + hi_)
-        val = f(mid)
-        below = val < t
-        np.copyto(lo_, mid, where=below)
-        np.copyto(hi_, mid, where=~below)
-        done = live & (np.abs(val - t) <= rel_tol * t)
-        np.copyto(x, mid, where=done)
-        live &= ~done
-        if not live.any():
-            return x
-    raise RuntimeError(f"bisection did not converge after {_BISECT_STEPS} steps at t={float(t[live][0])!r}")
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf gives a NaN chord point
+        # the log residuals log(f / t) of the ends, in the buffers of f(lo) and f(hi)
+        g_lo = np.log(np.divide(f_lo, t, out=f_lo), out=f_lo)
+        g_hi = np.log(np.divide(f_hi, t, out=f_hi), out=f_hi)
+        for step in range(_INVERT_STEPS):
+            # the chord meets log t at log u = log lo + w log(hi / lo), w = g_lo / (g_lo - g_hi)
+            u = np.log(hi_ / lo_)
+            u *= g_lo / (g_lo - g_hi)
+            np.exp(u, out=u)
+            u *= lo_
+            off = ~((u > lo_) & (u < hi_))  # also NaN
+            np.add(0.5 * lo_, 0.5 * hi_, out=u, where=off)  # halves first: hi may be the largest float
+            val = f(u)
+            done = live & (np.abs(val - t) <= rel_tol * t)
+            np.copyto(x, u, where=done)
+            live &= ~done
+            if not live.any():
+                return x
+            below = val < t
+            g = np.log(np.divide(val, t, out=val), out=val)
+            if step:  # Illinois: halve the residual of an end left standing twice
+                np.multiply(g_hi, 0.5, out=g_hi, where=below & was_below)
+                np.multiply(g_lo, 0.5, out=g_lo, where=~(below | was_below))
+            for end, new in ((lo_, u), (g_lo, g)):
+                np.copyto(end, new, where=below)
+            for end, new in ((hi_, u), (g_hi, g)):
+                np.copyto(end, new, where=~below)
+            was_below = below
+    raise RuntimeError(f"inversion did not converge after {_INVERT_STEPS} steps at t={float(t[live][0])!r}")
 
 
 def invert_count_equal(N: float, pi_common: float, k: int) -> float:
-    """Solve asymptotic_ordered_equal(X) = N for X by monotone bisection.
+    """Solve asymptotic_ordered_equal(X) = N for X by bracketed regula falsi.
 
     Seeded at (N / log(N)^(k-1))^a; converges to |N(X) - N| <= 1e-9 * N in
-    `_invert_increasing`, the bisection that also inverts the theory curves.
+    `_invert_increasing`, the solver that also inverts the theory curves.
     """
     if N < 3:
         raise InvalidInput(f"N >= 3 required, got {N}")
-    a = float(pi_common)
-    f = np.vectorize(lambda x: asymptotic_ordered_equal(x, a, k))
+    a, const = _ordered_equal_constant(pi_common, k)
+    # the asymptotic, but inf past float range
+    f = np.vectorize(lambda x: _leading_value(const, float(x), a, k - 1))
     seed = (N / math.log(N) ** (k - 1)) ** a
     lo = max(math.e, seed / 4.0)
     while f(lo) > N:
@@ -711,4 +753,5 @@ def invert_count_equal(N: float, pi_common: float, k: int) -> float:
             raise InvalidInput(f"no solution with X > e: N={N} below the asymptotic at X=e")
         lo = max(math.e, lo / 4.0)
     hi = max(2.0 * lo, seed * 4.0)
-    return float(_invert_increasing(f, [N], lo, hi, _INVERT_RTOL)[0])
+    with np.errstate(over="ignore"):  # the count at a squared bracket end may pass float range
+        return float(_invert_increasing(f, [N], lo, hi, _INVERT_RTOL)[0])

@@ -9,8 +9,8 @@ extrapolated to hold 1.25 k entries, kept by a stable sort on value), counts
 entries above a threshold, evaluates the
 (log^(p-1)(j+1)/j)^alpha eigenvalue envelope, and builds the
 zero-free-parameter counting curves N(u) for monomial degrees 1-3, whose
-inversion (one array bisection, shared with `lattice`) predicts eigenvalues
-eps_j = C u_j^(-alpha).
+inversion (one array regula falsi in log-log, shared with `lattice`)
+predicts eigenvalues eps_j = C u_j^(-alpha).
 """
 
 from __future__ import annotations
@@ -365,11 +365,12 @@ def theory_curve(p: int, alpha: float) -> CountingCurve:
 def predicted_spectrum(curve: CountingCurve, C: float, j_range) -> np.ndarray:
     """Predicted eigenvalues eps_j = C * u_j^(-alpha) with N(u_j) = j.
 
-    `j_range` is an iterable of indices in [1, 1e7].  All u_j are solved by one
-    masked bisection to |N(u_j) - j| <= 1e-8 j (closed form for p=1); the
-    output is strictly decreasing.  C and alpha must be finite, and an eps_j
-    outside the normal float range (below 2.2e-308 or infinite) is refused
-    naming the first j affected.
+    `j_range` is an iterable of indices in [1, 1e7] (a `range` is read as one
+    array).  All u_j are solved by one masked regula falsi in log-log to
+    |N(u_j) - j| <= 1e-8 j (closed form for p=1); the output is strictly
+    decreasing.  C and alpha must be finite, and an eps_j outside the normal
+    float range (below 2.2e-308 or infinite) is refused naming the first j
+    affected.
     """
     if not C > 0:
         raise InvalidInput(f"scale C must be positive, got {C}")
@@ -377,7 +378,10 @@ def predicted_spectrum(curve: CountingCurve, C: float, j_range) -> np.ndarray:
         raise InvalidInput(f"scale C must be finite, got {C}")
     if not math.isfinite(curve.alpha):
         raise InvalidInput(f"alpha must be finite, got {curve.alpha}")
-    js = np.fromiter(map(int, j_range), dtype=float)
+    if isinstance(j_range, range):
+        js = np.arange(j_range.start, j_range.stop, j_range.step, dtype=float)
+    else:
+        js = np.fromiter(map(int, j_range), dtype=float)
     if not js.size:
         return np.empty(0)
     if js.min() < 1 or js.max() > 10**7:

@@ -1,7 +1,9 @@
+import hashlib
 import signal
 import tracemalloc
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 
@@ -13,6 +15,35 @@ def _traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# numpy version, OpenBLAS build configuration, and sha256 of the sorted names
+# of the CPU features numpy detects (an AVX-512 Intel Xeon)
+_GOLDEN_BUILD = (
+    "2.4.6",
+    "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64",
+    "1a35e27c171a8c8a283f0cf2a3e0a7b09ce178b1b27ab21e66654fa49afc1804",
+)
+
+
+def _numpy_build() -> tuple[str, str, str] | None:
+    if np.__version__ != _GOLDEN_BUILD[0]:
+        return None  # the lookups below are those of numpy 2.x
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    features = " ".join(sorted(name for name, on in __cpu_features__.items() if on))
+    return (
+        np.__version__,
+        blas.get("openblas configuration", ""),
+        hashlib.sha256(features.encode()).hexdigest(),
+    )
+
+
+# digests of values that numpy's SIMD loops or OpenBLAS's kernels round by CPU
+golden_build_only = pytest.mark.skipif(
+    _numpy_build() != _GOLDEN_BUILD, reason="digests recorded on another numpy, BLAS or CPU"
+)
 
 
 class Overtime(BaseException):

@@ -635,9 +635,38 @@ def test_invert_increasing_names_a_target_that_never_converges():
         lattice._invert_increasing(np.floor, [1.0, 2.5], 0.5, 4.0, 1e-9)
 
 
+@pytest.mark.parametrize("N, a, k", [(1e150, 2.0, 3), (1e300, 1.0, 3)])
+def test_invert_count_equal_where_a_squared_bracket_leaves_float_range(N, a, k):
+    # the seed's bracket ends below the root (X = 1.1e292 and 2.6e295), and
+    # its square passes float range, or the count there does
+    X = lattice.invert_count_equal(N, a, k)
+    assert abs(lattice.asymptotic_ordered_equal(X, a, k) - N) <= 1e-9 * N
+
+
 def test_invert_count_equal_validation():
     with pytest.raises(ValueError):
         lattice.invert_count_equal(2.0, 1.0, 2)
+
+
+def _bisected_count_inverse(N, a, k):
+    # the scalar bisection invert_count_equal ran before, from the same bracket
+    def f(X):
+        return lattice.asymptotic_ordered_equal(X, a, k)
+
+    seed = (N / math.log(N) ** (k - 1)) ** a
+    lo = max(math.e, seed / 4.0)
+    while f(lo) > N:
+        lo = max(math.e, lo / 4.0)
+    hi = max(2.0 * lo, seed * 4.0)
+    while f(hi) < N:
+        hi *= 2.0
+    for _ in range(200):
+        X = 0.5 * (lo + hi)
+        val = f(X)
+        if abs(val - N) <= 1e-9 * N:
+            return X
+        lo, hi = (X, hi) if val < N else (lo, X)
+    raise AssertionError(f"reference bisection did not converge at N={N}")
 
 
 @settings(deadline=None, max_examples=100)
@@ -653,6 +682,9 @@ def test_invert_count_equal_meets_rel_tol(k, a, N):
         return
     X = lattice.invert_count_equal(N, a, k)
     assert abs(lattice.asymptotic_ordered_equal(X, a, k) - N) <= 1e-9 * N
+    # both answers lie within 1e-9 N of N in the count, which grows at least
+    # like X^(1/a) past X = e: so within 2e-9 a of each other relative in X
+    assert X == pytest.approx(_bisected_count_inverse(N, a, k), rel=2e-9 * a * (1 + 1e-6))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _traced_peak
+from conftest import _traced_peak, golden_build_only
 from plrf import InvalidInput, lattice, population
 from plrf.combinatorics import Composition, compositions
 from plrf.population import PowerLawSpectrum, TopTuples, TupleEigenvalue
@@ -574,59 +574,102 @@ def test_predicted_spectrum_nan_is_an_internal_error(monkeypatch):
         population.predicted_spectrum(population.theory_curve(2, 1.31), 2.0, range(1, 5))
 
 
-# bits of the scalar per-j bisection that the masked one replaced, recorded
-# with numpy 2.4 on x86-64 with AVX-512: sha256 of the little-endian float64
-# vector for j = 1..3000, and float.hex of eps_j at a few j.  The array log
-# and power go through numpy's SIMD kernels, which numpy picks by CPU, so the
-# digest can differ in the last bit on other CPUs or numpy builds;
-# `_scalar_predicted_spectrum` checks the same bits on whatever machine runs.
+# bits of the masked regula falsi, recorded with numpy 2.4 on x86-64 with
+# AVX-512 (`_GOLDEN_BUILD`): sha256 of the little-endian float64 vector for
+# j = 1..3000, and float.hex of eps_j at a few j.  The array log, exp and
+# power go through numpy's SIMD kernels, which numpy picks by CPU, and each
+# step carries the last bit of the logs into the next point, so the digests
+# are compared only on that build; `_scalar_predicted_spectrum` checks the
+# same step rule on whatever machine runs.
 _PREDICTED_GOLDEN = {
-    (2, 1.31): ("dfbcbad610ed2c5f369ae5952db909a1e8b12c2764f4cc852b9735ed58786990",
-                {1: "0x1.4f24b7e7698dbp-1", 100: "0x1.7cd83262406afp-7", 3000: "0x1.21722a8fcae8dp-12"}),
-    (2, 2.5): ("01f30a188b46a3114d61ca3560d0a24cfd87944279bc19eba82c8eb3084d8395",
-               {1: "0x1.e60572627753fp-3", 100: "0x1.c5f7d6c194066p-14", 3000: "0x1.715e0c46b28c3p-24"}),
-    (3, 1.31): ("c972c464b30de0e9efe352e40c5ad21e37878c093331a7bec2f43997aafcea62",
-                {1: "0x1.9f6b29d0f4facp+5", 100: "0x1.1f9109bde13c0p-2", 3000: "0x1.fda0d6598a139p-8"}),
-    (3, 2.5): ("2eb4f09fe03530609e24ea7294140841ac2b7de2f10282021d51ffd008d5796b",
-               {1: "0x1.505fc9be61b4ap+7", 100: "0x1.499f8c45f29bcp-8", 3000: "0x1.2ce95689f9dbbp-18"}),
+    (2, 1.31): ("3c78883cb7835eaca43546d3664b0ab2fc1a75d078ad7d8561ff27760ae1a031",
+                {1: "0x1.4f24b803c8598p-1", 100: "0x1.7cd8326fe51a3p-7", 3000: "0x1.21722a7400a53p-12"}),
+    (2, 2.5): ("6166f0d9b3f6cb6f06ad76c96905d614ae5379428e52d62be0c69ce3265cb199",
+               {1: "0x1.e60572b0fb60dp-3", 100: "0x1.c5f7d6e09d3dbp-14", 3000: "0x1.715e0c0304e3bp-24"}),
+    (3, 1.31): ("2dd23504cc2209e783fcf8f41755254cdd8c9ff514b4d0cc927edac1447d5210",
+                {1: "0x1.9f6b29ce4fc8fp+5", 100: "0x1.1f9109c8e0101p-2", 3000: "0x1.fda0d6a0c1d3ep-8"}),
+    (3, 2.5): ("2ef509cf61c00cd88b89cdeb8643290da75ade94b2b57716d214b2d0e045365f",
+               {1: "0x1.505fca2481cd9p+7", 100: "0x1.499f8bddf149dp-8", 3000: "0x1.2ce9564e3df84p-18"}),
 }
 
 
 def _scalar_predicted_spectrum(curve, C, js):
-    # the per-j bisection with scalar math.log that the masked one replaced
+    # the step rule of lattice._invert_increasing for one j at a time.  The
+    # logs and exps are numpy's on float64 scalars, which run the loops the
+    # arrays run: math.log and math.exp round differently from numpy's SIMD
+    # loops on some inputs, and regula falsi carries that into the bits of u_j.
+    # N takes one-element arrays, since a float64 scalar squares by pow
+    log, exp = np.log, np.exp
+
     def N(u):
-        return curve.principal_weight * u * math.log(u) ** (curve.p - 1) + curve.b_theory * u
+        return curve.evaluate(np.array([u]))[0]
 
     us = np.empty(len(js))
-    for pos, j in enumerate(js):
-        lo = 1.0 if curve.p == 2 else 1e-9
-        hi = 4.0
-        while N(hi) < j:
-            hi *= 2.0
+    for pos, j in enumerate(map(float, js)):
+        lo, hi = (1.0 if curve.p == 2 else 1e-9), 4.0
+        f_lo = N(lo)
+        while (f_hi := N(hi)) < j:
+            lo, f_lo, hi = hi, f_hi, hi * max(hi, 2.0)
+        g_lo, g_hi = log(f_lo / j), log(f_hi / j)  # -inf at f(lo) = 0
+        was_below = None
         for _ in range(200):
-            u = 0.5 * (lo + hi)
+            u = exp(log(hi / lo) * (g_lo / (g_lo - g_hi))) * lo
+            if not lo < u < hi:  # also NaN
+                u = 0.5 * lo + 0.5 * hi
             val = N(u)
             if abs(val - j) <= 1e-8 * j:
                 break
-            if val < j:
-                lo = u
+            below = val < j
+            if below == was_below:  # Illinois
+                g_lo, g_hi = (g_lo, g_hi * 0.5) if below else (g_lo * 0.5, g_hi)
+            if below:
+                lo, g_lo = u, log(val / j)
             else:
-                hi = u
+                hi, g_hi = u, log(val / j)
+            was_below = below
         else:
-            raise AssertionError(f"reference bisection did not converge at j={j}")
+            raise AssertionError(f"reference regula falsi did not converge at j={j}")
         us[pos] = u
     return C * us ** -curve.alpha
 
 
 @pytest.mark.parametrize("p, alpha", sorted(_PREDICTED_GOLDEN))
-def test_predicted_spectrum_bits_pinned(p, alpha):
-    digest, points = _PREDICTED_GOLDEN[p, alpha]
+def test_predicted_spectrum_follows_the_scalar_step_rule(p, alpha):
     curve = population.theory_curve(p, alpha)
     js = range(1, 3001)
     eps = population.predicted_spectrum(curve, curve.scale, js)
-    assert eps.tobytes() == _scalar_predicted_spectrum(curve, curve.scale, js).tobytes()
+    with np.errstate(divide="ignore", invalid="ignore"):  # log f(lo) = log 0 at p = 2
+        expected = _scalar_predicted_spectrum(curve, curve.scale, js)
+    assert eps.tobytes() == expected.tobytes()
+
+
+@golden_build_only
+@pytest.mark.parametrize("p, alpha", sorted(_PREDICTED_GOLDEN))
+def test_predicted_spectrum_bits_pinned(p, alpha):
+    digest, points = _PREDICTED_GOLDEN[p, alpha]
+    curve = population.theory_curve(p, alpha)
+    eps = population.predicted_spectrum(curve, curve.scale, range(1, 3001))
     assert {j: float(eps[j - 1]).hex() for j in points} == points
     assert hashlib.sha256(eps.astype("<f8").tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("j_max", [3000, 10**6])
+@pytest.mark.parametrize("p, alpha", [(2, 1.2), (2, 1.5), (3, 1.31), (3, 4.0)])
+def test_predicted_spectrum_evaluates_the_curve_at_most_16_times(monkeypatch, p, alpha, j_max):
+    # 12 evaluations at j_max = 3000 and 13 at 1e6 (the bisection took 37-45);
+    # a solver that falls back to halving every step needs more than 16.
+    # Every evaluation covers all targets: the arrays keep their size
+    sizes = []
+    evaluate = population.CountingCurve.evaluate
+
+    def counted(curve, u):
+        sizes.append(u.size)
+        return evaluate(curve, u)
+
+    monkeypatch.setattr(population.CountingCurve, "evaluate", counted)
+    curve = population.theory_curve(p, alpha)
+    population.predicted_spectrum(curve, curve.scale, range(1, j_max + 1))
+    assert len(sizes) <= 16 and set(sizes) == {j_max}
 
 
 @settings(deadline=None, max_examples=60)
@@ -636,7 +679,7 @@ def test_predicted_spectrum_bits_pinned(p, alpha):
     js=st.sets(st.integers(1, 10**7), min_size=1, max_size=200),
 )
 def test_predicted_spectrum_inverts_the_curve(p, alpha, js):
-    # the masked bisection freezes each j at its own step; every u_j must
+    # the masked regula falsi freezes each j at its own step; every u_j must
     # still meet the documented residual (plus the round-off of eps -> u)
     curve = population.theory_curve(p, alpha)
     j = np.array(sorted(js), dtype=float)

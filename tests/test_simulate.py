@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import _traced_peak
+from conftest import _traced_peak, golden_build_only
 from plrf import InvalidInput, simulate, spectral
 from plrf.combinatorics import HERMITE_DEGREE_CAP, pairing_class_counts
 from plrf.population import PowerLawSpectrum
@@ -1092,29 +1092,6 @@ _ONE_BLOCK_GOLDEN = {
 }
 
 
-# numpy version, OpenBLAS build configuration, and sha256 of the sorted names
-# of the CPU features numpy detects (an AVX-512 Intel Xeon)
-_GOLDEN_BUILD = (
-    "2.4.6",
-    "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64",
-    "1a35e27c171a8c8a283f0cf2a3e0a7b09ce178b1b27ab21e66654fa49afc1804",
-)
-
-
-def _numpy_build() -> tuple[str, str, str] | None:
-    if np.__version__ != _GOLDEN_BUILD[0]:
-        return None  # the lookups below are those of numpy 2.x
-    from numpy._core._multiarray_umath import __cpu_features__
-
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    features = " ".join(sorted(name for name, on in __cpu_features__.items() if on))
-    return (
-        np.__version__,
-        blas.get("openblas configuration", ""),
-        hashlib.sha256(features.encode()).hexdigest(),
-    )
-
-
 def _one_block_cfg(dist: str, act: str, m: int, centered: bool) -> RFConfig:
     law = DataDistribution("student_t", df=10.0) if dist == "student_t" else DataDistribution(dist)
     return RFConfig(
@@ -1127,7 +1104,7 @@ def _sha(a: np.ndarray) -> str:
     return hashlib.sha256(np.asarray(a, dtype="<f8").tobytes()).hexdigest()
 
 
-@pytest.mark.skipif(_numpy_build() != _GOLDEN_BUILD, reason="digests recorded on another numpy, BLAS or CPU")
+@golden_build_only
 @pytest.mark.parametrize("key", sorted(_ONE_BLOCK_GOLDEN))
 def test_one_block_output_bits_pinned(key):
     cfg = _one_block_cfg(*key)
@@ -1159,7 +1136,7 @@ _BLOCKWISE_GOLDEN = {
 }
 
 
-@pytest.mark.skipif(_numpy_build() != _GOLDEN_BUILD, reason="digests recorded on another numpy, BLAS or CPU")
+@golden_build_only
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("key", sorted(_BLOCKWISE_GOLDEN))
 def test_mc_blockwise_output_bits_pinned(caller_blas_threads, key, threads):
