@@ -14,7 +14,7 @@ exponents the increasing count grows like X^theta* (log X)^(mu-1) with
 theta* = max_r r / (a_k + ... + a_{k-r+1}) and mu its multiplicity;
 `ordered_shape` computes that growth shape.  `invert_count_equal` solves
 N(X) = N for X by the bracketed regula falsi in log-log (Illinois rule) that
-`population` shares.
+`population` shares, from the bracket [e, e^2].
 
 Exact counting replaces the innermost loop by the arithmetic count
 floor((X/prefix)^(1/a_k)) and prunes prefixes whose best completion already
@@ -47,7 +47,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _as_index
 
 __all__ = [
     "BudgetExceededError",
@@ -510,6 +510,7 @@ def _count(exps: Exponents, X, strict: bool, bound_v: int | None) -> CountResult
     """
     if exps.k > 4:
         raise InvalidInput(f"exact counting supports k <= 4, got k={exps.k}")
+    bound_v = None if bound_v is None else _as_index(bound_v, "bound_v")
     if bound_v is not None and bound_v < 1:
         raise InvalidInput(f"bound_v must be >= 1, got {bound_v}")
     Xf = _finite_X(X)
@@ -601,17 +602,12 @@ def _asymptotic_X(X) -> float:
     return Xf
 
 
-def _leading_value(const: float, X: float, a: float, log_power: int) -> float:
-    """const * X^(1/a) * (log X)^log_power, inf past float range."""
-    try:
-        return const * X ** (1.0 / a) * math.log(X) ** log_power
-    except OverflowError:
-        return math.inf
-
-
 def _leading_term(const: float, X: float, a: float, log_power: int) -> float:
-    """`_leading_value`, refused when it leaves float range."""
-    out = _leading_value(const, X, a, log_power)
+    """const * X^(1/a) * (log X)^log_power at a float X, refused past float range."""
+    try:
+        out = const * X ** (1.0 / a) * math.log(X) ** log_power
+    except OverflowError:
+        out = math.inf
     if not out < math.inf:
         raise InvalidInput(f"asymptotic at X = {X!r} with exponent {a!r} exceeds float range")
     return out
@@ -652,6 +648,7 @@ def ordered_shape(exponents) -> OrderedShape:
 
 def _ordered_equal_constant(pi_common: float, k: int) -> tuple[float, float]:
     """The exponent a and the constant a^(1-k) / (Gamma(k) Gamma(k+1)), checked."""
+    k = _as_index(k, "k")
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
     a = float(pi_common)
@@ -736,22 +733,24 @@ def _invert_increasing(f, targets, lo: float, hi: float, rel_tol: float):
 
 
 def invert_count_equal(N: float, pi_common: float, k: int) -> float:
-    """Solve asymptotic_ordered_equal(X) = N for X by bracketed regula falsi.
+    """Solve asymptotic_ordered_equal(X) = N for X, to |N(X) - N| <= 1e-9 * N.
 
-    Seeded at (N / log(N)^(k-1))^a; converges to |N(X) - N| <= 1e-9 * N in
-    `_invert_increasing`, the solver that also inverts the theory curves.
+    One call of `_invert_increasing`, the solver that also inverts the theory
+    curves, from the bracket [e, e^2], whose upper end it squares until the
+    count there reaches N.  N must be finite and at least 3, and the root
+    must lie in float range past X = e; any other N is refused.
     """
-    if N < 3:
-        raise InvalidInput(f"N >= 3 required, got {N}")
+    if not 3 <= N < math.inf:
+        raise InvalidInput(f"N must be finite and >= 3, got {N}")
     a, const = _ordered_equal_constant(pi_common, k)
-    # the asymptotic, but inf past float range
-    f = np.vectorize(lambda x: _leading_value(const, float(x), a, k - 1))
-    seed = (N / math.log(N) ** (k - 1)) ** a
-    lo = max(math.e, seed / 4.0)
-    while f(lo) > N:
-        if lo <= math.e:
+
+    def f(x):  # held at the largest float where it overflows: an inf residual stalls the chord
+        return np.minimum(const * x ** (1.0 / a) * np.log(x) ** (k - 1), _FLOAT_MAX)
+
+    with np.errstate(over="ignore"):
+        at_e, at_max = f(np.array([math.e, _FLOAT_MAX])).tolist()
+        if at_e > N:
             raise InvalidInput(f"no solution with X > e: N={N} below the asymptotic at X=e")
-        lo = max(math.e, lo / 4.0)
-    hi = max(2.0 * lo, seed * 4.0)
-    with np.errstate(over="ignore"):  # the count at a squared bracket end may pass float range
-        return float(_invert_increasing(f, [N], lo, hi, _INVERT_RTOL)[0])
+        if at_max < N:
+            raise InvalidInput(f"no solution in float range: N={N} above the asymptotic at the largest float")
+        return float(_invert_increasing(f, [N], math.e, math.e**2, _INVERT_RTOL)[0])

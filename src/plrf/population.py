@@ -25,7 +25,7 @@ import numpy as np
 
 from . import lattice
 from .combinatorics import Composition, _as_composition
-from .errors import InvalidInput
+from .errors import InvalidInput, _as_index
 
 __all__ = [
     "PowerLawSpectrum",
@@ -49,13 +49,19 @@ MAX_TOP_K = 10**7
 
 @dataclass(frozen=True)
 class PowerLawSpectrum:
-    """Decreasing positive base spectrum; defaults to H_j = j^(-alpha)."""
+    """Decreasing positive base spectrum; defaults to H_j = j^(-alpha).
+
+    `v` must be an integer and is held as a plain int, `alpha` as a plain
+    float, so messages and reprs do not depend on the numpy version.
+    """
 
     alpha: float
     v: int
     eigenvalues: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "v", _as_index(self.v, "v"))
         if not self.alpha > 1.0:
             raise InvalidInput(f"alpha > 1 required, got {self.alpha}")
         if self.v < 1:
@@ -128,11 +134,10 @@ class TopTuples(Sequence):
         return f"TopTuples(n={len(self)}, truncated={self.truncated})"
 
 
-def _prefix_search(
-    H: PowerLawSpectrum, comp: Composition, eps: float, emit: bool, keep: int | None = None
-):
+def _prefix_search(H: PowerLawSpectrum, comp: Composition, eps: float, keep: int | None = None):
     """The tuples i_1 < ... < i_l with product >= eps: their count, or with
-    `emit` an (n, l) int64 index array and the float64 values.
+    `keep` the `keep` largest as an (n, l) int64 index array and their
+    float64 values, descending, ties in lexicographic order.
 
     The outer l-1 coordinates are walked depth first in O(l) state, pruning a
     prefix when even its best completion (all remaining factors at the next
@@ -140,13 +145,12 @@ def _prefix_search(
     [start, end], found by binary search.  Ties within relative 1e-12 of eps
     count as above.
 
-    Emitted rows come in strictly increasing lexicographic order: prefixes
-    are visited in increasing order and each run ascends.  With `keep`, only
-    the `keep` largest values are returned, descending, ties in that
-    lexicographic order: whenever max(4 * keep, 2**15) or more emitted tuples
-    are pending (one run may overrun that), they are merged into the rows
-    kept so far by one stable sort, so memory follows `keep`, not the number
-    of qualifying tuples.
+    With `keep`, tuples are emitted in strictly increasing lexicographic
+    order: prefixes are visited in increasing order and each run ascends.
+    Whenever max(4 * keep, 2**15) or more emitted tuples are pending (one
+    run may overrun that), they are merged into the rows kept so far by one
+    stable sort, so memory follows `keep`, not the number of qualifying
+    tuples.
     """
     parts = comp.parts
     l = comp.length
@@ -203,9 +207,9 @@ def _prefix_search(
                     hi = mid
             if end >= start:
                 count += end - start + 1
-                if emit:
+                if keep is not None:
                     runs.append((*idx, prefix, start, end))
-                    if block is not None and count >= block:
+                    if count >= block:
                         merge_runs()
                         count = 0
             return
@@ -218,10 +222,8 @@ def _prefix_search(
             rec(depth + 1, i + 1, value)
 
     rec(0, 1, 1.0)
-    if not emit:
-        return count
     if keep is None:
-        return expand_runs()
+        return count
     if runs or kept is None:
         merge_runs()
     return kept
@@ -235,7 +237,7 @@ def hpi_count_above(H: PowerLawSpectrum, composition, eps: float) -> int:
     """
     if not eps > 0:
         raise InvalidInput(f"eps must be positive, got {eps}")
-    return _prefix_search(H, _as_composition(composition), eps, emit=False)
+    return _prefix_search(H, _as_composition(composition), eps)
 
 
 def hpi_top_k(H: PowerLawSpectrum, composition, k: int) -> TopTuples:
@@ -253,6 +255,7 @@ def hpi_top_k(H: PowerLawSpectrum, composition, k: int) -> TopTuples:
     is refused.
     """
     comp = _as_composition(composition)
+    k = _as_index(k, "k")
     if not 1 <= k <= MAX_TOP_K:
         raise InvalidInput(f"k must lie in [1, {MAX_TOP_K}], got {k}")
     l = comp.length
@@ -296,7 +299,7 @@ def hpi_top_k(H: PowerLawSpectrum, composition, k: int) -> TopTuples:
             e0, c0 = points[-2]
             slope = math.log(count / c0) / (math.log(e0) - math.log(eps))
             eps = max(eps * (count / (1.25 * k_eff)) ** (1.0 / slope), lowest)
-        indices, values = _prefix_search(H, comp, eps, emit=True, keep=k_eff)
+        indices, values = _prefix_search(H, comp, eps, keep=k_eff)
         if values.size >= k_eff:
             return TopTuples._from_arrays(indices, values, truncated=k > total)
         points.append((eps, values.size))
@@ -365,8 +368,9 @@ def theory_curve(p: int, alpha: float) -> CountingCurve:
 def predicted_spectrum(curve: CountingCurve, C: float, j_range) -> np.ndarray:
     """Predicted eigenvalues eps_j = C * u_j^(-alpha) with N(u_j) = j.
 
-    `j_range` is an iterable of indices in [1, 1e7] (a `range` is read as one
-    array).  All u_j are solved by one masked regula falsi in log-log to
+    `j_range` is an iterable of integer indices in [1, 1e7] (a `range` is
+    read as one array; integral floats are accepted, any other value is
+    refused).  All u_j are solved by one masked regula falsi in log-log to
     |N(u_j) - j| <= 1e-8 j (closed form for p=1); the output is strictly
     decreasing.  C and alpha must be finite, and an eps_j outside the normal
     float range (below 2.2e-308 or infinite) is refused naming the first j
@@ -381,7 +385,10 @@ def predicted_spectrum(curve: CountingCurve, C: float, j_range) -> np.ndarray:
     if isinstance(j_range, range):
         js = np.arange(j_range.start, j_range.stop, j_range.step, dtype=float)
     else:
-        js = np.fromiter(map(int, j_range), dtype=float)
+        js = np.fromiter(j_range, dtype=float)
+        bad = js[js != np.floor(js)]  # also NaN
+        if bad.size:
+            raise InvalidInput(f"j_range must hold integers, got {float(bad[0])!r}")
     if not js.size:
         return np.empty(0)
     if js.min() < 1 or js.max() > 10**7:

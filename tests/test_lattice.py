@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -637,8 +638,8 @@ def test_invert_increasing_names_a_target_that_never_converges():
 
 @pytest.mark.parametrize("N, a, k", [(1e150, 2.0, 3), (1e300, 1.0, 3)])
 def test_invert_count_equal_where_a_squared_bracket_leaves_float_range(N, a, k):
-    # the seed's bracket ends below the root (X = 1.1e292 and 2.6e295), and
-    # its square passes float range, or the count there does
+    # the roots (X = 1.1e292 and 2.6e295) lie past e^512, the last squared
+    # bracket end below float range, so the upper end is held at the largest float
     X = lattice.invert_count_equal(N, a, k)
     assert abs(lattice.asymptotic_ordered_equal(X, a, k) - N) <= 1e-9 * N
 
@@ -648,8 +649,58 @@ def test_invert_count_equal_validation():
         lattice.invert_count_equal(2.0, 1.0, 2)
 
 
+@pytest.mark.parametrize(
+    "N, a, k",
+    [
+        (1e200, 2.0, 3),  # the root lies past float range
+        (math.inf, 1.0, 2),
+        (math.nan, 1.0, 2),
+        (1e6, 1e-3, 2),  # the count at X = e overflows
+    ],
+)
+def test_invert_count_equal_refuses_without_a_warning(N, a, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput):
+            lattice.invert_count_equal(N, a, k)
+
+
+def _log_count(X, a, k):
+    # log of the equal-exponent asymptotic, finite for every float X > 1
+    log_const = (1 - k) * math.log(a) - math.lgamma(k) - math.lgamma(k + 1)
+    return log_const + math.log(X) / a + (k - 1) * math.log(math.log(X))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.31, 2.0, 5.0])
+@pytest.mark.parametrize("N", [3.5, 10.0, 1e3, 1e6, 1e12, 1e30, 1e100, 1e200, 1e300])
+def test_invert_count_equal_solves_or_refuses(N, a, k, monkeypatch):
+    evaluations = 0
+    solve = lattice._invert_increasing
+
+    def counting(f, *args):
+        def counted(x):
+            nonlocal evaluations
+            evaluations += 1
+            return f(x)
+
+        return solve(counted, *args)
+
+    monkeypatch.setattr(lattice, "_invert_increasing", counting)
+    try:
+        X = lattice.invert_count_equal(N, a, k)
+    except InvalidInput:
+        # only a root below X = e or past the largest float is refused
+        largest = np.finfo(float).max
+        assert _log_count(math.e, a, k) > math.log(N) or _log_count(largest, a, k) < math.log(N)
+        return
+    assert abs(lattice.asymptotic_ordered_equal(X, a, k) - N) <= 1e-9 * N
+    # the chord needs at most 22 evaluations here; midpoint steps would need far more
+    assert evaluations <= 30
+
+
 def _bisected_count_inverse(N, a, k):
-    # the scalar bisection invert_count_equal ran before, from the same bracket
+    # a scalar bisection from a bracket around (N / log(N)^(k-1))^a
     def f(X):
         return lattice.asymptotic_ordered_equal(X, a, k)
 

@@ -52,6 +52,30 @@ def test_spectrum_eigenvalues_must_be_positive_and_finite(alpha, eigenvalues, ba
         PowerLawSpectrum(alpha, 3, eigenvalues)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: lattice.count_ordered(10, (1, 1), bound_v=2.5), "bound_v"),
+        (lambda: lattice.asymptotic_ordered_equal(100.0, 1.0, 2.5), "k"),
+        (lambda: lattice.invert_count_equal(100.0, 1.0, 2.5), "k"),
+        (lambda: population.hpi_top_k(PowerLawSpectrum(1.31, 10), (1, 1), 2.5), "k"),
+        (lambda: PowerLawSpectrum(1.31, 50.5), "v"),
+        (lambda: PowerLawSpectrum(1.31, 50.0), "v"),
+        (lambda: population.predicted_spectrum(population.theory_curve(2, 1.31), 2.0, [1.5, 2.7]), "j_range"),
+        (lambda: population.predicted_spectrum(population.theory_curve(2, 1.31), 2.0, [1, math.nan]), "j_range"),
+    ],
+)
+def test_integer_parameters_refuse_non_integers(call, name):
+    with pytest.raises(InvalidInput, match=f"^{name} must (be an integer|hold integers), got"):
+        call()
+
+
+def test_spectrum_holds_plain_numbers():
+    H = PowerLawSpectrum(np.float64(1.31), np.int64(50))
+    assert type(H.alpha) is float and type(H.v) is int
+    assert repr(H.alpha) == "1.31"
+
+
 def test_spectrum_is_immutable():
     H = PowerLawSpectrum(1.31, 10)
     with pytest.raises(ValueError):
@@ -133,19 +157,16 @@ def test_prefix_search_and_top_k_equal_bruteforce(data):
     for eps in (at, at * (1 + 1e-9), at * (1 - 1e-9)):
         above = sorted(idx for idx, val in value.items() if val >= eps * (1 - 1e-12))
         assert population.hpi_count_above(H, parts, eps) == len(above)
-        indices, values = population._prefix_search(H, Composition(parts), eps, emit=True)
-        assert indices.shape == (len(above), l) and values.shape == (len(above),)
-        rows = list(map(tuple, indices.tolist()))
-        assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly increasing, lexicographic
-        assert rows == above
-        assert values.tolist() == [value[idx] for idx in above]  # bit-equal
-        # with `keep`, merged in blocks of 4 * keep: the keep largest, ties lexicographic
-        keep = data.draw(st.integers(min_value=1, max_value=len(above) + 2))
-        with mock.patch.object(population, "_MIN_BLOCK", 1):
-            indices, values = population._prefix_search(H, Composition(parts), eps, emit=True, keep=keep)
-        want = sorted(above, key=lambda idx: (-value[idx], idx))[:keep]
-        assert list(map(tuple, indices.tolist())) == want
-        assert values.tolist() == [value[idx] for idx in want]
+        # merged in blocks of 4 * keep: the keep largest, ties lexicographic; keep =
+        # len(above) returns every qualifying tuple
+        ranked = sorted(above, key=lambda idx: (-value[idx], idx))
+        for keep in (len(above), data.draw(st.integers(min_value=1, max_value=len(above) + 2))):
+            with mock.patch.object(population, "_MIN_BLOCK", 1):
+                indices, values = population._prefix_search(H, Composition(parts), eps, keep=keep)
+            want = ranked[:keep]
+            assert indices.shape == (len(want), l) and values.shape == (len(want),)
+            assert list(map(tuple, indices.tolist())) == want
+            assert values.tolist() == [value[idx] for idx in want]  # bit-equal
     k = data.draw(st.integers(min_value=1, max_value=len(value) + 3))
     top = population.hpi_top_k(H, parts, k)
     want = brute_top_k(H, parts, k)
@@ -205,10 +226,10 @@ def passes(monkeypatch):
         seen.append(("count", eps, count_above(H, comp, eps)))
         return seen[-1][2]
 
-    def searching(H, comp, eps, emit, keep=None):
-        if emit:
-            seen.append(("emit", eps, search(H, comp, eps, emit=False)))
-        return search(H, comp, eps, emit, keep)
+    def searching(H, comp, eps, keep=None):
+        if keep is not None:
+            seen.append(("emit", eps, search(H, comp, eps)))
+        return search(H, comp, eps, keep)
 
     monkeypatch.setattr(population, "hpi_count_above", counting)
     monkeypatch.setattr(population, "_prefix_search", searching)
@@ -546,6 +567,9 @@ def test_predicted_spectrum_validation():
     with pytest.raises(ValueError):
         population.predicted_spectrum(curve, 1.0, [0, 1])
     assert population.predicted_spectrum(curve, 1.0, []).size == 0
+    # integral floats are indices too
+    want = population.predicted_spectrum(curve, 1.0, range(1, 4))
+    assert np.array_equal(population.predicted_spectrum(curve, 1.0, [1.0, 2.0, 3.0]), want)
 
 
 def test_theory_curves_need_finite_alpha_and_C():
