@@ -294,8 +294,8 @@ def cmd_spectrum(args) -> int:
     if args.spectrum_cmd == "exact":
         if act is not None and act.kind != "monomial":
             problems.append("the exact population route supports monomial activations")
-        if p is not None and p > simulate.MAX_EXACT_DEGREE:
-            problems.append(f"exact route supports p <= {simulate.MAX_EXACT_DEGREE}, got {p}")
+        elif act is not None and act.param > simulate.MAX_EXACT_DEGREE:
+            problems.append(f"exact route supports p <= {simulate.MAX_EXACT_DEGREE}, got {act.param}")
         if d > simulate.MAX_EXACT_DIM:
             problems.append(f"exact route supports d <= {simulate.MAX_EXACT_DIM}, got {d}")
     try:

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _as_index
 
 __all__ = [
     "Composition",
@@ -50,7 +50,8 @@ HERMITE_DEGREE_CAP = 64
 
 
 def double_factorial(n: int) -> int:
-    """n!! with the convention (-1)!! = 0!! = 1."""
+    """n!! with the convention (-1)!! = 0!! = 1; n must be an integer."""
+    n = _as_index(n, "n")
     if n < -1:
         raise InvalidInput(f"double factorial undefined for n={n}")
     out = 1
@@ -62,7 +63,7 @@ def double_factorial(n: int) -> int:
 
 @dataclass(frozen=True)
 class Composition:
-    """Ordered tuple of positive integer parts; position matters.
+    """Ordered tuple of positive integer parts (a float part is refused); position matters.
 
     A composition of q = sum(parts).  Distinct orderings of the same multiset
     are distinct compositions (never collapsed to partitions).
@@ -71,7 +72,7 @@ class Composition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(_as_index(p, f"parts[{t}]") for t, p in enumerate(self.parts))
         if not parts:
             raise InvalidInput("composition needs at least one part")
         if any(p < 1 for p in parts):
@@ -96,8 +97,9 @@ def _as_composition(composition) -> Composition:
 def compositions(q: int) -> list[Composition]:
     """All 2^(q-1) compositions of q, in descending-first-part order.
 
-    q=3 yields (3), (2,1), (1,2), (1,1,1).
+    q=3 yields (3), (2,1), (1,2), (1,1,1).  q must be an integer.
     """
+    q = _as_index(q, "q")
     if q < 1:
         raise InvalidInput(f"q must be a positive integer, got {q}")
     if q > 24:
@@ -121,12 +123,13 @@ def compositions(q: int) -> list[Composition]:
 
 @dataclass(frozen=True)
 class Pairing:
-    """Perfect matching of {1, ..., 2p} into p unordered pairs."""
+    """Perfect matching of {1, ..., 2p} into p unordered pairs; the degree p is an integer."""
 
     pairs: tuple[tuple[int, int], ...]
     degree: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "degree", _as_index(self.degree, "degree"))
         pairs = tuple(tuple(sorted(pr)) for pr in self.pairs)
         pairs = tuple(sorted(pairs))
         seen: set[int] = set()
@@ -160,8 +163,9 @@ def _iter_matchings(vertices: tuple[int, ...]) -> Iterator[tuple[tuple[int, int]
 def iter_pairings(p: int) -> Iterator[Pairing]:
     """Stream the (2p-1)!! perfect matchings of {1..2p} in deterministic order.
 
-    `p` is checked at the call, before the first matching is made.
+    `p`, an integer, is checked at the call, before the first matching is made.
     """
+    p = _as_index(p, "p")
     if p < 1:
         raise InvalidInput(f"p must be >= 1, got {p}")
     if p > ENUMERATION_CAP:
@@ -188,7 +192,9 @@ def pairing_class_counts(p: int) -> PairingClassTable:
     """Closed-form matching class counts C(p,q)^2 q! ((p-q-1)!!)^2.
 
     counts[q] > 0 only for q = p, p-2, p-4, ...; the table sums to (2p-1)!!.
+    p must be an integer.
     """
+    p = _as_index(p, "p")
     if p < 1:
         raise InvalidInput(f"p must be >= 1, got {p}")
     counts: dict[int, int] = {}
@@ -201,7 +207,8 @@ def kernel_pair_value(y_i: Sequence[float], y_j: Sequence[float], p: int) -> flo
     """Exact population kernel entry E_z[(y_i'z)^p (y_j'z)^p], z ~ N(0, I).
 
     Evaluates sum_q counts[q] * (<y_i,y_i><y_j,y_j>)^((p-q)/2) * <y_i,y_j>^q
-    using the matching class counts; no Monte Carlo error.
+    using the matching class counts; no Monte Carlo error.  p must be an
+    integer.
     """
     yi = np.asarray(y_i, dtype=float)
     yj = np.asarray(y_j, dtype=float)
@@ -283,7 +290,9 @@ def monomial_hermite_coefficients(p: int) -> HermiteExpansion:
 
     c_k = p! / (k! * 2^((p-k)/2) * ((p-k)/2)!) for k = p, p-2, ..., always an
     integer (it counts partial matchings of p points leaving k unpaired).
+    p must be an integer.
     """
+    p = _as_index(p, "p")
     if p < 1:
         raise InvalidInput(f"p must be >= 1, got {p}")
     coeffs: dict[int, int] = {}
@@ -297,8 +306,9 @@ def hermite_value(k: int, y):
     """Probabilists' Hermite polynomial He_k(y) by the three-term recurrence.
 
     He_0 = 1, He_1 = y, He_{n+1} = y He_n - n He_{n-1}.  Accepts scalars or
-    numpy arrays (applied elementwise).
+    numpy arrays (applied elementwise); k must be an integer.
     """
+    k = _as_index(k, "k")
     if not 0 <= k <= HERMITE_DEGREE_CAP:
         raise InvalidInput(f"k must lie in [0, {HERMITE_DEGREE_CAP}], got {k}")
     arr = np.asarray(y, dtype=float)
@@ -315,11 +325,11 @@ def feynman_count(composition, eta: Sequence[int]) -> int:
     """Number of diagrams pairing 2*eta_j of the pi_j same-label copies at slot j.
 
     Equals prod_j C(pi_j, 2 eta_j) (2 eta_j - 1)!!; pairs across slots carry
-    independent labels and contribute nothing.  `eta` needs one entry per
-    slot, each with 0 <= 2 eta_j <= pi_j.
+    independent labels and contribute nothing.  `eta` needs one integer
+    entry per slot, each with 0 <= 2 eta_j <= pi_j.
     """
     comp = _as_composition(composition)
-    etas = tuple(int(e) for e in eta)
+    etas = tuple(_as_index(e, f"eta[{j}]") for j, e in enumerate(eta))
     if len(etas) != comp.length:
         raise InvalidInput(f"eta length {len(etas)} != composition length {comp.length}")
     out = 1

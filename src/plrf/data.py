@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _as_index
 from .records import RunSummary, SpectrumEstimate
 from .spectral import SlopeFit
 
@@ -66,8 +66,9 @@ def read_cifar10(paths: Sequence, limit: int | None = None) -> np.ndarray:
 
     Each record is one label byte (discarded) followed by 3072 pixel bytes;
     values map through byte/127.5 - 1.  Row order follows the files in the
-    order given.
+    order given.  A `limit`, the most rows read, must be an integer.
     """
+    limit = None if limit is None else _as_index(limit, "limit")
     if isinstance(paths, (str, Path)):
         paths = [paths]
     if not paths:

@@ -15,7 +15,11 @@ class InvalidInput(ValueError):
 
 
 def _as_index(value, name: str) -> int:
-    """`value` as a plain int by `operator.index`; a non-integer is refused naming `name`."""
+    """`value` as a plain int by `operator.index`; a non-integer is refused naming `name`.
+
+    The library reads every integer parameter through this one call, so
+    numpy integers are accepted and a float, integral or not, is refused.
+    """
     try:
         return operator.index(value)
     except TypeError:

@@ -647,14 +647,23 @@ def ordered_shape(exponents) -> OrderedShape:
 
 
 def _ordered_equal_constant(pi_common: float, k: int) -> tuple[float, float]:
-    """The exponent a and the constant a^(1-k) / (Gamma(k) Gamma(k+1)), checked."""
+    """The exponent a and the constant a^(1-k) / (Gamma(k) Gamma(k+1)), checked.
+
+    A constant past float range (a tiny exponent at k >= 2) is refused.
+    """
     k = _as_index(k, "k")
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
     a = float(pi_common)
     if not (a > 0 and math.isfinite(a)):
         raise InvalidInput(f"exponent must be positive and finite, got {a}")
-    return a, a ** (1.0 - k) / math.exp(math.lgamma(k) + math.lgamma(k + 1))
+    try:
+        scale = a ** (1.0 - k)
+    except OverflowError:
+        raise InvalidInput(
+            f"the constant a^(1-k) at exponent {a!r} and k = {k} exceeds float range"
+        ) from None
+    return a, scale / math.exp(math.lgamma(k) + math.lgamma(k + 1))
 
 
 def asymptotic_ordered_equal(X: float, pi_common: float, k: int) -> float:

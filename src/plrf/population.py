@@ -306,7 +306,8 @@ def hpi_top_k(H: PowerLawSpectrum, composition, k: int) -> TopTuples:
 
 
 def envelope(j: int, alpha: float, p: int) -> float:
-    """Eigenvalue envelope (log^(p-1)(j+1) / j)^alpha."""
+    """Eigenvalue envelope (log^(p-1)(j+1) / j)^alpha; j and p must be integers."""
+    j, p = _as_index(j, "j"), _as_index(p, "p")
     if j < 1:
         raise InvalidInput(f"index j must be >= 1, got {j}")
     return float((math.log(j + 1.0) ** (p - 1) / j) ** alpha)
@@ -345,8 +346,10 @@ def theory_curve(p: int, alpha: float) -> CountingCurve:
     p=1: N(u) = u.  p=2: N(u) = u log(u) / 2 with no linear correction.
     p=3: N(u) = u log^2(u) / 12 + b u with b = zeta(2)/2^(1/alpha) + 4^(-1/alpha);
     the diagonal O(u^(1/3)) term is recorded with kind "diagonal" and dropped.
-    Like PowerLawSpectrum, the curves assume alpha > 1; alpha must be finite.
+    Like PowerLawSpectrum, the curves assume alpha > 1; alpha must be finite
+    and p an integer.
     """
+    p = _as_index(p, "p")
     if not alpha > 1.0:
         raise InvalidInput(f"alpha > 1 required, got {alpha}")
     if not math.isfinite(alpha):

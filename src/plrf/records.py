@@ -7,7 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _as_index
 from .spectral import SlopeFit
 
 __all__ = ["SpectrumEstimate", "RunSummary"]
@@ -15,7 +15,10 @@ __all__ = ["SpectrumEstimate", "RunSummary"]
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """A descending eigenvalue vector plus the provenance that produced it."""
+    """A descending eigenvalue vector plus the provenance that produced it.
+
+    `dims`, `samples` and `seed` must be integers.
+    """
 
     eigenvalues: np.ndarray
     dims: tuple[int, ...]
@@ -30,7 +33,9 @@ class SpectrumEstimate:
             raise InvalidInput(f"eigenvalues must be a vector, got shape {eig.shape}")
         eig.flags.writeable = False
         object.__setattr__(self, "eigenvalues", eig)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(_as_index(d, f"dims[{t}]") for t, d in enumerate(self.dims)))
+        for name in ("samples", "seed"):
+            object.__setattr__(self, name, _as_index(getattr(self, name), name))
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import operator
 import os
 import threading
 from collections import deque
@@ -80,7 +79,7 @@ from .combinatorics import (
     pairing_class_counts,
     wick_product_value,
 )
-from .errors import InvalidInput
+from .errors import InvalidInput, _as_index
 from .population import PowerLawSpectrum
 from .records import SpectrumEstimate
 from .spectral import MAX_EIG_DIM, SlopeFit, clamped_slope_fit, gram_spectrum, sym_eigenvalues
@@ -162,10 +161,14 @@ def _int_power(
 
 
 def _stream(seed: int, purpose: int, *key: int) -> np.random.Generator:
-    """The generator of (seed, purpose, *key), seeded through SeedSequence."""
+    """The generator of (seed, purpose, *key), seeded through SeedSequence.
+
+    Every seed of the library is read here: it must be an integer >= 0.
+    """
+    seed = _as_index(seed, "seed")
     if seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(purpose), *map(int, key)))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(purpose, *key))
     # data draws are the hot stage of Monte Carlo and need no counter-based jumps,
     # so they take the faster SFC64; the other purposes keep Philox and their bits
     bit_generator = np.random.SFC64 if purpose == _DATA else np.random.Philox
@@ -177,6 +180,7 @@ class Activation:
     """Entrywise activation: monomial(p), relu, tanh, heaviside, gauss_bump, hermite(k).
 
     monomial(p) is computed by multiplication (`_int_power`), not libm `pow`.
+    The degree must be an integer.
     """
 
     kind: str
@@ -189,7 +193,7 @@ class Activation:
         if self.kind in self._PARAMETRIC:
             if self.param is None:
                 raise InvalidInput(f"activation {self.kind!r} needs a degree parameter")
-            p = int(self.param)
+            p = _as_index(self.param, f"{self.kind} degree")
             if self.kind == "monomial" and p < 1:
                 raise InvalidInput(f"monomial degree must be >= 1, got {p}")
             if self.kind == "hermite" and not 0 <= p <= HERMITE_DEGREE_CAP:
@@ -305,7 +309,7 @@ class DataDistribution:
 
 @dataclass(frozen=True)
 class RFConfig:
-    """One random-feature covariance experiment."""
+    """One random-feature covariance experiment; v, d, m and seed must be integers."""
 
     v: int
     d: int
@@ -319,7 +323,7 @@ class RFConfig:
     def __post_init__(self) -> None:
         # plain Python numbers, so meta and reprs do not depend on the numpy version
         for name in ("v", "d", "m", "seed"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, _as_index(getattr(self, name), name))
         object.__setattr__(self, "alpha", float(self.alpha))
         if self.d < 1 or self.v < self.d:
             raise InvalidInput(f"need v >= d >= 1, got v={self.v}, d={self.d}")
@@ -336,13 +340,14 @@ class RFConfig:
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One network layer: width, activation, optional per-sample normalization."""
+    """One network layer: integer width, activation, optional per-sample normalization."""
 
     width: int
     activation: Activation
     normalization: str = "none"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "width", _as_index(self.width, "width"))
         if not 1 <= self.width <= MAX_LAYER_WIDTH:
             raise InvalidInput(f"width must lie in [1, {MAX_LAYER_WIDTH}], got {self.width}")
         if self.normalization not in ("none", "rmsnorm", "layernorm"):
@@ -350,7 +355,8 @@ class LayerSpec:
 
 
 def sample_sketch(v: int, d: int, seed: int) -> np.ndarray:
-    """v x d matrix of iid N(0,1) entries, bit-reproducible for a fixed seed."""
+    """v x d matrix of iid N(0,1) entries, bit-reproducible for a fixed seed (all three integers)."""
+    v, d = _as_index(v, "v"), _as_index(d, "d")
     if v < 1 or d < 1:
         raise InvalidInput(f"dimensions must be positive, got {v} x {d}")
     if v * d > MAX_SKETCH_ENTRIES:
@@ -438,9 +444,10 @@ def mc_worker_count(m: int, v: int, d: int, threads: int | None = None) -> int:
     `_WORKER_ENTRY_CAP` entries when each holds a block's draw and
     features (`_block_rows(v, d)` x (v + d)) and a d x d partial, as on the
     blockwise route; at least one.  The same holding sizes the blocks.
+    All four must be integers.
     """
-    if threads is None:
-        threads = _usable_cpu_count()
+    m, v, d = _as_index(m, "m"), _as_index(v, "v"), _as_index(d, "d")
+    threads = _usable_cpu_count() if threads is None else _as_index(threads, "threads")
     if threads < 1:
         raise InvalidInput(f"need threads >= 1, got {threads}")
     rows = _block_rows(v, d)
@@ -663,7 +670,8 @@ def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate
     process, an eigensolve may overlap another run's one-thread BLAS pin,
     and then agrees with a lone run's to round-off.
     min(m, d) past the eigensolver's cap is refused before sampling.  The
-    plan that ran is in `meta`: its `workers` and `block_rows`.
+    plan that ran is in `meta`: its `workers` and `block_rows`.  `threads`,
+    when given, must be an integer.
     """
     size = min(cfg.m, cfg.d)
     if size > MAX_EIG_DIM:
@@ -711,7 +719,8 @@ def mc_covariance_matrix(cfg: RFConfig, threads: int | None = None) -> np.ndarra
     LeVeque), as one product per batch of up to `_block_rows(v, d)` blocks;
     so no large uncentered moments cancel.  The exactly symmetric sum is
     scaled in place, so after sampling one d x d array is alive, two when
-    centered (the last batch's scatter).
+    centered (the last batch's scatter).  `threads`, when given, must be an
+    integer.
     """
 
     def moments(F: np.ndarray, partial: np.ndarray):
@@ -756,8 +765,10 @@ def exact_population_covariance(W, H: PowerLawSpectrum, p: int) -> np.ndarray:
     Gram matrix in blocks of about `_KERNEL_BLOCK` entries (whole rows), and
     every term is built in block-sized scratch.  Beyond the caller's W the
     peak is two large arrays: the scaled sketch and the Gram matrix during
-    the product, which becomes K, exactly symmetric as G is.
+    the product, which becomes K, exactly symmetric as G is.  p must be an
+    integer.
     """
+    p = _as_index(p, "p")
     Wm = np.asarray(W, dtype=float)
     if Wm.ndim != 2:
         raise InvalidInput(f"sketch must be 2-D, got shape {Wm.shape}")
@@ -803,8 +814,9 @@ def iterated_sketch(H: PowerLawSpectrum, dims: Sequence[int], seed: int) -> list
     W_t' M_t W_t = (Q'W_t)' diag(lam) (Q'W_t), and Q'W_t is again an iid N(0,1)
     matrix independent of Q, so the joint law of all stage spectra is that of
     the matrix-level chain (the draws themselves are a different realization).
+    The dims and the seed must be integers.
     """
-    dims = [int(d) for d in dims]
+    dims = [_as_index(d, f"dims[{t}]") for t, d in enumerate(dims)]
     if not dims:
         raise InvalidInput("need at least one sketch dimension")
     if dims[0] > H.v:
@@ -881,7 +893,8 @@ def propagate_layers(
     arrays are alive: the caller's X, the current activations, and one of
     the previous layer's activations (during the product), the
     normalization's row statistics temporary, or the centered copy.  W_t
-    and the Gram matrix of `gram_spectrum` come on top.
+    and the Gram matrix of `gram_spectrum` come on top.  The seed and the
+    fit range must be integers.
     """
     cur = np.asarray(X, dtype=float)
     if cur.ndim != 2 or cur.shape[0] < 1:
@@ -922,8 +935,9 @@ def head_concentration(v: int, d: int, k_star: int, seed: int) -> float:
     the first k_star rows of `sample_sketch(v, d, seed)`, and returns the
     largest absolute eigenvalue of the deviation; a diagnostic for how well
     the leading block of the sketch concentrates (values below 1/2 mean the
-    head spectrum transfers two-sidedly).
+    head spectrum transfers two-sidedly).  All four arguments must be integers.
     """
+    v, k_star = _as_index(v, "v"), _as_index(k_star, "k_star")
     if not 1 <= k_star <= min(v, MAX_EIG_DIM):  # refused before a k_star x k_star matrix is formed
         raise InvalidInput(f"k_star must lie in [1, {min(v, MAX_EIG_DIM)}], got {k_star}")
     W0 = sample_sketch(k_star, d, seed)  # the sketch's leading rows: one stream, drawn row-major
@@ -945,7 +959,9 @@ def wick_empirical_moments(composition, m: int, seed: int) -> WickMoments:
     Returns the sample mean and variance of :g_1^{a_1} ... g_l^{a_l}: over m
     draws (targets: 0 and a_1! ... a_l!), plus the absolute correlation
     against the same product on a shifted coordinate tuple (target: 0).
+    m and the seed must be integers.
     """
+    m = _as_index(m, "m")
     if m < 10**4:
         raise InvalidInput(f"need m >= 1e4 draws, got {m}")
     comp = _as_composition(composition)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _as_index
 
 __all__ = [
     "SlopeFit",
@@ -83,8 +83,9 @@ def slope_fit(eigs, j_min: int = 1, j_max: int = 100) -> SlopeFit:
 
     Fits log(lambda_j) = slope * log(j) + intercept over j in [j_min, j_max],
     dropping non-positive (and sub-1e-300) eigenvalues; needs at least 10
-    usable points.
+    usable points.  j_min and j_max must be integers.
     """
+    j_min, j_max = _as_index(j_min, "j_min"), _as_index(j_max, "j_max")
     lam = np.asarray(eigs, dtype=float)
     if lam.ndim != 1:
         raise InvalidInput(f"expected a vector, got shape {lam.shape}")
@@ -113,7 +114,9 @@ def clamped_slope_fit(eigs, j_min: int, j_max: int, owner: str = "the spectrum's
 
     A range that starts past the spectrum, or a fit the clamp leaves short,
     raises InvalidInput naming the requested range, the clamp and the size.
+    j_min and j_max must be integers.
     """
+    j_min, j_max = _as_index(j_min, "j_min"), _as_index(j_max, "j_max")
     size = np.asarray(eigs).size
     if j_min > size:
         raise InvalidInput(f"fit range {j_min}..{j_max} starts past {owner} {size} eigenvalues")

@@ -421,6 +421,7 @@ def test_spectrum_mc_past_the_eigensolver_cap_fails_before_sampling(capsys, monk
 @pytest.mark.parametrize("flags, problem", [
     (["--act", "tanh"], "the exact population route supports monomial activations"),
     (["--p", "7"], f"exact route supports p <= {simulate.MAX_EXACT_DEGREE}, got 7"),
+    (["--act", "monomial:9"], f"exact route supports p <= {simulate.MAX_EXACT_DEGREE}, got 9"),
 ])
 def test_spectrum_exact_unsupported_activation_fails_before_sampling(capsys, monkeypatch, flags, problem):
     def fail(*args, **kwargs):

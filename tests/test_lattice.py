@@ -568,6 +568,8 @@ def test_asymptotics_need_a_finite_X(X):
     lambda: lattice.asymptotic_unordered(1e308, (0.01, 1)),  # X^(1/a) raises OverflowError
     lambda: lattice.asymptotic_unordered(1e308, (1, 1)),  # the product rounds to inf
     lambda: lattice.asymptotic_ordered_equal(1e308, 1.0, 3),
+    lambda: lattice.asymptotic_ordered_equal(100.0, 1e-300, 4),  # the constant a^(1-k) overflows
+    lambda: lattice.invert_count_equal(1e6, 1e-120, 4),
 ])
 def test_asymptotics_refuse_float_overflow(call):
     with pytest.raises(InvalidInput, match="exceeds float range"):

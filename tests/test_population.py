@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _traced_peak, golden_build_only
-from plrf import InvalidInput, lattice, population
+from plrf import InvalidInput, combinatorics, data, lattice, population, records, simulate, spectral
 from plrf.combinatorics import Composition, compositions
 from plrf.population import PowerLawSpectrum, TopTuples, TupleEigenvalue
 from plrf.selfcheck import _brute_top_k as brute_top_k
@@ -52,22 +53,69 @@ def test_spectrum_eigenvalues_must_be_positive_and_finite(alpha, eigenvalues, ba
         PowerLawSpectrum(alpha, 3, eigenvalues)
 
 
+def _layers(n):
+    X = np.random.default_rng(0).standard_normal((20, 12))
+    return simulate.propagate_layers(X, [simulate.LayerSpec(12, simulate.Activation("tanh"))], n, (1, 10))
+
+
+# each call passes n to one integer parameter of a library entry point
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda: lattice.count_ordered(10, (1, 1), bound_v=2.5), "bound_v"),
-        (lambda: lattice.asymptotic_ordered_equal(100.0, 1.0, 2.5), "k"),
-        (lambda: lattice.invert_count_equal(100.0, 1.0, 2.5), "k"),
-        (lambda: population.hpi_top_k(PowerLawSpectrum(1.31, 10), (1, 1), 2.5), "k"),
-        (lambda: PowerLawSpectrum(1.31, 50.5), "v"),
-        (lambda: PowerLawSpectrum(1.31, 50.0), "v"),
-        (lambda: population.predicted_spectrum(population.theory_curve(2, 1.31), 2.0, [1.5, 2.7]), "j_range"),
-        (lambda: population.predicted_spectrum(population.theory_curve(2, 1.31), 2.0, [1, math.nan]), "j_range"),
+        (lambda n: lattice.count_ordered(10, (1, 1), bound_v=n), "bound_v"),
+        (lambda n: lattice.asymptotic_ordered_equal(100.0, 1.0, n), "k"),
+        (lambda n: lattice.invert_count_equal(100.0, 1.0, n), "k"),
+        (lambda n: population.hpi_top_k(PowerLawSpectrum(1.31, 10), (1, 1), n), "k"),
+        (lambda n: PowerLawSpectrum(1.31, n), "v"),
+        (lambda n: PowerLawSpectrum(1.31, n // 1), "v"),  # 3.5 // 1 is the integral float 3.0
+        (lambda n: population.predicted_spectrum(population.theory_curve(2, 1.31), 2.0, [1, n]), "j_range"),
+        # NaN where the other calls pass 3.5
+        (lambda n: population.predicted_spectrum(population.theory_curve(2, 1.31), 2.0,
+                                                 [1, math.nan if n % 1 else n]), "j_range"),
+        (lambda n: population.hpi_top_k(PowerLawSpectrum(1.31, 10), (n, 1), 5), "parts[0]"),
+        (lambda n: population.envelope(n, 1.31, 2), "j"),
+        (lambda n: population.envelope(2, 1.31, n), "p"),
+        (lambda n: population.theory_curve(n, 1.31), "p"),
+        (lambda n: simulate.Activation("hermite", n), "hermite degree"),
+        (lambda n: simulate.Activation("monomial", n), "monomial degree"),
+        (lambda n: simulate.RFConfig(v=200 + n, d=5, m=1000, alpha=1.31,
+                                     activation=simulate.Activation("monomial", 2)), "v"),
+        (lambda n: simulate.LayerSpec(n, simulate.Activation("tanh")), "width"),
+        (lambda n: simulate.sample_sketch(n, 2, 0), "v"),
+        (lambda n: simulate.sample_sketch(4, 2, n), "seed"),
+        (lambda n: simulate.mc_worker_count(1000, 20, 5, n), "threads"),
+        (lambda n: simulate.mc_covariance(simulate.RFConfig(v=20, d=5, m=1000, alpha=1.31,
+                                                            activation=simulate.Activation("monomial", 2)),
+                                          threads=n), "threads"),
+        (lambda n: simulate.exact_population_covariance(simulate.sample_sketch(10, 4, 0),
+                                                        PowerLawSpectrum(1.31, 10), n), "p"),
+        (lambda n: simulate.iterated_sketch(PowerLawSpectrum(1.31, 10), [n], 0), "dims[0]"),
+        (lambda n: simulate.iterated_sketch(PowerLawSpectrum(1.31, 10), [3], n), "seed"),
+        (_layers, "seed"),
+        (lambda n: simulate.head_concentration(10, 4, n, 0), "k_star"),
+        (lambda n: simulate.head_concentration(10, 4, 2, n), "seed"),
+        (lambda n: simulate.wick_empirical_moments((1,), n * 10**4, 0), "m"),
+        (lambda n: simulate.wick_empirical_moments((1,), 10**4, n), "seed"),
+        (lambda n: combinatorics.double_factorial(n), "n"),
+        (lambda n: combinatorics.compositions(n), "q"),
+        (lambda n: combinatorics.pairing_class_counts(n), "p"),
+        (lambda n: list(combinatorics.iter_pairings(n)), "p"),
+        (lambda n: combinatorics.monomial_hermite_coefficients(n), "p"),
+        (lambda n: combinatorics.hermite_value(n, 0.5), "k"),
+        (lambda n: combinatorics.feynman_count((8, 2), (n, 1)), "eta[0]"),
+        (lambda n: spectral.slope_fit(np.arange(1, 31.0) ** -1.0, n, 20), "j_min"),
+        (lambda n: records.SpectrumEstimate(np.ones(2), (n,), 0, "", 0), "dims[0]"),
+        (lambda n: records.SpectrumEstimate(np.ones(2), (2,), n, "", 0), "samples"),
+        (lambda n: records.SpectrumEstimate(np.ones(2), (2,), 0, "", n), "seed"),
+        (lambda n: data.read_cifar10(["batch.bin"], limit=n), "limit"),
     ],
 )
-def test_integer_parameters_refuse_non_integers(call, name):
-    with pytest.raises(InvalidInput, match=f"^{name} must (be an integer|hold integers), got"):
-        call()
+def test_integer_parameters_refuse_non_integers(call, name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "batch.bin").write_bytes(bytes(3 * data.CIFAR_RECORD_BYTES))  # for read_cifar10
+    call(np.int64(3))  # numpy integers are accepted
+    with pytest.raises(InvalidInput, match=f"^{re.escape(name)} must (be an integer|hold integers), got"):
+        call(3.5)
 
 
 def test_spectrum_holds_plain_numbers():
@@ -682,7 +730,9 @@ def test_predicted_spectrum_bits_pinned(p, alpha):
 def test_predicted_spectrum_evaluates_the_curve_at_most_16_times(monkeypatch, p, alpha, j_max):
     # 12 evaluations at j_max = 3000 and 13 at 1e6 (the bisection took 37-45);
     # a solver that falls back to halving every step needs more than 16.
-    # Every evaluation covers all targets: the arrays keep their size
+    # Every evaluation covers all targets: the arrays keep their size.  The
+    # values fall strictly, and every u_j meets the documented residual (plus
+    # the round-off of eps -> u), for up to a million targets in one solve
     sizes = []
     evaluate = population.CountingCurve.evaluate
 
@@ -692,8 +742,12 @@ def test_predicted_spectrum_evaluates_the_curve_at_most_16_times(monkeypatch, p,
 
     monkeypatch.setattr(population.CountingCurve, "evaluate", counted)
     curve = population.theory_curve(p, alpha)
-    population.predicted_spectrum(curve, curve.scale, range(1, j_max + 1))
+    eps = population.predicted_spectrum(curve, curve.scale, range(1, j_max + 1))
     assert len(sizes) <= 16 and set(sizes) == {j_max}
+    assert np.all(np.diff(eps) < 0)
+    j = np.arange(1, j_max + 1, dtype=float)
+    u = (eps / curve.scale) ** (-1.0 / alpha)
+    assert np.all(np.abs(evaluate(curve, u) - j) <= 1e-8 * (1.0 + 1e-6) * j)
 
 
 @settings(deadline=None, max_examples=60)

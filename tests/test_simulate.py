@@ -584,14 +584,15 @@ def test_mc_covariance_matrix_workers_hold_one_v_wide_array_each():
 def test_mc_covariance_dense_route_keeps_no_block_by_d_copy(threads, p):
     # m < d over three blocks takes the feature matrix: features go straight
     # into their rows of it, so the peak is that matrix, one 512 x 2000 block
-    # draw per worker and the sketch, plus 1 MB slack; a kept block x d copy
-    # would add 6 MB
+    # draw per worker, the sketch and one 512 x 1500 boolean mask per worker
+    # (the finiteness check of a block's features, which two workers may hold
+    # at once), plus 1 MB slack; a kept block x d copy would add 6 MB
     cfg = RFConfig(v=2000, d=1500, m=1200, alpha=1.31, activation=Activation("monomial", p), seed=2)
     assert cfg.m < cfg.d and cfg.m > simulate._block_rows(cfg.v, cfg.d)
     simulate.mc_covariance(cfg, threads=threads)  # first-call imports (numpy.random) outside the trace
     peak = _traced_peak(lambda: simulate.mc_covariance(cfg, threads=threads))
     rows = simulate._block_rows(cfg.v, cfg.d)
-    bound = 8 * (cfg.m * cfg.d + threads * rows * cfg.v + cfg.v * cfg.d) + 1_000_000
+    bound = 8 * (cfg.m * cfg.d + threads * rows * cfg.v + cfg.v * cfg.d) + threads * rows * cfg.d + 1_000_000
     assert peak < bound, (peak, bound)
 
 
