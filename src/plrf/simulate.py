@@ -5,7 +5,12 @@ activations, the exact population kernel (no Monte Carlo error), iterated
 population sketches, multi-layer propagation with per-layer slope fits, and
 concentration/orthogonality diagnostics.  Monte Carlo features act(W'x) use
 W'x = (H^(1/2) W)'u: the sketch carries H^(1/2), so a sample block is one
-draw of u, one product and one activation.
+draw of u, one product and one activation.  For Gaussian u, W'x is
+N(0, R'R) with R the d x d triangular factor of the QR of H^(1/2) W, so a
+Gaussian run whose product work that saves exceeds the QR's,
+m (v - d) > v d - d^2 / 3 (`_gaussian_factor`), takes R once and draws each
+block d wide: m d draws and 2 m d^2 product flops in place of m v and
+2 m v d.  Other runs, and every other law, draw v wide.
 
 Monte Carlo samples are planned in blocks of `_block_rows(v, d)` rows (the
 last one short): `_BLOCK` = 4096 split into the fewest near-equal parts
@@ -24,19 +29,20 @@ trick's; every other run sums the blocks' d x d partials F'F, each taken on
 its worker, in block order.
 
 Each worker owns one scratch slot per run, allocated once on the calling
-thread and sized to the run: a min(m, rows) x v draw buffer, reused as the
-monomial activation's temporary once the product is taken, and on the
-blockwise route min(m, rows) x d features and a d x d partial.  Block b
-takes slot b mod workers.  So a block allocates nothing block-sized on its
-worker, where freed memory would stay in the thread's malloc arena (external
-rows need no draw buffer, and their activation takes a fresh temporary).
+thread and sized to the run: a min(m, rows) x v draw buffer (x d on the
+Gaussian factor route), reused as the monomial activation's temporary once
+the product is taken, and on the blockwise route min(m, rows) x d features
+and a d x d partial.  Block b takes slot b mod workers.  So a block
+allocates nothing block-sized on its worker, where freed memory would stay
+in the thread's malloc arena (external rows need no draw buffer, and their
+activation takes a fresh temporary).
 
 The pool owns the sampling stage's cpu budget: while the blocks of a run
 that could have two workers are mapped, at any `threads`, numpy's OpenBLAS
 is held at one thread (`_BlasBudget`), so `threads` workers use `threads`
-cpus and block products round the same whatever the caller's BLAS thread
-setting.  A run that never has more than one worker (one block, or the
-worker cap) keeps the caller's setting.  The caller's setting is restored
+cpus and the factor R and the block products round the same whatever the
+caller's BLAS thread setting.  A run that never has more than one worker
+(one block, or the worker cap) keeps the caller's setting.  The caller's setting is restored
 once the last concurrent run leaves, and the final eigensolve runs under
 it.  The setting is process-wide: while a run samples, every BLAS call in
 the process runs on one thread, so a concurrent run's eigensolve may round
@@ -455,22 +461,37 @@ def mc_worker_count(m: int, v: int, d: int, threads: int | None = None) -> int:
     return max(1, min(threads, -(-m // rows), _WORKER_ENTRY_CAP // held))
 
 
+def _gaussian_factor(v: int, d: int, m: int) -> bool:
+    """Whether a Gaussian run of m samples draws its blocks d wide through the factor R.
+
+    For Gaussian u, W'x = (H^(1/2) W)'u ~ N(0, R'R), with R the d x d
+    triangular factor of the QR of H^(1/2) W.  So a block's features can
+    be act(Z R), Z unit normals n x d: 2 m d^2 product flops instead of
+    2 m v d, for a QR of 2 v d^2 - 2 d^3 / 3 flops.  The factor is taken
+    when the product work it saves exceeds the QR's, m (v - d) > v d -
+    d^2 / 3, compared in integers.  Never when m < d or v = d.
+    """
+    return 3 * m * (v - d) > 3 * v * d - d * d
+
+
 def _feature_block(
-    cfg: RFConfig, W: np.ndarray, block: int, lo: int, out: np.ndarray, draw: np.ndarray | None
+    cfg: RFConfig, M: np.ndarray, block: int, lo: int, out: np.ndarray, draw: np.ndarray | None
 ) -> None:
     """Features of samples lo .. lo + len(out), written into `out` in place.
 
     One draw from the block's own stream into the rows of `draw` (None for
-    external rows, which are used as they are), one product into `out` and
-    one activation there, whose temporary is the spent draw buffer.
+    external rows, which are used as they are), one product with M into
+    `out` and one activation there, whose temporary is the spent draw
+    buffer.  M is the H^(1/2)-scaled sketch (v x d) with a v-wide draw, or
+    on the Gaussian factor route its d x d factor R with a d-wide draw.
     """
     n = out.shape[0]
     if draw is None:
         rows, scratch = cfg.distribution.matrix[lo : lo + n], None
     else:
         rows = cfg.distribution.draw_unit(_stream(cfg.seed, _DATA, block), draw[:n])
-        scratch = draw.reshape(-1)[: n * cfg.d].reshape(n, cfg.d)  # v >= d
-    np.matmul(rows, W, out=out)
+        scratch = draw.reshape(-1)[: n * cfg.d].reshape(n, cfg.d)  # a draw is v or d wide, v >= d
+    np.matmul(rows, M, out=out)
     cfg.activation.apply(out, out=out, scratch=scratch)
     if not np.all(np.isfinite(out)):
         bad = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
@@ -576,7 +597,7 @@ def _ordered_map(fn, items, threads: int) -> Iterator:
 class _Slot(NamedTuple):
     """What one Monte Carlo worker holds for a block, reused from block to block."""
 
-    draw: np.ndarray | None  # min(m, rows) x v unit draws, then the activation's scratch
+    draw: np.ndarray | None  # min(m, rows) x v unit draws (x d through R), then the activation's scratch
     features: np.ndarray | None  # min(m, rows) x d, when the run has no feature matrix
     partial: np.ndarray | None  # d x d, what `reduce` writes, when the run has no feature matrix
 
@@ -588,25 +609,31 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
     the sketch and plans blocks of `_block_rows(v, d)` samples, each with
     its own derived data stream, so the results do not depend on `threads`,
     which `mc_worker_count` resolves.  Validation runs at call time, before
-    any block is sampled.
+    any block is sampled.  The sketch is scaled by H^(1/2) for synthetic
+    laws.  A Gaussian run on the side of `_gaussian_factor` where it saves
+    work then replaces it by R = qr(H^(1/2) W, mode="r"), once, when the
+    first block is asked for, and frees the scaled sketch; its blocks are
+    d-wide unit draws times R.  Student-t, Rademacher and external rows
+    keep the v-wide draw (or the rows themselves) times the scaled sketch.
 
     The run allocates one `_Slot` per worker, once, on the calling thread
     (memory a worker thread allocated and freed stays in its malloc arena),
-    sized to the run: a min(m, rows) x v draw buffer (none for external
-    rows) and, when `Phi` is None, min(m, rows) x d features and a d x d
-    partial.  Block b takes slot b mod workers, draws into it, writes its
-    features into the slot or into its rows of `Phi` and activates them
-    there, with the spent draw buffer as the activation's temporary;
-    `reduce` runs on the worker and writes into the slot's partial what it
-    returns.  Block b + workers reuses the slot once the consumer asks for
-    the result after block b's (`_ordered_map`), so the consumer must be
-    done with a result, its sum taken, before then.
+    sized to the run: a min(m, rows) x v draw buffer (x d through R, none
+    for external rows) and, when `Phi` is None, min(m, rows) x d features
+    and a d x d partial.  Block b takes slot b mod workers, draws into it,
+    writes its features into the slot or into its rows of `Phi` and
+    activates them there, with the spent draw buffer as the activation's
+    temporary; `reduce` runs on the worker and writes into the slot's
+    partial what it returns.  Block b + workers reuses the slot once the
+    consumer asks for the result after block b's (`_ordered_map`), so the
+    consumer must be done with a result, its sum taken, before then.
 
     When the run could have two workers at some `threads` (several blocks,
     and two workers' holdings fit the cap), BLAS runs on one thread
-    (`_BLAS_BUDGET`) from the first block until the last result is taken or
-    the iterator is closed, so the bytes do not depend on `threads`; a run
-    that always has one worker keeps the caller's BLAS threads.  The pin is
+    (`_BLAS_BUDGET`) from the QR, or the first block, until the last result
+    is taken or the iterator is closed, so the bytes do not depend on
+    `threads` or on the caller's BLAS threads; a run that always has one
+    worker keeps the caller's BLAS threads for both.  The pin is
     process-wide: other threads' BLAS calls run on one thread meanwhile.
     """
     workers = mc_worker_count(cfg.m, cfg.v, cfg.d, threads)
@@ -618,32 +645,35 @@ def _sample_blocks(cfg: RFConfig, threads: int | None, reduce=None, Phi=None) ->
     W = sample_sketch(cfg.v, cfg.d, cfg.seed)  # a fresh array, so it may be scaled in place
     if dist.kind != "external":  # x = H^(1/2) u, so W'x = (H^(1/2) W)'u: the sketch carries H^(1/2)
         W *= np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)[:, None]
+    factor = dist.kind == "gaussian" and _gaussian_factor(cfg.v, cfg.d, cfg.m)
+    width = cfg.d if factor else cfg.v  # of a block's draw
     rows = _block_rows(cfg.v, cfg.d)
     held = min(cfg.m, rows)
     pooled = mc_worker_count(cfg.m, cfg.v, cfg.d, 2) > 1  # the same for every `threads`
 
-    def run() -> Iterator:
-        slots = [
-            _Slot(
-                None if dist.kind == "external" else np.empty((held, cfg.v)),
-                np.empty((held, cfg.d)) if Phi is None else None,
-                np.empty((cfg.d, cfg.d)) if Phi is None else None,
-            )
-            for _ in range(workers)
-        ]
-
+    def run(M: np.ndarray) -> Iterator:
         def work(b: int):
             slot = slots[b % workers]
             lo, hi = b * rows, min((b + 1) * rows, cfg.m)
             F = slot.features[: hi - lo] if Phi is None else Phi[lo:hi]
             with np.errstate(over="ignore", invalid="ignore"):  # the finiteness checks raise instead
-                _feature_block(cfg, W, b, lo, F, slot.draw)
+                _feature_block(cfg, M, b, lo, F, slot.draw)
                 return reduce(F, slot.partial) if Phi is None else None
 
         with _BLAS_BUDGET if pooled else contextlib.nullcontext():
+            if factor:  # under the budget, so R's bytes do not depend on the caller's BLAS threads
+                M = np.linalg.qr(M, mode="r")  # drops the last reference to the scaled sketch
+            slots = [
+                _Slot(
+                    None if dist.kind == "external" else np.empty((held, width)),
+                    np.empty((held, cfg.d)) if Phi is None else None,
+                    np.empty((cfg.d, cfg.d)) if Phi is None else None,
+                )
+                for _ in range(workers)
+            ]
             yield from _ordered_map(work, range(-(-cfg.m // rows)), workers)
 
-    return run()
+    return run(W)
 
 
 def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate:
@@ -653,10 +683,13 @@ def mc_covariance(cfg: RFConfig, threads: int | None = None) -> SpectrumEstimate
     682 at v = 800, d = 400; 512 at v = d = 2000) with per-block derived
     streams, run on `mc_worker_count(cfg.m, cfg.v, cfg.d, threads)` worker
     threads.  The sketch carries H^(1/2), so unit draws U have features
-    f(U H^(1/2) W).  A block is one draw into its worker's slot, a
-    min(m, rows) x v buffer the run allocates once per worker, whose
-    product is written straight into its destination and activated there
-    in place, with the spent draw buffer as the activation's temporary.
+    f(U H^(1/2) W).  A Gaussian run with m (v - d) > v d - d^2 / 3 draws
+    its blocks d wide instead, with features f(Z R), R the d x d QR factor
+    of H^(1/2) W: the same law, since W'x ~ N(0, R'R), for less work.  A
+    block is one draw into its worker's slot, a min(m, rows) x v buffer
+    (x d through R) the run allocates once per worker, whose product is
+    written straight into its destination and activated there in place,
+    with the spent draw buffer as the activation's temporary.
     Block bounds depend only on v, d and m, never on `threads`.  The
     centered variant subtracts the empirical feature mean.
 

@@ -301,16 +301,18 @@ def test_sample_sketch_golden_stream():
 
 
 def test_mc_covariance_linear_commutes_with_sample_covariance():
-    # for f(y)=y the feature covariance is W' S W with S the (uncentered)
-    # sample covariance of x; rebuild the identical data stream to check
+    # for f(y)=y the feature covariance is R' S R with S the (uncentered)
+    # sample covariance of the d-wide unit draws z and R the QR factor of
+    # H^(1/2) W (the Gaussian factor route); rebuild the identical data
+    # stream to check
     cfg = RFConfig(v=60, d=30, m=500, alpha=1.31, activation=Activation("monomial", 1), seed=11)
+    assert simulate._gaussian_factor(cfg.v, cfg.d, cfg.m)
     est = simulate.mc_covariance(cfg)
-    W = simulate.sample_sketch(cfg.v, cfg.d, cfg.seed)
-    sqrt_h = np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)
+    R = _draw_matrix(cfg)
     rng = simulate._stream(cfg.seed, simulate._DATA, 0)
-    X = rng.standard_normal((cfg.m, cfg.v)) * sqrt_h
-    S = X.T @ X / cfg.m
-    want = spectral.sym_eigenvalues(W.T @ S @ W / cfg.d)[: cfg.d]
+    Z = rng.standard_normal((cfg.m, cfg.d))
+    S = Z.T @ Z / cfg.m
+    want = spectral.sym_eigenvalues(R.T @ S @ R / cfg.d)[: cfg.d]
     assert np.allclose(est.eigenvalues, want, rtol=1e-10, atol=1e-12)
 
 
@@ -392,6 +394,58 @@ def test_mc_covariance_route_rule(monkeypatch, block, v, d, m, gram):
     assert eig.size == min(m, d)
 
 
+class _FirstBlock(Exception):
+    """Stops a Monte Carlo run at its first block."""
+
+
+@pytest.mark.parametrize(
+    "v, d, m, factor",
+    [
+        (800, 400, 10**4, True),  # the benchmark's jobs
+        (2000, 1000, 4 * 10**4, True),
+        (160, 80, 4000, True),
+        (120, 100, 5000, True),
+        (1000, 1000, 2 * 10**4, False),  # v = d: nothing to save
+        (2000, 1500, 1200, False),  # m < d: the QR costs more than it saves
+    ],
+)
+def test_mc_gaussian_factor_route_rule(monkeypatch, v, d, m, factor):
+    # a Gaussian run takes the QR factor R of H^(1/2) W when the product work
+    # it saves, 2 m d (v - d) flops, exceeds the QR's 2 d^2 (v - d / 3); then
+    # its first block multiplies a d-wide draw by the d x d factor, else a
+    # v-wide draw by the v x d scaled sketch.  Student-t and Rademacher runs
+    # never take the factor
+    assert simulate._gaussian_factor(v, d, m) is factor
+    seen = []
+
+    def first_block(cfg, M, block, lo, out, draw):
+        seen.append((M.shape, draw.shape))
+        raise _FirstBlock
+
+    monkeypatch.setattr(simulate, "_feature_block", first_block)
+    held = min(m, simulate._block_rows(v, d))
+    for law in (DataDistribution("gaussian"), DataDistribution("rademacher"), DataDistribution("student_t", df=5.0)):
+        cfg = RFConfig(v=v, d=d, m=m, alpha=1.31, activation=Activation("monomial", 2), distribution=law, seed=1)
+        with pytest.raises(_FirstBlock):
+            simulate.mc_covariance(cfg, threads=1)
+    width = d if factor else v
+    assert seen == [((width, d), (held, width))] + [((v, d), (held, v))] * 2
+
+
+def test_mc_gaussian_factor_needs_no_positive_definite_gram():
+    # at alpha = 10 the Gram matrix (H^(1/2) W)'(H^(1/2) W) = W'HW is
+    # numerically singular, so it has no Cholesky factor; the run takes the
+    # QR factor of H^(1/2) W instead and gives d finite eigenvalues
+    cfg = RFConfig(v=120, d=100, m=5000, alpha=10.0, activation=Activation("monomial", 2), seed=1)
+    assert simulate._gaussian_factor(cfg.v, cfg.d, cfg.m)
+    Y = simulate.sample_sketch(cfg.v, cfg.d, cfg.seed)
+    Y *= np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)[:, None]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(Y.T @ Y)
+    eig = simulate.mc_covariance(cfg).eigenvalues
+    assert eig.shape == (cfg.d,) and np.all(np.isfinite(eig))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     law=st.sampled_from(["gaussian", "rademacher", "student_t", "external"]),
@@ -450,22 +504,37 @@ def test_mc_covariance_matrix_reduction_memory_is_bounded(monkeypatch, threads):
     assert peak < 1_000_000, peak
 
 
-def scaled_data_covariance(cfg, rows=simulate._BLOCK):
-    """The covariance from features act((U * sqrt(h)) @ W), one whole draw U per block of `rows`.
+def _draw_matrix(cfg) -> np.ndarray:
+    """What a block's unit draw is multiplied by, rebuilt for a synthetic law.
 
-    H^(1/2) scales every data block; external rows are used as x directly.
+    The H^(1/2)-scaled sketch (v x d), or on the Gaussian factor route its
+    d x d QR factor R, whose draws are d wide.
     """
     W = simulate.sample_sketch(cfg.v, cfg.d, cfg.seed)
+    W *= np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)[:, None]
+    if cfg.distribution.kind == "gaussian" and simulate._gaussian_factor(cfg.v, cfg.d, cfg.m):
+        return np.linalg.qr(W, mode="r")
+    return W
+
+
+def scaled_data_covariance(cfg, rows=simulate._BLOCK):
+    """The covariance from features act(U @ M), one whole draw U per block of `rows`.
+
+    M is `_draw_matrix(cfg)`, so H^(1/2) scales every data block; external
+    rows are used as x directly.
+    """
     if cfg.distribution.kind == "external":
+        W = simulate.sample_sketch(cfg.v, cfg.d, cfg.seed)
         F = cfg.activation.apply(cfg.distribution.matrix[: cfg.m] @ W)
     else:
-        sqrt_h = np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)
+        M = _draw_matrix(cfg)
         blocks = []
         for b, lo in enumerate(range(0, cfg.m, rows)):
             U = cfg.distribution.draw_unit(
-                simulate._stream(cfg.seed, simulate._DATA, b), np.empty((min(lo + rows, cfg.m) - lo, cfg.v))
+                simulate._stream(cfg.seed, simulate._DATA, b),
+                np.empty((min(lo + rows, cfg.m) - lo, M.shape[0])),
             )
-            blocks.append(cfg.activation.apply((U * sqrt_h) @ W))
+            blocks.append(cfg.activation.apply(U @ M))
         F = np.vstack(blocks)
     if cfg.centered:
         F = F - F.mean(axis=0)
@@ -478,7 +547,8 @@ def scaled_data_covariance(cfg, rows=simulate._BLOCK):
     "dist", [DataDistribution("gaussian"), DataDistribution("rademacher"), DataDistribution("student_t", df=5.0)]
 )
 def test_mc_covariance_matrix_equals_data_scaled_features(dist, centered):
-    # the sketch carries H^(1/2): the same draws give the same covariance up to round-off
+    # the sketch carries H^(1/2), and Gaussian draws are d wide through its
+    # QR factor: the same draws give the same covariance up to round-off
     cfg = RFConfig(
         v=40, d=16, m=simulate._BLOCK + 700, alpha=1.31, activation=Activation("monomial", 2),
         distribution=dist, seed=12, centered=centered,
@@ -1070,33 +1140,40 @@ def test_gram_of_contiguous_mc_block_features_is_exactly_symmetric(shape, order)
 # sha256 of the little-endian float64 output (eigenvalues of mc_covariance,
 # then the mc_covariance_matrix entries) at threads=1, recorded with data
 # blocks drawn from SFC64 and centered matrices summed from moments about
-# each block's mean.  m <= 4096 is one block under every block plan so far,
-# so these bits move only with the data stream's recipe or the centered
-# reduction.  numpy picks
+# each block's mean; keys are (law, activation, v, m, centered) at d = 80.
+# m <= 4096 is one block under every block plan so far, so these bits move
+# only with the data stream's recipe or the centered reduction.  The
+# Gaussian v = 160 key takes the factor route (re-recorded when Gaussian
+# blocks were first drawn d wide through R); the v = d one keeps the v-wide
+# draw and its bits.  numpy picks
 # its SIMD loops and OpenBLAS its GEMM and
 # eigensolver kernels by CPU, so the digests are compared only on the build
 # they were recorded on (`_GOLDEN_BUILD`); elsewhere
 # `test_one_block_output_is_the_single_draw_recipe` checks the same recipe.
 _ONE_BLOCK_GOLDEN = {
-    ("gaussian", "monomial:3", 4096, False): (
-        "0c5549c3eeba535b03dd0b9ef1cec43badfc83ee5cc0356585126d20483adade",
-        "36097f6f14e573ae1c633b6d7f95a540fde815d91bda77b8dbb642d48c61e59a",
+    ("gaussian", "monomial:2", 80, 4096, False): (
+        "c87abb6f64b83ec763bf56b8e7379a47095f265d12fe36bd2ab653a3749517ee",
+        "a5bdc63daef911ab546d2e450a3b726cdb76621b8f41b6066242ca0b19c92806",
     ),
-    ("student_t", "monomial:2", 4000, True): (
+    ("gaussian", "monomial:3", 160, 4096, False): (
+        "9b5dd510c952136d2b14c4c949a09b2618de9dfbf1120104c9775b130ed9bda2",
+        "8a1cf005db988f857b4365bc26a87b95fb1722d391174f72a501f4816a7bf2fb",
+    ),
+    ("student_t", "monomial:2", 160, 4000, True): (
         "c1c623543fa99c43f1f88eb76ee3f2aaff57909544c85ce9228bddfcc07eea58",
         "8192247ffb145abf074b419515f29524989c097cc141a1ba3c1e475ffdf824e9",
     ),
-    ("rademacher", "tanh", 4096, True): (
+    ("rademacher", "tanh", 160, 4096, True): (
         "8f0e11c57c2bfc18209288f8d904b0dc061d0290e256ff35bc279de93c8b7473",
         "c66548623fab4ca98cbb3899cdb97a356e13aca1f6d53e9e87ad2d9f037e7cc8",
     ),
 }
 
 
-def _one_block_cfg(dist: str, act: str, m: int, centered: bool) -> RFConfig:
+def _one_block_cfg(dist: str, act: str, v: int, m: int, centered: bool) -> RFConfig:
     law = DataDistribution("student_t", df=10.0) if dist == "student_t" else DataDistribution(dist)
     return RFConfig(
-        v=160, d=80, m=m, alpha=1.31, activation=Activation.parse(act), distribution=law,
+        v=v, d=80, m=m, alpha=1.31, activation=Activation.parse(act), distribution=law,
         seed=20260, centered=centered,
     )
 
@@ -1120,11 +1197,12 @@ def test_one_block_output_bits_pinned(key):
 # threads (at one it rounds differently; the matrix bits do not depend on the
 # caller's BLAS setting).  These bits move with the block plan, the data
 # streams, the blockwise reduction or how a block is drawn, multiplied and
-# activated.
+# activated.  The Gaussian key takes the factor route, and was re-recorded
+# when Gaussian blocks were first drawn d wide through R.
 _BLOCKWISE_GOLDEN = {
     ("gaussian", "monomial:2", False): (
-        "e85db63cb5f194fb83d7e12e4d256fd3c50cb20f1da817b1bc4f00e39327ae92",
-        "aa71b601cd868e6710a14a76e83026d749d972f6dc812ee52b990d5e1674933d",
+        "1eb68ddf87b5c3286c568922cdb1b891f466ae7ee27b3c30bcf8999324ca8669",
+        "03abe904223e7224e34180a9871d1be521a7097c91ef96d9d010667ff0f4af4b",
     ),
     ("student_t", "monomial:3", False): (
         "0f064c664dc0797ba87146898a1be7851592317a052e682ada76d425ccb06ee5",
@@ -1142,7 +1220,7 @@ _BLOCKWISE_GOLDEN = {
 @pytest.mark.parametrize("key", sorted(_BLOCKWISE_GOLDEN))
 def test_mc_blockwise_output_bits_pinned(caller_blas_threads, key, threads):
     dist, act, centered = key
-    cfg = dataclasses.replace(_one_block_cfg(dist, act, 10**4, centered), v=800, d=400)
+    cfg = dataclasses.replace(_one_block_cfg(dist, act, 800, 10**4, centered), d=400)
     assert -(-cfg.m // simulate._block_rows(cfg.v, cfg.d)) == 15
     got = (
         _sha(simulate.mc_covariance(cfg, threads=threads).eigenvalues),
@@ -1153,13 +1231,15 @@ def test_mc_blockwise_output_bits_pinned(caller_blas_threads, key, threads):
 
 @pytest.mark.parametrize("key", sorted(_ONE_BLOCK_GOLDEN))
 def test_one_block_output_is_the_single_draw_recipe(key):
-    # one draw from stream (seed, data, 0), one product with the H^(1/2)-scaled
-    # sketch, a fresh activated array, then the Gram trick
+    # one draw from stream (seed, data, 0), v wide, one product with the
+    # H^(1/2)-scaled sketch, a fresh activated array, then the Gram trick; on
+    # the Gaussian factor route the draw is d wide and the product is with
+    # the sketch's QR factor R.  The Gaussian keys lie on both sides of the
+    # rule: v = 160 takes the factor, v = d does not
     cfg = _one_block_cfg(*key)
-    W = simulate.sample_sketch(cfg.v, cfg.d, cfg.seed)
-    W *= np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)[:, None]
-    U = cfg.distribution.draw_unit(simulate._stream(cfg.seed, simulate._DATA, 0), np.empty((cfg.m, cfg.v)))
-    F = cfg.activation.apply(U @ W)
+    M = _draw_matrix(cfg)
+    U = cfg.distribution.draw_unit(simulate._stream(cfg.seed, simulate._DATA, 0), np.empty((cfg.m, M.shape[0])))
+    F = cfg.activation.apply(U @ M)
     if cfg.centered:
         F = F - F.mean(axis=0)
     want = spectral.gram_spectrum(F, cfg.feature_scale / cfg.m)
@@ -1170,12 +1250,11 @@ def test_mc_covariance_centered_subtracts_mean():
     cfg = RFConfig(
         v=30, d=15, m=4000, alpha=1.31, activation=Activation("relu"), seed=5, centered=True
     )
+    assert simulate._gaussian_factor(cfg.v, cfg.d, cfg.m)
     mat = simulate.mc_covariance_matrix(cfg)
-    # recompute from raw blocks: centered second moment
-    W = simulate.sample_sketch(cfg.v, cfg.d, cfg.seed)
-    sqrt_h = np.sqrt(PowerLawSpectrum(cfg.alpha, cfg.v).eigenvalues)
+    # recompute from raw blocks, d-wide draws through the factor R: centered second moment
     rng = simulate._stream(cfg.seed, simulate._DATA, 0)
-    F = Activation("relu").apply((rng.standard_normal((cfg.m, cfg.v)) * sqrt_h) @ W)
+    F = Activation("relu").apply(rng.standard_normal((cfg.m, cfg.d)) @ _draw_matrix(cfg))
     Fc = F - F.mean(axis=0)
     want = (Fc.T @ Fc / cfg.m) / cfg.d
     assert np.allclose(mat, (want + want.T) / 2, rtol=1e-10, atol=1e-14)
